@@ -17,6 +17,7 @@ from .coloring import (
     ColoringFormatError,
     LatticeColoring,
     exact_window_span,
+    export_dimacs,
     read_coloring_file,
     search_lattice,
     search_periodic,
@@ -27,7 +28,7 @@ from .coloring import (
 from .grid import distance_bfs, distance_closed, pairwise_distances
 from .render import render_svg
 from .reuse import run_checks
-from .rings import ball, build_clique, build_ring, build_shell
+from .rings import build_clique, build_ring, build_shell
 from .solver import ResourceGuard
 from .spans import span_even
 
@@ -187,26 +188,6 @@ def _cmd_exact_window(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(write_coloring(result.coloring))
     return 0
-
-
-def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
-    """DIMACS edge-format text of the l-th power graph of the radius
-    window: all window cells, one edge per pair at distance <= l."""
-    cells = sorted(ball((0, 0), radius))
-    if len(cells) > guard:
-        raise ResourceGuard(
-            f"window of {len(cells)} cells exceeds the guard of {guard}"
-        )
-    dmat = pairwise_distances(cells)
-    n = len(cells)
-    edges = [(a + 1, b + 1) for a in range(n) for b in range(a + 1, n)
-             if dmat[a, b] <= l]
-    lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
-             "c vertex ids map to cells as:"]
-    lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
-    lines.append(f"p edge {n} {len(edges)}")
-    lines += [f"e {a} {b}" for a, b in edges]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_export_dimacs(args) -> int:

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grid import Vertex, distance_closed, translate
+import numpy as np
+
+from .grid import Vertex, distance_closed, distance_closed_array, pairwise_distances, translate
 from .rings import ball
-from .solver import ResourceGuard, greedy_clique, solve_coloring
+from .solver import ResourceGuard, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
 
 
@@ -84,9 +86,6 @@ def lattice_geometry(basis: tuple[Vertex, Vertex]) -> LatticeGeometry:
         raise ValueError(f"degenerate lattice basis {basis}")
     det = abs(det)
     g, alpha, beta = _egcd(p1, p2)
-    if g == 0:
-        # both generators vertical; the x-projection is trivial
-        raise ValueError(f"degenerate lattice basis {basis}")
     a = abs(g)
     b = alpha * q1 + beta * q2
     d = det // a
@@ -259,10 +258,6 @@ def search_lattice(l: int, max_index: int) -> LatticeColoring | None:
 def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     """Bitmask conflict graph over the fundamental domain: cells whose
     orbits come within distance l of each other must differ in color."""
-    import numpy as np
-
-    from .grid import distance_closed_array
-
     cells = geo.cells()
     n = len(cells)
     lam = np.asarray(geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2))
@@ -274,12 +269,9 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
         u[:, None, 0], u[:, None, 1],
         v[:, None, 0] + lam[None, :, 0], v[:, None, 1] + lam[None, :, 1],
     )
-    conflict = (d <= l).any(axis=1)
-    adj = [0] * n
-    for a, b in zip(ai[conflict], bi[conflict]):
-        adj[int(a)] |= 1 << int(b)
-        adj[int(b)] |= 1 << int(a)
-    return adj
+    related = np.zeros((n, n), dtype=bool)
+    related[ai, bi] = (d <= l).any(axis=1)
+    return bitmask_graph(related | related.T)
 
 
 @dataclass
@@ -359,20 +351,7 @@ def materialize_window(coloring: LatticeColoring, radius: int,
 
 def window_conflicts(cells: list[Vertex], l: int) -> list[int]:
     """Bitmask graph over ``cells`` joining pairs at distance <= l."""
-    from .grid import pairwise_distances
-    import numpy as np
-
-    n = len(cells)
-    dmat = pairwise_distances(cells)
-    adj = [0] * n
-    close = dmat <= l
-    for a in range(n):
-        m = 0
-        for b in np.nonzero(close[a])[0]:
-            if b != a:
-                m |= 1 << int(b)
-        adj[a] = m
-    return adj
+    return bitmask_graph(pairwise_distances(cells) <= l)
 
 
 @dataclass
@@ -420,6 +399,26 @@ def exact_window_span(l: int, radius: int, budget: int, guard: int = 200,
     assignment = {cell: c + 1 for cell, c in zip(cells, solution)}
     return WindowSearchResult(l, radius, budget, True,
                               WindowColoring(l, assignment), "explicit coloring")
+
+
+def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
+    """DIMACS edge-format text of the l-th power graph of the radius
+    window: all window cells, one edge per pair at distance <= l."""
+    cells = sorted(ball((0, 0), radius))
+    if len(cells) > guard:
+        raise ResourceGuard(
+            f"window of {len(cells)} cells exceeds the guard of {guard}"
+        )
+    adj = window_conflicts(cells, l)
+    n = len(cells)
+    edges = [(a + 1, b + 1) for a in range(n) for b in range(a + 1, n)
+             if adj[a] >> b & 1]
+    lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
+             "c vertex ids map to cells as:"]
+    lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
+    lines.append(f"p edge {n} {len(edges)}")
+    lines += [f"e {a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
 
 
 def verify_window(coloring: WindowColoring, max_violations: int = 1000) -> VerifyResult:
@@ -545,7 +544,7 @@ def read_coloring(text: str) -> LatticeColoring | WindowColoring:
     canonical = {geo.canonical(cell): color for cell, color in cells.items()}
     if len(canonical) != len(cells):
         raise ColoringFormatError(1, "two cells fall in the same lattice orbit")
-    if set(canonical) != set(geo.cells()):
+    if len(canonical) != geo.det:
         raise ColoringFormatError(1, "cells do not cover the fundamental domain")
     mode = "single-coset" if len(set(canonical.values())) == geo.det else "multi-domain"
     return LatticeColoring(l, basis, canonical, mode=mode)

@@ -6,11 +6,20 @@ cells (odd coordinate sum) point west instead.  Vertical edges
 (i, j)-(i, j+1) always exist, so every cell has exactly three neighbours
 and the graph is bipartite across the two handedness classes.
 
-Two distance implementations are provided on purpose.  ``distance_bfs``
-is the slow, obviously-correct oracle (plain breadth-first search).
-``distance_closed`` is the O(1) closed form; its westward correction
-term was calibrated against the BFS oracle and their equivalence is
-enforced by the test suite, exhaustively up to radius 30.
+Two distance implementations are provided on purpose.  ``distance_closed``
+is the O(1) closed form (with ``distance_closed_array`` and
+``pairwise_distances`` as its numpy forms).  Breadth-first search is
+the slow, obviously-correct oracle it is checked against, by two
+routes:
+
+* sparse set BFS: ``bfs_distances`` sweeps outward from one source
+  until a given set of targets is reached; ``distance_bfs`` is its
+  single-target form;
+* dense numpy field: ``distance_field`` sweeps a whole box at once.
+
+The closed form's westward correction term was calibrated against the
+BFS oracle, and their equivalence is enforced by the test suite,
+exhaustively up to radius 30.
 """
 
 from __future__ import annotations
@@ -77,49 +86,9 @@ def pairwise_distances(cells: list[Vertex]) -> np.ndarray:
     return distance_closed_array(i[:, None], j[:, None], i[None, :], j[None, :])
 
 
-def _bfs_in_window(u: Vertex, v: Vertex, radius: int) -> int | None:
-    """Shortest path length from u to v using only cells within L1
-    distance ``radius`` of u, or None if v is not reached."""
-    ui, uj = u
-    seen = {u}
-    frontier = deque([u])
-    depth = 0
-    while frontier:
-        depth += 1
-        for _ in range(len(frontier)):
-            ci, cj = frontier.popleft()
-            horizontal = (ci + 1, cj) if (ci + cj) % 2 == 0 else (ci - 1, cj)
-            for nb in (horizontal, (ci, cj + 1), (ci, cj - 1)):
-                if nb in seen:
-                    continue
-                if nb == v:
-                    return depth
-                if abs(nb[0] - ui) + abs(nb[1] - uj) <= radius:
-                    seen.add(nb)
-                    frontier.append(nb)
-    return None
-
-
 def distance_bfs(u: Vertex, v: Vertex) -> int:
-    """Exact graph distance by breadth-first search.
-
-    The search runs inside an L1 window around u and the window grows
-    until the answer is trustworthy: a path of length L found inside a
-    window of radius >= L cannot be beaten by a path that leaves the
-    window, because every cell of a length-L path lies within L1
-    distance L of u.
-    """
-    if u == v:
-        return 0
-    m0 = abs(u[0] - v[0]) + abs(u[1] - v[1])
-    radius = max(m0, 2 * abs(u[0] - v[0])) + 2
-    while True:
-        # 2*m0 + 2 always suffices; anything past that is a bug.
-        assert radius <= 2 * m0 + 8, f"BFS window runaway for {u} -> {v}"
-        found = _bfs_in_window(u, v, radius)
-        if found is not None and found <= radius:
-            return found
-        radius += 4
+    """Exact graph distance by breadth-first search."""
+    return bfs_distances(u, [v])[v]
 
 
 def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
@@ -140,7 +109,8 @@ def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
     depth = 0
     while frontier and remaining:
         depth += 1
-        assert depth <= cap, "BFS sweep runaway"
+        if depth > cap:
+            raise AssertionError(f"BFS sweep runaway from {source}")
         for _ in range(len(frontier)):
             ci, cj = frontier.popleft()
             horizontal = (ci + 1, cj) if (ci + cj) % 2 == 0 else (ci - 1, cj)

@@ -24,6 +24,7 @@ from .rings import (
     shell_union,
     _shell_members,
 )
+from .solver import bitmask_graph
 from .spans import span_even
 
 ORIGIN: Vertex = (0, 0)
@@ -64,19 +65,9 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
 
 def compatibility_masks(cells: list[Vertex], separation: int) -> list[int]:
     """Bitmask graph over ``cells`` joining pairs at distance >= separation."""
-    n = len(cells)
-    if n == 0:
+    if not cells:
         return []
-    dmat = pairwise_distances(cells)
-    masks = [0] * n
-    for a in range(n):
-        row = np.nonzero(dmat[a] >= separation)[0]
-        m = 0
-        for b in row:
-            if b != a:
-                m |= 1 << int(b)
-        masks[a] = m
-    return masks
+    return bitmask_graph(pairwise_distances(cells) >= separation)
 
 
 def max_spread(source: Vertex, p: int, target, label: str = "") -> SpreadBound:
@@ -87,11 +78,11 @@ def max_spread(source: Vertex, p: int, target, label: str = "") -> SpreadBound:
     sep = 2 * p + 1
     size, chosen = _max_clique_bits(compatibility_masks(members, sep))
     witness = tuple(members[i] for i in range(len(members)) if chosen >> i & 1)
-    # recheck the witness with the independent BFS oracle
-    for a, b in combinations(witness, 2):
-        assert distance_bfs(a, b) >= sep, (a, b)
-    for w in witness:
-        assert distance_bfs(source, w) >= sep, (source, w)
+    # recheck the witness with the independent BFS oracle (a raise, not
+    # an assert, so that python -O keeps it)
+    for a, b in combinations((source, *witness), 2):
+        if distance_bfs(a, b) < sep:
+            raise AssertionError(f"spread witness {a}, {b} closer than {sep}")
     return SpreadBound(source, p, label, size, witness)
 
 
@@ -294,13 +285,9 @@ def double_reuse_pairs(corner: Vertex, p: int, target) -> list[tuple[Vertex, Ver
     members are mutually at distance >= 2p+1 (the ways to use the
     corner's color twice in ``target``)."""
     members = sorted(reuse_set(corner, p, target).members)
-    sep = 2 * p + 1
-    dmat = pairwise_distances(members) if members else None
-    out = []
-    for a, b in combinations(range(len(members)), 2):
-        if dmat[a, b] >= sep:
-            out.append((members[a], members[b]))
-    return out
+    masks = compatibility_masks(members, 2 * p + 1)
+    return [(members[a], members[b])
+            for a, b in combinations(range(len(members)), 2) if masks[a] >> b & 1]
 
 
 def verify_corner_pair_exclusion(p: int) -> ObservationReport:

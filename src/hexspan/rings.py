@@ -98,10 +98,7 @@ class DistanceClique:
 def build_clique(center: Vertex, p: int) -> DistanceClique:
     if p < 1:
         raise ValueError(f"clique parameter must be >= 1, got {p}")
-    members = [center]
-    for k in range(1, p + 1):
-        members.extend(build_ring(center, k).members)
-    return DistanceClique(center, p, tuple(members))
+    return DistanceClique(center, p, tuple(ball(center, p)))
 
 
 def ball(center: Vertex, radius: int) -> list[Vertex]:

@@ -15,9 +15,20 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 
 class ResourceGuard(Exception):
     """Raised when a search would exceed its configured resource limit."""
+
+
+def bitmask_graph(related: np.ndarray) -> list[int]:
+    """Bitmask adjacency of a square boolean relation: bit b of row a is
+    set iff ``related[a, b]`` and a != b."""
+    rows = np.array(related, dtype=bool)
+    np.fill_diagonal(rows, False)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def greedy_clique(adj: list[int]) -> list[int]:

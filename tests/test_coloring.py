@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,10 +8,12 @@ from hexspan.coloring import (
     ColoringFormatError,
     LatticeColoring,
     WindowColoring,
+    _separation_ok,
     even_sublattices,
     exact_window_span,
     lattice_geometry,
     materialize_window,
+    quotient_conflicts,
     read_coloring,
     search_lattice,
     search_periodic,
@@ -17,9 +21,11 @@ from hexspan.coloring import (
     translation_distance,
     verify_lattice,
     verify_window,
+    window_conflicts,
     write_coloring,
 )
 from hexspan.grid import distance_bfs, distance_closed, translate
+from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
 from hexspan.solver import ResourceGuard
 
@@ -60,6 +66,37 @@ def test_even_sublattice_enumeration_order_and_parity():
         assert abs(t1[0] * t2[1] - t1[1] * t2[0]) == det
     # no duplicates in normal form
     assert len({basis for _, basis in seq}) == len(seq)
+
+
+def _plain_graph(n, related):
+    adj = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if a != b and related(a, b):
+                adj[a] |= 1 << b
+    return adj
+
+
+def test_conflict_graphs_match_plain_pair_scans():
+    # reference graphs built pair by pair, with no numpy and no bitmask_graph;
+    # the admissible lattices below det 22 (l = 4) and det 66 (l = 8) give
+    # complete graphs, so both ends are sampled
+    for l, min_det in ((4, 0), (4, 22), (8, 0), (8, 66)):
+        admissible = (basis for det, basis in even_sublattices(200)
+                      if det >= min_det and _separation_ok(basis, l))
+        for basis in islice(admissible, 3):
+            geo = lattice_geometry(basis)
+            cells = geo.cells()
+            lam = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
+            expected = _plain_graph(len(cells), lambda a, b: any(
+                distance_closed(cells[a], translate(cells[b], t)) <= l for t in lam))
+            assert quotient_conflicts(geo, l) == expected, basis
+    cells = ball((0, 0), 5)
+    n = len(cells)
+    assert window_conflicts(cells, 4) == _plain_graph(
+        n, lambda a, b: distance_closed(cells[a], cells[b]) <= 4)
+    assert compatibility_masks(cells, 5) == _plain_graph(
+        n, lambda a, b: distance_closed(cells[a], cells[b]) >= 5)
 
 
 def test_sparse_lattice_is_valid():
@@ -225,6 +262,8 @@ def test_coloring_file_errors_carry_line_numbers(text, line):
 
 
 def test_lattice_file_must_cover_domain():
-    text = "hexcolor v1\nl 2\nlattice 4 4 4 -4\ncell 0 0 1\n"
-    with pytest.raises(ColoringFormatError):
-        read_coloring(text)
+    # the second domain has 10**10 cells: rejecting it must not list them
+    for basis in ("4 4 4 -4", "100000 0 0 100000"):
+        text = f"hexcolor v1\nl 2\nlattice {basis}\ncell 0 0 1\n"
+        with pytest.raises(ColoringFormatError, match="do not cover"):
+            read_coloring(text)

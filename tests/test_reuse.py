@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,27 @@ def test_max_spread_noncorner_is_one():
 
 def test_max_spread_empty_target():
     assert max_spread((0, 0), 4, []).max_spread == 0
+
+
+def test_max_spread_witness_recheck_survives_optimize_flag():
+    # a complete compatibility graph makes the clique search return a
+    # witness whose cells are too close; the BFS recheck must reject it
+    # even under python -O, which strips assert statements
+    code = (
+        "import hexspan.reuse as reuse\n"
+        "from hexspan.rings import build_ring\n"
+        "reuse.compatibility_masks = lambda cells, sep: "
+        "[((1 << len(cells)) - 1) & ~(1 << a) for a in range(len(cells))]\n"
+        "try:\n"
+        "    reuse.max_spread((0, 5), 5, build_ring((0, 0), 6).members)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('bad witness accepted')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "closer than 11" in proc.stdout
 
 
 def test_max_spread_agrees_with_powerset_scan():
