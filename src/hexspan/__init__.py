@@ -49,7 +49,6 @@ from .coloring import (
     search_lattice,
     search_periodic,
     single_coset_coloring,
-    translation_distance,
     verify_lattice,
     verify_window,
     write_coloring,

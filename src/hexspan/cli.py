@@ -23,7 +23,7 @@ from .coloring import (
     search_periodic,
     verify_lattice,
     verify_window,
-    write_coloring,
+    write_coloring_file,
 )
 from .grid import distance_bfs, distance_closed, pairwise_distances
 from .render import render_svg
@@ -33,6 +33,10 @@ from .solver import ResourceGuard
 from .spans import span_even
 
 SCHEMA = "hexspan/1"
+
+# The BFS oracle holds the whole ball of radius d in memory (236 MB at
+# d = 1000, growing as d squared), so larger distances are refused.
+DISTANCE_BFS_LIMIT = 1000
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -47,6 +51,9 @@ def _cmd_distance(args) -> int:
     u = (args.i1, args.j1)
     v = (args.i2, args.j2)
     closed = distance_closed(u, v)
+    if closed > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"distance {closed} exceeds the BFS oracle limit of "
+                            f"{DISTANCE_BFS_LIMIT}")
     oracle = distance_bfs(u, v)
     _emit(args, {"command": "distance", "u": list(u), "v": list(v),
                  "distance": closed, "bfs": oracle},
@@ -124,8 +131,8 @@ def _cmd_check_observations(args) -> int:
 
 def _cmd_search_lattice(args) -> int:
     if args.multi_domain:
-        target = args.colors if args.colors is not None else span_even(args.l).span
-        result = search_periodic(args.l, colors=target, max_det=args.max_det)
+        result = search_periodic(args.l, colors=args.colors, max_det=args.max_det)
+        target = result.target
         coloring = result.coloring
         payload = {"command": "search-lattice", "l": args.l, "target": target,
                    "mode": result.mode, "lattices_tried": result.lattices_tried}
@@ -154,8 +161,7 @@ def _cmd_search_lattice(args) -> int:
     check = verify_lattice(coloring)
     payload["verified"] = check.valid
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_coloring(coloring))
+        write_coloring_file(coloring, args.out)
         text += f"; written to {args.out}"
     _emit(args, payload, text)
     return 0 if check.valid else 1
@@ -185,8 +191,7 @@ def _cmd_exact_window(args) -> int:
           f"l={args.l} radius={args.radius} budget={args.budget}: "
           f"{'feasible' if result.feasible else 'infeasible'} ({result.certificate})")
     if result.feasible and args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_coloring(result.coloring))
+        write_coloring_file(result.coloring, args.out)
     return 0
 
 

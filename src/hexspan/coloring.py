@@ -27,16 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Vertex, distance_closed, distance_closed_array, pairwise_distances, translate
+from .grid import Vertex, distance_closed, pairwise_distances, parity, translate
 from .rings import ball
 from .solver import ResourceGuard, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
-
-
-def translation_distance(t: Vertex) -> int:
-    """d(v, v+t) for an even translation t; independent of v."""
-    a, b = abs(t[0]), abs(t[1])
-    return a + b if a <= b else 2 * a
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -209,10 +203,13 @@ def verify_lattice(coloring: LatticeColoring, max_violations: int = 100) -> Veri
 
 
 def _separation_ok(basis: tuple[Vertex, Vertex], l: int) -> bool:
-    """True iff no nonzero lattice vector moves cells by l or less."""
+    """True iff no nonzero lattice vector moves cells by l or less.
+
+    Lattice vectors are even translations, which are automorphisms, so
+    d(v, v+t) is the same for every v and equals d((0, 0), t)."""
     geo = lattice_geometry(basis)
     for t in geo.points_in_box(l // 2 + 1, l):
-        if t != (0, 0) and translation_distance(t) <= l:
+        if t != (0, 0) and distance_closed((0, 0), t) <= l:
             return False
     return True
 
@@ -256,22 +253,23 @@ def search_lattice(l: int, max_index: int) -> LatticeColoring | None:
 
 
 def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
-    """Bitmask conflict graph over the fundamental domain: cells whose
-    orbits come within distance l of each other must differ in color."""
+    """Bitmask conflict graph over the fundamental domain.
+
+    Domain cells u and v conflict iff some cell within distance l of u
+    lies in the orbit of v.  Even translations are automorphisms, so the
+    ball around u is u plus the ball offsets of its handedness class;
+    ``canonical`` maps each ball cell to the domain cell of its orbit.
+    The rule is exact, and symmetric because the lattice acts by
+    automorphisms."""
     cells = geo.cells()
-    n = len(cells)
-    lam = np.asarray(geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2))
-    arr = np.asarray(cells)
-    ai, bi = np.triu_indices(n, k=1)
-    u = arr[ai]
-    v = arr[bi]
-    d = distance_closed_array(
-        u[:, None, 0], u[:, None, 1],
-        v[:, None, 0] + lam[None, :, 0], v[:, None, 1] + lam[None, :, 1],
-    )
-    related = np.zeros((n, n), dtype=bool)
-    related[ai, bi] = (d <= l).any(axis=1)
-    return bitmask_graph(related | related.T)
+    index = {cell: k for k, cell in enumerate(cells)}
+    offsets = [[(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]
+               for rep in ((0, 0), (1, 0))]
+    related = np.zeros((len(cells), len(cells)), dtype=bool)
+    for k, (x, y) in enumerate(cells):
+        related[k, [index[geo.canonical((x + di, y + dj))]
+                    for di, dj in offsets[parity((x, y))]]] = True
+    return bitmask_graph(related)
 
 
 @dataclass

@@ -52,7 +52,7 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
         if cur_size > best_size:
             best_size, best_set = cur_size, cur
         while cand:
-            if cur_size + bin(cand).count("1") <= best_size:
+            if cur_size + cand.bit_count() <= best_size:
                 return
             bit = cand & -cand
             cand ^= bit
@@ -173,6 +173,18 @@ def verify_path_bound(p: int) -> ObservationReport:
     return report
 
 
+def _check_spreads(report: ObservationReport, sources, p: int, target, label: str,
+                   bound: int, **fields) -> None:
+    """Tally the spread of each source into ``target`` and record every
+    spread above ``bound`` as a counterexample (``fields`` first)."""
+    for source in sources:
+        spread = max_spread(source, p, target, label)
+        report.tally(spread.max_spread)
+        if spread.max_spread > bound:
+            report.fail(**fields, source=source, spread=spread.max_spread,
+                        witness=spread.witness)
+
+
 def verify_corner_reuse(p: int, qs=None) -> ObservationReport:
     """Corners of the radius p-q ring have spread at most 2 into the
     radius p+q+1 ring, for q = 0..p-2."""
@@ -184,13 +196,8 @@ def verify_corner_reuse(p: int, qs=None) -> ObservationReport:
             raise ValueError(f"q must be in 0..p-2 = 0..{p - 2}, got {q}")
     report = ObservationReport("corner-reuse", p, {"q": qs, "bound": 2})
     for q in qs:
-        target = build_ring(ORIGIN, p + q + 1).members
-        for corner in build_ring(ORIGIN, p - q).corners:
-            bound = max_spread(corner, p, target, f"ring {p + q + 1}")
-            report.tally(bound.max_spread)
-            if bound.max_spread > 2:
-                report.fail(q=q, source=corner, spread=bound.max_spread,
-                            witness=bound.witness)
+        _check_spreads(report, build_ring(ORIGIN, p - q).corners, p,
+                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", 2, q=q)
     return report
 
 
@@ -205,13 +212,8 @@ def verify_noncorner_reuse(p: int, qs=None) -> ObservationReport:
             raise ValueError(f"q must be in 0..p-3 = 0..{p - 3}, got {q}")
     report = ObservationReport("noncorner-reuse", p, {"q": qs, "bound": 1})
     for q in qs:
-        target = build_ring(ORIGIN, p + q + 1).members
-        for source in build_ring(ORIGIN, p - q).non_corners:
-            bound = max_spread(source, p, target, f"ring {p + q + 1}")
-            report.tally(bound.max_spread)
-            if bound.max_spread > 1:
-                report.fail(q=q, source=source, spread=bound.max_spread,
-                            witness=bound.witness)
+        _check_spreads(report, build_ring(ORIGIN, p - q).non_corners, p,
+                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", 1, q=q)
     return report
 
 
@@ -257,20 +259,10 @@ def verify_shell_reuse(p: int, q: int, r: int) -> ObservationReport:
     ring = build_ring(ORIGIN, k)
     target = [v for h in range(1, 2 * r + 2) for v in build_ring(ORIGIN, p + q + h).members]
     label = f"rings {p + q + 1}..{p + q + 2 * r + 1}"
-    for source in shell:
-        bound = max_spread(source, p, target, label)
-        report.tally(bound.max_spread)
-        if bound.max_spread > 2:
-            report.fail(kind="shell", source=source, spread=bound.max_spread,
-                        witness=bound.witness)
+    _check_spreads(report, shell, p, target, label, 2, kind="shell")
     if check_single:
         rest = [v for v in ring.non_corners if v not in shell]
-        for source in rest:
-            bound = max_spread(source, p, target, label)
-            report.tally(bound.max_spread)
-            if bound.max_spread > 1:
-                report.fail(kind="non-shell", source=source, spread=bound.max_spread,
-                            witness=bound.witness)
+        _check_spreads(report, rest, p, target, label, 1, kind="non-shell")
     else:
         report.notes.append("single-reuse bound skipped: q beyond its p-5 range")
     return report

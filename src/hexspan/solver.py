@@ -35,7 +35,7 @@ def greedy_clique(adj: list[int]) -> list[int]:
     """A maximal clique found greedily (largest degree first).  Its size
     is a valid lower bound on the chromatic number."""
     n = len(adj)
-    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best: list[int] = []
     for start in order[: min(n, 24)]:
         clique = [start]
@@ -48,7 +48,7 @@ def greedy_clique(adj: list[int]) -> list[int]:
             while c:
                 v = (c & -c).bit_length() - 1
                 c &= c - 1
-                deg = bin(adj[v] & cand).count("1")
+                deg = (adj[v] & cand).bit_count()
                 if deg > pick_deg:
                     pick, pick_deg = v, deg
             clique.append(pick)
@@ -74,7 +74,7 @@ def solve_coloring(adj: list[int], budget: int,
         return None
     colors = [-1] * n
     neighbor_colors = [0] * n   # bitmask of colors adjacent to v
-    uncolored_deg = [bin(m).count("1") for m in adj]
+    uncolored_deg = [m.bit_count() for m in adj]
     nodes = 0
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 200))
 
@@ -83,7 +83,7 @@ def solve_coloring(adj: list[int], budget: int,
         best_key = (-1, -1, 0)
         for v in range(n):
             if colors[v] < 0:
-                key = (bin(neighbor_colors[v]).count("1"), uncolored_deg[v], -v)
+                key = (neighbor_colors[v].bit_count(), uncolored_deg[v], -v)
                 if key > best_key:
                     best_key = key
                     best_v = v

@@ -32,6 +32,9 @@ def test_distance_command(capsys):
     assert run(["distance", "0", "0", "-1", "0", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["distance"] == 3 == payload["bfs"]
+    # the BFS oracle would hold a ball of radius 10000 in memory: refused
+    assert run(["distance", "0", "0", "5000", "0"]) == 3
+    assert "exceeds the BFS oracle limit" in capsys.readouterr().err
 
 
 def test_ring_and_shell_commands(capsys):

@@ -18,7 +18,6 @@ from hexspan.coloring import (
     search_lattice,
     search_periodic,
     single_coset_coloring,
-    translation_distance,
     verify_lattice,
     verify_window,
     window_conflicts,
@@ -36,9 +35,11 @@ even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
 
 @given(even_vectors, st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 3)]))
 def test_translation_distance_matches_bfs(t, v):
+    # an even translation moves every cell by d((0, 0), t), which is what
+    # _separation_ok reads off the closed form
     if t == (0, 0):
         return
-    assert translation_distance(t) == distance_bfs(v, translate(v, t))
+    assert distance_closed((0, 0), t) == distance_bfs(v, translate(v, t))
 
 
 def test_lattice_geometry_canonical():
@@ -78,19 +79,26 @@ def _plain_graph(n, related):
 
 
 def test_conflict_graphs_match_plain_pair_scans():
-    # reference graphs built pair by pair, with no numpy and no bitmask_graph;
-    # the admissible lattices below det 22 (l = 4) and det 66 (l = 8) give
-    # complete graphs, so both ends are sampled
-    for l, min_det in ((4, 0), (4, 22), (8, 0), (8, 66)):
+    # reference graphs built pair by pair over a box of lattice vectors,
+    # with no numpy, no ball and no bitmask_graph; the admissible lattices
+    # below det 22 (l = 4) and det 66 (l = 8) give complete graphs, so both
+    # ends are sampled
+    cases = []
+    for l, min_det in ((4, 0), (4, 22), (6, 0), (8, 0), (8, 66), (10, 96)):
         admissible = (basis for det, basis in even_sublattices(200)
                       if det >= min_det and _separation_ok(basis, l))
-        for basis in islice(admissible, 3):
-            geo = lattice_geometry(basis)
-            cells = geo.cells()
-            lam = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
-            expected = _plain_graph(len(cells), lambda a, b: any(
-                distance_closed(cells[a], translate(cells[b], t)) <= l for t in lam))
-            assert quotient_conflicts(geo, l) == expected, basis
+        cases += [(l, basis) for basis in islice(admissible, 3)]
+    # thin domains where every ball wraps its orbits many times: one column
+    # (a = 1) and strips two rows high (d = 2); the conflict rule does not
+    # need an admissible lattice
+    cases += [(10, ((1, 1), (0, 24))), (10, ((12, 0), (0, 2))), (6, ((11, 1), (0, 2)))]
+    for l, basis in cases:
+        geo = lattice_geometry(basis)
+        cells = geo.cells()
+        lam = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
+        expected = _plain_graph(len(cells), lambda a, b: any(
+            distance_closed(cells[a], translate(cells[b], t)) <= l for t in lam))
+        assert quotient_conflicts(geo, l) == expected, (l, basis)
     cells = ball((0, 0), 5)
     n = len(cells)
     assert window_conflicts(cells, 4) == _plain_graph(
