@@ -264,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=int, default=200,
                    help="single-coset search bound on the color count")
     p.add_argument("--multi-domain", action="store_true",
-                   help="search for an exact color target with per-cell assignments")
+                   help="periodic search with per-cell color assignments")
     p.add_argument("--colors", type=int, default=None,
-                   help="color target for --multi-domain (default: span formula)")
+                   help="at most this many colors for --multi-domain "
+                        "(default: span formula)")
     p.add_argument("--max-det", type=int, default=None,
                    help="largest period-lattice determinant to try")
     p.add_argument("--out", type=str, default=None, help="write the coloring file here")

@@ -94,7 +94,6 @@ class LatticeColoring:
     l: int
     basis: tuple[Vertex, Vertex]
     assignment: dict[Vertex, int]
-    mode: str = "single-coset"
 
     def __post_init__(self) -> None:
         for t in self.basis:
@@ -109,6 +108,11 @@ class LatticeColoring:
     @property
     def color_count(self) -> int:
         return len(set(self.assignment.values()))
+
+    @property
+    def mode(self) -> str:
+        """"single-coset" when every coset has its own color."""
+        return "single-coset" if self.color_count == self.det else "multi-domain"
 
     def color_of(self, v: Vertex) -> int:
         return self.assignment[self.geometry.canonical(v)]
@@ -130,7 +134,7 @@ def single_coset_coloring(l: int, basis: tuple[Vertex, Vertex]) -> LatticeColori
     """One color per coset, numbered in fundamental-domain order."""
     geo = lattice_geometry(basis)
     assignment = {cell: n + 1 for n, cell in enumerate(geo.cells())}
-    return LatticeColoring(l, basis, assignment, mode="single-coset")
+    return LatticeColoring(l, basis, assignment)
 
 
 @dataclass
@@ -156,14 +160,15 @@ class VerifyResult:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
-def verify_lattice(coloring: LatticeColoring, max_violations: int = 100) -> VerifyResult:
+def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
     """Full periodic validity check.
 
     Same-cell repeats are checked through every nonzero lattice vector
     with coordinates up to 2l+2 (a violating translation moves columns
     by at most l/2+1 and rows by at most l, so the box is sufficient),
     from a representative of each handedness class.  Distinct same-color
-    cells are checked through the wrap-around distance.
+    cells are checked through the wrap-around distance.  The check
+    stops at the first 100 violations.
     """
     l = coloring.l
     geo = coloring.geometry
@@ -177,7 +182,7 @@ def verify_lattice(coloring: LatticeColoring, max_violations: int = 100) -> Veri
             if d <= l:
                 color = coloring.color_of(rep)
                 violations.append(Violation(rep, translate(rep, t), d, color))
-                if len(violations) >= max_violations:
+                if len(violations) >= 100:
                     return VerifyResult(False, violations, checked)
     cells = geo.cells()
     if set(coloring.assignment) != set(cells):
@@ -197,7 +202,7 @@ def verify_lattice(coloring: LatticeColoring, max_violations: int = 100) -> Veri
                     if d <= l:
                         violations.append(Violation(u, translate(v, t), d, color))
                         break
-                if len(violations) >= max_violations:
+                if len(violations) >= 100:
                     return VerifyResult(False, violations, checked)
     return VerifyResult(not violations, violations, checked)
 
@@ -285,16 +290,18 @@ class PeriodicSearchResult:
     log: list = field(default_factory=list)
 
 
-def search_periodic(l: int, colors: int | None = None, max_det: int | None = None,
-                    node_limit: int = 5_000_000) -> PeriodicSearchResult:
-    """Periodic coloring with exactly the requested number of colors.
+def search_periodic(l: int, colors: int | None = None,
+                    max_det: int | None = None) -> PeriodicSearchResult:
+    """Verified periodic coloring with at most ``colors`` colors (default:
+    the span of even l).
 
     Tries the single-coset mode first; if no sublattice of determinant
     ``colors`` works (for even l none can, since even translations move
     cells even distances), falls back to the multi-domain mode: for
-    each admissible period lattice, in determinant order, solve the
-    quotient coloring exactly with the color budget.  The first success
-    wins, which keeps the search deterministic.
+    each admissible period lattice of determinant at least ``colors``,
+    in determinant order, solve the quotient coloring exactly with the
+    color budget, giving up on a lattice after 5,000,000 search nodes.
+    The first success wins, which keeps the search deterministic.
     """
     target = span_even(l).span if colors is None else colors
     single = search_lattice(l, max_index=target)
@@ -315,7 +322,7 @@ def search_periodic(l: int, colors: int | None = None, max_det: int | None = Non
             result.log.append(f"det {det} basis {basis}: clique exceeds {target}")
             continue
         try:
-            solution = solve_coloring(adj, target, max_nodes=node_limit)
+            solution = solve_coloring(adj, target, max_nodes=5_000_000)
         except ResourceGuard:
             result.log.append(f"det {det} basis {basis}: node limit, skipped")
             continue
@@ -324,11 +331,11 @@ def search_periodic(l: int, colors: int | None = None, max_det: int | None = Non
             continue
         cells = geo.cells()
         assignment = {cell: c + 1 for cell, c in zip(cells, solution)}
-        coloring = LatticeColoring(l, basis, assignment, mode="multi-domain")
-        if coloring.color_count != target:
-            # fewer colors than the proven span would be a contradiction
+        coloring = LatticeColoring(l, basis, assignment)
+        # fewer colors than the proven span (even l >= 8) is a contradiction
+        if l % 2 == 0 and l >= 8 and coloring.color_count < span_even(l).span:
             raise AssertionError(
-                f"quotient used {coloring.color_count} colors below target {target}"
+                f"quotient used {coloring.color_count} colors below the span of l={l}"
             )
         check = verify_lattice(coloring)
         if not check.valid:
@@ -340,10 +347,9 @@ def search_periodic(l: int, colors: int | None = None, max_det: int | None = Non
     return result
 
 
-def materialize_window(coloring: LatticeColoring, radius: int,
-                       center: Vertex = (0, 0)) -> WindowColoring:
-    """Restrict a periodic coloring to the radius window around center."""
-    cells = ball(center, radius)
+def materialize_window(coloring: LatticeColoring, radius: int) -> WindowColoring:
+    """Restrict a periodic coloring to the radius window around (0, 0)."""
+    cells = ball((0, 0), radius)
     return WindowColoring(coloring.l, {v: coloring.color_of(v) for v in cells})
 
 
@@ -366,8 +372,8 @@ class WindowSearchResult:
                 "feasible": self.feasible, "certificate": self.certificate}
 
 
-def exact_window_span(l: int, radius: int, budget: int, guard: int = 200,
-                      node_limit: int | None = None) -> WindowSearchResult:
+def exact_window_span(l: int, radius: int, budget: int,
+                      guard: int = 200) -> WindowSearchResult:
     """Exact decision: can the radius window be colored with ``budget``
     colors under separation l?  Infeasibility at budget B is a proof
     that the whole grid needs at least B+1 colors.
@@ -390,7 +396,7 @@ def exact_window_span(l: int, radius: int, budget: int, guard: int = 200,
             l, radius, budget, False, None,
             f"clique of {len(clique)} mutually conflicting cells exceeds budget",
         )
-    solution = solve_coloring(adj, budget, max_nodes=node_limit)
+    solution = solve_coloring(adj, budget)
     if solution is None:
         return WindowSearchResult(l, radius, budget, False, None,
                                   "exhaustive branch and bound")
@@ -419,8 +425,9 @@ def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_window(coloring: WindowColoring, max_violations: int = 1000) -> VerifyResult:
-    """Check every pair of window cells at distance <= l for a color clash."""
+def verify_window(coloring: WindowColoring) -> VerifyResult:
+    """Check every pair of window cells at distance <= l for a color clash,
+    stopping at the first 1000 clashes."""
     l = coloring.l
     cells = sorted(coloring.assignment)
     index = set(cells)
@@ -440,7 +447,7 @@ def verify_window(coloring: WindowColoring, max_violations: int = 1000) -> Verif
             checked += 1
             if coloring.assignment[v] == cu and distance_closed(u, v) <= l:
                 violations.append(Violation(u, v, distance_closed(u, v), cu))
-                if len(violations) >= max_violations:
+                if len(violations) >= 1000:
                     return VerifyResult(False, violations, checked)
     return VerifyResult(not violations, violations, checked)
 
@@ -544,8 +551,7 @@ def read_coloring(text: str) -> LatticeColoring | WindowColoring:
         raise ColoringFormatError(1, "two cells fall in the same lattice orbit")
     if len(canonical) != geo.det:
         raise ColoringFormatError(1, "cells do not cover the fundamental domain")
-    mode = "single-coset" if len(set(canonical.values())) == geo.det else "multi-domain"
-    return LatticeColoring(l, basis, canonical, mode=mode)
+    return LatticeColoring(l, basis, canonical)
 
 
 def read_coloring_file(path) -> LatticeColoring | WindowColoring:

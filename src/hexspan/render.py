@@ -15,6 +15,7 @@ from .coloring import LatticeColoring, WindowColoring
 from .grid import Vertex, parity
 
 SQ3 = math.sqrt(3.0)
+SCALE = 24.0  # svg units per unit edge length
 
 
 def cell_position(v: Vertex) -> tuple[float, float]:
@@ -39,8 +40,8 @@ def _hexagon(cx: float, cy: float, radius: float, flip: bool) -> str:
     return " ".join(pts)
 
 
-def render_svg(coloring: LatticeColoring | WindowColoring, scale: float = 24.0,
-               tile: int = 3, labels: bool = True) -> str:
+def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
+               labels: bool = True) -> str:
     """SVG text for a coloring.
 
     A window coloring is drawn as-is.  A lattice coloring is drawn as
@@ -65,26 +66,26 @@ def render_svg(coloring: LatticeColoring | WindowColoring, scale: float = 24.0,
     ys = [p[1] for p in placed.values()]
     pad = 1.2
     x0, y0 = min(xs) - pad, min(ys) - pad
-    width = (max(xs) - min(xs) + 2 * pad) * scale
-    height = (max(ys) - min(ys) + 2 * pad) * scale
+    width = (max(xs) - min(xs) + 2 * pad) * SCALE
+    height = (max(ys) - min(ys) + 2 * pad) * SCALE
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
         f'<!-- hexspan coloring, l={coloring.l}, {len(cells)} cells -->',
     ]
-    radius = 0.56 * scale
+    radius = 0.56 * SCALE
     for v in sorted(cells):
         px, py = placed[v]
-        cx = (px - x0) * scale
-        cy = height - (py - y0) * scale  # svg y grows downward
+        cx = (px - x0) * SCALE
+        cy = height - (py - y0) * SCALE  # svg y grows downward
         color = cells[v]
         pts = _hexagon(cx, cy, radius, flip=parity(v) == 1)
         lines.append(f'<polygon points="{pts}" fill="{palette_color(color)}" '
                      f'stroke="#333333" stroke-width="1"/>')
         if labels:
-            lines.append(f'<text x="{cx:.2f}" y="{cy + 0.12 * scale:.2f}" '
-                         f'font-size="{0.38 * scale:.1f}" text-anchor="middle" '
+            lines.append(f'<text x="{cx:.2f}" y="{cy + 0.12 * SCALE:.2f}" '
+                         f'font-size="{0.38 * SCALE:.1f}" text-anchor="middle" '
                          f'font-family="monospace">{color}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -368,9 +368,6 @@ def color_budget_certificate(p: int) -> ObservationReport:
         slots = nc + min(12 + supply, cap)
         line["slots"] = {"claimed": 3 * p + 6 * r, "actual": slots}
         line["deficit"] = {"claimed": 3, "actual": ring_size - slots}
-        # symbolic identity behind the claimed budget
-        if (3 * (p - 2 * r) - 6) + 12 * r + 6 != 3 * p + 6 * r:
-            report.fail(component="budget-identity", r=r)
         if ring_size - slots < 3:
             report.fail(component="deficit", r=r, actual=ring_size - slots)
         # paired budget over rings p+2r and p+2r+1
@@ -382,8 +379,6 @@ def color_budget_certificate(p: int) -> ObservationReport:
         shells2 = [(p - 1 - 2 * t, r - 1 - t) for t in range(r - 1)]
         supply2 = sum(len(_shell_members(ORIGIN, k, h)) for k, h in shells2)
         slots2 = nc2 + 12 + supply2
-        if (3 * (p - 2 * r + 1) - 6) + 12 + 12 * (r - 1) != 3 * p + 6 * r - 3:
-            report.fail(component="paired-identity", r=r)
         line["paired_slots"] = {"claimed": 3 * p + 6 * r - 3, "actual": slots2}
         paired_deficit = both - slots - slots2
         line["paired_deficit"] = {"claimed": 6, "actual": paired_deficit}

@@ -13,8 +13,6 @@ wrong verdict; it refuses.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 
@@ -64,6 +62,12 @@ def solve_coloring(adj: list[int], budget: int,
 
     ``adj`` is a bitmask adjacency list (bit u of adj[v] set iff u~v).
     Returns a color list (values 0..budget-1) or None when impossible.
+
+    The depth-first search runs over an explicit stack with one frame
+    per colored vertex: the vertex, its color, the colors still to try,
+    the number of colors in use before it, and the neighbors whose
+    saturation it raised.  Every visit to a partial coloring is one
+    node; ``max_nodes`` bounds their number.
     """
     n = len(adj)
     if budget < 0:
@@ -75,21 +79,43 @@ def solve_coloring(adj: list[int], budget: int,
     colors = [-1] * n
     neighbor_colors = [0] * n   # bitmask of colors adjacent to v
     uncolored_deg = [m.bit_count() for m in adj]
+    stack: list[tuple[int, int, int, int, list[int]]] = []
+    used = 0
     nodes = 0
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 200))
-
-    def pick() -> int:
-        best_v = -1
+    while True:
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
+        if len(stack) == n:
+            return colors
+        # greatest saturation, then uncolored degree, then lowest index
+        v = -1
         best_key = (-1, -1, 0)
-        for v in range(n):
-            if colors[v] < 0:
-                key = (neighbor_colors[v].bit_count(), uncolored_deg[v], -v)
+        for u in range(n):
+            if colors[u] < 0:
+                key = (neighbor_colors[u].bit_count(), uncolored_deg[u], -u)
                 if key > best_key:
                     best_key = key
-                    best_v = v
-        return best_v
-
-    def assign(v: int, c: int) -> list[int]:
+                    v = u
+        avail = ~neighbor_colors[v] & ((1 << min(used + 1, budget)) - 1)
+        # out of colors for v: undo the deepest colored vertex and move on
+        # to its next color, until some vertex has one left
+        while not avail:
+            if not stack:
+                return None
+            v, c, avail, used, touched = stack.pop()
+            bit = 1 << c
+            m = adj[v]
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                uncolored_deg[u] += 1
+            for u in touched:
+                neighbor_colors[u] &= ~bit
+            colors[v] = -1
+        # give v its lowest remaining color and descend
+        c = (avail & -avail).bit_length() - 1
+        avail &= avail - 1
         colors[v] = c
         touched = []
         bit = 1 << c
@@ -101,39 +127,8 @@ def solve_coloring(adj: list[int], budget: int,
             if colors[u] < 0 and not neighbor_colors[u] & bit:
                 neighbor_colors[u] |= bit
                 touched.append(u)
-        return touched
-
-    def undo(v: int, c: int, touched: list[int]) -> None:
-        bit = 1 << c
-        m = adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            uncolored_deg[u] += 1
-        for u in touched:
-            neighbor_colors[u] &= ~bit
-        colors[v] = -1
-
-    def search(used: int, remaining: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
-        if remaining == 0:
-            return True
-        v = pick()
-        limit = min(used + 1, budget)
-        avail = ~neighbor_colors[v] & ((1 << limit) - 1)
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            touched = assign(v, c)
-            if search(max(used, c + 1), remaining - 1):
-                return True
-            undo(v, c, touched)
-        return False
-
-    return list(colors) if search(0, n) else None
+        stack.append((v, c, avail, used, touched))
+        used = max(used, c + 1)
 
 
 def brute_force_chromatic(adj: list[int]) -> int:

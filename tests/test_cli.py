@@ -146,6 +146,16 @@ def test_search_lattice_command(tmp_path, capsys):
     assert run(["verify-coloring", str(out)]) == 0
 
 
+@pytest.mark.slow
+def test_search_lattice_colors_above_span(tmp_path, capsys):
+    out = tmp_path / "l8.col"
+    assert run(["search-lattice", "8", "--multi-domain", "--colors", "34",
+                "--out", str(out), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["target"] == 34 and payload["colors"] <= 34 and payload["verified"]
+    assert run(["verify-coloring", str(out)]) == 0
+
+
 def test_render_window(tmp_path, capsys):
     coloring = exact_window_span(2, 1, 4).coloring
     src = tmp_path / "w.col"

@@ -158,6 +158,33 @@ def test_search_periodic_exact_span_l8():
     assert verify_lattice(back).valid
 
 
+@pytest.mark.slow
+def test_search_periodic_colors_is_an_upper_bound():
+    # a budget above the span of l = 8 is met with the 33 colors DSATUR uses
+    res = search_periodic(8, colors=34)
+    coloring = res.coloring
+    assert res.target == 34 and coloring is not None
+    assert coloring.color_count <= 34
+    assert verify_lattice(coloring).valid
+    # below l = 8 no span is known, so any count up to the target succeeds
+    small = search_periodic(4, colors=12).coloring
+    assert small.color_count <= 12 and verify_lattice(small).valid
+
+
+def test_search_periodic_refuses_fewer_colors_than_the_span(monkeypatch):
+    # a one-color quotient at l = 8 would contradict the span of 33
+    monkeypatch.setattr("hexspan.coloring.solve_coloring",
+                        lambda adj, budget, max_nodes=None: [0] * len(adj))
+    with pytest.raises(AssertionError, match="below the span"):
+        search_periodic(8, max_det=66)
+
+
+def test_lattice_mode_follows_the_colors():
+    assert single_coset_coloring(4, ((6, 6), (6, -6))).mode == "single-coset"
+    two = LatticeColoring(4, ((2, 0), (0, 2)), {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2})
+    assert two.mode == "multi-domain"
+
+
 def test_exact_window_feasibility_boundary():
     # radius-1 ball: 4 cells, all within distance 2 of each other
     res_ok = exact_window_span(2, 1, 4)

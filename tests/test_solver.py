@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexspan.coloring import window_conflicts
+from hexspan.rings import ball
 from hexspan.solver import (
     ResourceGuard,
     brute_force_chromatic,
@@ -73,6 +77,27 @@ def test_resource_guard_raises():
                 adj[u] |= 1 << v
     with pytest.raises(ResourceGuard):
         solve_coloring(adj, 3, max_nodes=2)
+
+
+@pytest.mark.parametrize("radius, budget, feasible, nodes", [
+    (3, 10, False, 33),
+    (3, 11, True, 20),
+    (4, 10, False, 33),
+    (4, 11, True, 32),
+])
+def test_node_counts_pinned(radius, budget, feasible, nodes):
+    # l = 4 windows; the counts pin the pick rule, the color order and
+    # what counts as one search node
+    adj = window_conflicts(ball((0, 0), radius), 4)
+    assert (solve_coloring(adj, budget, max_nodes=nodes) is not None) == feasible
+    with pytest.raises(ResourceGuard):
+        solve_coloring(adj, budget, max_nodes=nodes - 1)
+
+
+def test_deep_search_leaves_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    assert solve_coloring([0] * 1500, 1) == [0] * 1500
+    assert sys.getrecursionlimit() == before
 
 
 @st.composite
