@@ -24,6 +24,7 @@ verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -257,6 +258,18 @@ def search_lattice(l: int, max_index: int) -> LatticeColoring | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _ball_offsets(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the radius-l ball around a right-handed cell and around
+    a left-handed cell, as (2, m) arrays indexed by ``parity``."""
+    out = []
+    for rep in ((0, 0), (1, 0)):
+        offsets = np.array([(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]).T
+        offsets.flags.writeable = False
+        out.append(offsets)
+    return out[0], out[1]
+
+
 def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     """Bitmask conflict graph over the fundamental domain.
 
@@ -264,23 +277,26 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     lies in the orbit of v.  Even translations are automorphisms, so the
     ball around u is u plus the ball offsets of its handedness class;
     ``canonical`` maps each ball cell to the domain cell of its orbit.
+    The rule is applied to all cells of one handedness at once: domain
+    cell k = x*d + y is (x, y) = divmod(k, d), and ``parity`` and
+    ``canonical`` work elementwise on arrays of cells and ball cells.
     The rule is exact, and symmetric because the lattice acts by
     automorphisms."""
-    cells = geo.cells()
-    index = {cell: k for k, cell in enumerate(cells)}
-    offsets = [[(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]
-               for rep in ((0, 0), (1, 0))]
-    related = np.zeros((len(cells), len(cells)), dtype=bool)
-    for k, (x, y) in enumerate(cells):
-        related[k, [index[geo.canonical((x + di, y + dj))]
-                    for di, dj in offsets[parity((x, y))]]] = True
+    n = geo.det
+    xs, ys = np.divmod(np.arange(n), geo.d)
+    related = np.zeros((n, n), dtype=bool)
+    for hand, (di, dj) in enumerate(_ball_offsets(l)):
+        rows = np.flatnonzero(parity((xs, ys)) == hand)
+        cx, cy = geo.canonical((xs[rows, None] + di, ys[rows, None] + dj))
+        related[rows[:, None], cx * geo.d + cy] = True
     return bitmask_graph(related)
 
 
 @dataclass
 class PeriodicSearchResult:
     """Outcome of a periodic-coloring search: the coloring (or None),
-    which mode produced it, and a search trace."""
+    its ``LatticeColoring.mode`` ("none" without one), and a search
+    trace."""
 
     l: int
     target: int
@@ -318,7 +334,7 @@ def search_periodic(l: int, colors: int | None = None,
         result.lattices_tried += 1
         geo = lattice_geometry(basis)
         adj = quotient_conflicts(geo, l)
-        if len(greedy_clique(adj)) > target:
+        if len(greedy_clique(adj, exceed=target)) > target:
             result.log.append(f"det {det} basis {basis}: clique exceeds {target}")
             continue
         try:
@@ -341,7 +357,7 @@ def search_periodic(l: int, colors: int | None = None,
         if not check.valid:
             raise AssertionError(f"search produced an invalid coloring: {check.violations[:3]}")
         result.coloring = coloring
-        result.mode = "multi-domain"
+        result.mode = coloring.mode
         result.log.append(f"det {det} basis {basis}: success")
         return result
     return result

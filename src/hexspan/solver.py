@@ -29,9 +29,15 @@ def bitmask_graph(related: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def greedy_clique(adj: list[int]) -> list[int]:
-    """A maximal clique found greedily (largest degree first).  Its size
-    is a valid lower bound on the chromatic number."""
+def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
+    """The largest of the maximal cliques grown greedily from the 24
+    highest-degree starts (largest degree first).  Its size is a valid
+    lower bound on the chromatic number.
+
+    With ``exceed``, the first clique larger than ``exceed`` is returned
+    at once.  The starts are tried in the same order, so
+    ``len(clique) > exceed`` is the same verdict as for the full search;
+    only the size reported for a rejection may be smaller."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best: list[int] = []
@@ -53,6 +59,8 @@ def greedy_clique(adj: list[int]) -> list[int]:
             cand &= adj[pick]
         if len(clique) > len(best):
             best = clique
+            if exceed is not None and len(best) > exceed:
+                break
     return sorted(best)
 
 

@@ -146,7 +146,6 @@ def test_search_lattice_command(tmp_path, capsys):
     assert run(["verify-coloring", str(out)]) == 0
 
 
-@pytest.mark.slow
 def test_search_lattice_colors_above_span(tmp_path, capsys):
     out = tmp_path / "l8.col"
     assert run(["search-lattice", "8", "--multi-domain", "--colors", "34",
@@ -154,6 +153,19 @@ def test_search_lattice_colors_above_span(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["target"] == 34 and payload["colors"] <= 34 and payload["verified"]
     assert run(["verify-coloring", str(out)]) == 0
+
+
+def test_search_lattice_mode_names_the_coloring(tmp_path, capsys):
+    # the multi-domain loop finds a det-16 lattice that uses all 16 colors,
+    # one per coset, and the search reports it as verify-coloring does
+    out = tmp_path / "l5.col"
+    assert run(["search-lattice", "5", "--multi-domain", "--colors", "16",
+                "--out", str(out), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["det"] == payload["colors"] == 16
+    assert payload["mode"] == "single-coset"
+    assert run(["verify-coloring", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "lattice (single-coset)"
 
 
 def test_render_window(tmp_path, capsys):

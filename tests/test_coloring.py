@@ -1,5 +1,6 @@
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +56,15 @@ def test_lattice_geometry_canonical():
         c = geo.canonical(v)
         assert geo.canonical(c) == c
         assert geo.canonical(translate(v, (3, 7))) == c
+    # on arrays of coordinates, negative ones included, canonical gives
+    # the scalar result elementwise (quotient_conflicts relies on this)
+    xs, ys = np.meshgrid(np.arange(-30, 31), np.arange(-45, 46), indexing="ij")
+    for geo in (geo, lattice_geometry(((6, 4), (8, -8)))):
+        assert geo.b > 0
+        cx, cy = geo.canonical((xs, ys))
+        assert cx.shape == cy.shape == xs.shape
+        for x, y, i, j in zip(xs.flat, ys.flat, cx.flat, cy.flat):
+            assert (i, j) == geo.canonical((int(x), int(y)))
 
 
 def test_even_sublattice_enumeration_order_and_parity():
@@ -140,7 +150,6 @@ def test_search_lattice_none_when_bound_too_small():
     assert search_lattice(8, 20) is None
 
 
-@pytest.mark.slow
 def test_search_periodic_exact_span_l8():
     res = search_periodic(8)
     assert res.mode == "multi-domain"
@@ -158,7 +167,6 @@ def test_search_periodic_exact_span_l8():
     assert verify_lattice(back).valid
 
 
-@pytest.mark.slow
 def test_search_periodic_colors_is_an_upper_bound():
     # a budget above the span of l = 8 is met with the 33 colors DSATUR uses
     res = search_periodic(8, colors=34)
@@ -183,6 +191,13 @@ def test_lattice_mode_follows_the_colors():
     assert single_coset_coloring(4, ((6, 6), (6, -6))).mode == "single-coset"
     two = LatticeColoring(4, ((2, 0), (0, 2)), {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2})
     assert two.mode == "multi-domain"
+
+
+def test_search_periodic_mode_follows_the_coloring():
+    # the multi-domain loop finds this det-16 coloring, one color per coset
+    res = search_periodic(5, colors=16)
+    assert res.coloring.det == res.coloring.color_count == 16
+    assert res.mode == res.coloring.mode == "single-coset"
 
 
 def test_exact_window_feasibility_boundary():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexspan.coloring import window_conflicts
+from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
 from hexspan.rings import ball
 from hexspan.solver import (
     ResourceGuard,
@@ -56,6 +56,48 @@ def test_cycle5_needs_three():
 def test_greedy_clique_on_complete():
     assert len(greedy_clique(_complete(7))) == 7
     assert greedy_clique([0, 0]) == [0] or len(greedy_clique([0, 0])) == 1
+
+
+def test_greedy_clique_exceed_stops_at_the_first_oversize_clique():
+    # vertex 0 has the highest degree but only grows the triangle {0, 1, 2};
+    # the next start, vertex 9, grows the 5-clique on 9..13
+    adj = [0] * 14
+    edges = [(0, v) for v in range(1, 9)] + [(1, 2)]
+    edges += [(u, v) for u in range(9, 14) for v in range(u + 1, 14)]
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    assert greedy_clique(adj) == [9, 10, 11, 12, 13]
+    assert greedy_clique(adj, exceed=2) == [0, 1, 2]
+    assert greedy_clique(adj, exceed=3) == [9, 10, 11, 12, 13]
+    for t in range(7):
+        assert (len(greedy_clique(adj, exceed=t)) > t) == (len(greedy_clique(adj)) > t)
+
+
+def test_greedy_clique_exceed_keeps_the_verdict_on_quotient_graphs():
+    # for l = 4/6/8, the first admissible lattice and the first three whose
+    # quotient graph is not complete (det 22 / 40 / 66)
+    cases = {
+        4: [((3, -1), (7, -7)), ((3, -1), (11, -11)), ((4, -2), (11, -11)),
+            ((5, -3), (11, -11))],
+        6: [((4, 0), (6, -6)), ((9, -7), (20, -20)), ((12, -10), (20, -20)),
+            ((7, 1), (5, -5))],
+        8: [((8, -6), (19, -19)), ((7, -5), (33, -33)), ((15, -13), (33, -33)),
+            ((19, -17), (33, -33))],
+    }
+    cliques = {}
+    for l, bases in cases.items():
+        for basis in bases:
+            adj = quotient_conflicts(lattice_geometry(basis), l)
+            full = cliques[l, basis] = greedy_clique(adj)
+            s = len(full)
+            for t in (s - 1, s, s + 1):
+                assert (len(greedy_clique(adj, exceed=t)) > t) == (s > t), (l, basis, t)
+    # the default call returns the best of all 24 starts, as before
+    assert cliques[4, ((3, -1), (7, -7))] == list(range(14))
+    assert cliques[4, ((3, -1), (11, -11))] == list(range(11))
+    assert cliques[6, ((9, -7), (20, -20))] == list(range(11)) + list(range(12, 29, 2))
+    assert cliques[8, ((7, -5), (33, -33))] == list(range(15)) + list(range(16, 51, 2))
 
 
 def test_determinism():
@@ -125,3 +167,9 @@ def test_against_brute_force(adj):
 @settings(max_examples=40, deadline=None)
 def test_clique_never_exceeds_chromatic(adj):
     assert len(greedy_clique(adj)) <= brute_force_chromatic(adj)
+
+
+@given(random_graphs(), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_greedy_clique_exceed_matches_full_verdict(adj, t):
+    assert (len(greedy_clique(adj, exceed=t)) > t) == (len(greedy_clique(adj)) > t)
