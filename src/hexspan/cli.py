@@ -2,8 +2,10 @@
 
 Exit codes follow one contract everywhere: 0 success or pass, 1 a
 verification failed or a bound was not attained, 2 usage or parse
-error, 3 resource-guard refusal.  Every subcommand takes --json for
-machine-readable output with a schema-version field.
+error, 3 resource-guard refusal, 4 an internal check failed (a bug in
+the package, such as a spread witness the BFS recheck rejects).  Every
+subcommand takes --json for machine-readable output with a
+schema-version field.
 """
 
 from __future__ import annotations
@@ -319,6 +321,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

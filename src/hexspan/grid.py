@@ -16,6 +16,13 @@ routes:
   until a given set of targets is reached; ``distance_bfs`` is its
   single-target form;
 * dense numpy field: ``distance_field`` sweeps a whole box at once.
+  ``distance_within`` reads its distances from two cached fields, one
+  swept from (0, 0) and one from (1, 0).  Even translations are
+  automorphisms, so the field of u's handedness, read at offset v - u,
+  gives d(u, v).  It relies on ``distance_field``'s sizing rule: every
+  cell within distance R of the source, together with a geodesic to it,
+  lies in the box |di| <= (R+1)//2, |dj| <= R, so inside that box the
+  field is exact up to R and reads more than R (or -1) beyond it.
 
 The closed form's westward correction term was calibrated against the
 BFS oracle, and their equivalence is enforced by the test suite,
@@ -25,6 +32,7 @@ exhaustively up to radius 30.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,6 +172,27 @@ def distance_field(source: Vertex, di_max: int, dj_max: int,
             waiting -= int((nxt & stop_mask).sum())
         frontier = nxt
     return dist
+
+
+@lru_cache(maxsize=32)
+def _handed_fields(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """``distance_field`` from (0, 0) and from (1, 0) over the box
+    ((radius+1)//2, radius), read-only; one pair per radius."""
+    fields = tuple(distance_field(src, (radius + 1) // 2, radius) for src in ((0, 0), (1, 0)))
+    for f in fields:
+        f.setflags(write=False)
+    return fields
+
+
+def distance_within(u: Vertex, v: Vertex, radius: int) -> int | None:
+    """BFS distance from u to v if it is at most ``radius``, else None."""
+    di = v[0] - u[0]
+    dj = v[1] - u[1]
+    di_max = (radius + 1) // 2
+    if abs(di) > di_max or abs(dj) > radius:
+        return None
+    d = int(_handed_fields(radius)[parity(u)][di + di_max, dj + radius])
+    return d if 0 <= d <= radius else None
 
 
 def translate(v: Vertex, t: Vertex) -> Vertex:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import Vertex, distance_bfs, distance_closed_array, pairwise_distances
+from .grid import Vertex, distance_bfs, distance_closed_array, distance_within, pairwise_distances
 from .rings import (
     ball,
     build_clique,
@@ -43,14 +43,38 @@ class SpreadBound:
 
 
 def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
-    """Maximum clique of a bitmask graph: (size, member bitset)."""
+    """Maximum clique of a bitmask graph: (size, member bitset).
+
+    Branches on candidates in increasing index order and keeps the first
+    clique of each new best size.  Two bounds prune a node: the number of
+    candidates, and the number of classes of a greedy colouring of the
+    candidates (a clique takes at most one cell per class).  Both cut
+    only subtrees that cannot beat the incumbent strictly, so the clique
+    returned is the one the unpruned search would keep.
+    """
     best_size = 0
     best_set = 0
+    # the cells each cell may share a colour class with: its non-neighbours
+    others = [~(m | 1 << v) for v, m in enumerate(masks)]
 
     def expand(cur: int, cur_size: int, cand: int) -> None:
         nonlocal best_size, best_set
         if cur_size > best_size:
             best_size, best_set = cur_size, cur
+        # greedy colour classes of cand, stopping once they exceed the
+        # slack best_size - cur_size and so can no longer prune
+        slack = best_size - cur_size
+        uncoloured = cand
+        classes = 0
+        while uncoloured and classes <= slack:
+            classes += 1
+            free = uncoloured
+            while free:
+                bit = free & -free
+                uncoloured ^= bit
+                free &= others[bit.bit_length() - 1]
+        if not uncoloured and classes <= slack:
+            return
         while cand:
             if cur_size + cand.bit_count() <= best_size:
                 return
@@ -60,6 +84,9 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
             expand(cur | bit, cur_size + 1, cand & masks[v])
 
     expand(0, 0, (1 << len(masks)) - 1)
+    # expand refers to itself; unbinding it breaks that cycle, so the
+    # masks are freed now rather than at the next cyclic collection
+    del expand
     return best_size, best_set
 
 
@@ -81,7 +108,7 @@ def max_spread(source: Vertex, p: int, target, label: str = "") -> SpreadBound:
     # recheck the witness with the independent BFS oracle (a raise, not
     # an assert, so that python -O keeps it)
     for a, b in combinations((source, *witness), 2):
-        if distance_bfs(a, b) < sep:
+        if distance_within(a, b, sep - 1) is not None:
             raise AssertionError(f"spread witness {a}, {b} closer than {sep}")
     return SpreadBound(source, p, label, size, witness)
 

@@ -62,6 +62,20 @@ def test_check_observations_single_ring_bounds(capsys):
     assert any(r["verdict"] == "fail" for r in by_id["shell-reuse"])
 
 
+def test_internal_check_failure_exit_4(monkeypatch, capsys):
+    # a complete compatibility graph makes every spread witness too
+    # close; the BFS recheck raises and the CLI reports a bug, not a
+    # failed verification
+    import hexspan.reuse as reuse
+
+    monkeypatch.setattr(reuse, "compatibility_masks", lambda cells, sep: [
+        ((1 << len(cells)) - 1) & ~(1 << a) for a in range(len(cells))])
+    assert run(["check-observations", "--p", "5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: ")
+    assert "closer than 11" in err
+
+
 def test_exact_window_command(capsys):
     assert run(["exact-window", "2", "--radius", "1", "--budget", "4", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["feasible"] is True

@@ -8,6 +8,7 @@ from hexspan.grid import (
     distance_closed,
     distance_closed_array,
     distance_field,
+    distance_within,
     is_even_translation,
     neighbors,
     pairwise_distances,
@@ -138,3 +139,24 @@ def test_distance_field_early_stop():
     stop[10 + 1, 18 + 3] = True  # cell (1, 3)
     field = distance_field(src, 10, 18, stop_mask=stop)
     assert field[11, 21] == distance_bfs(src, (1, 3)) == 4
+
+
+def test_distance_within_matches_sparse_bfs():
+    # both handedness fields, read over a box twice the size they cover:
+    # exact within the radius, None beyond it
+    for radius in range(1, 13):
+        di_max = 2 * ((radius + 1) // 2)
+        for source in ((0, 0), (1, 0)):
+            box = [(source[0] + di, source[1] + dj)
+                   for di in range(-di_max, di_max + 1)
+                   for dj in range(-2 * radius, 2 * radius + 1)]
+            exact = bfs_distances(source, box)
+            for v in box:
+                expected = exact[v] if exact[v] <= radius else None
+                assert distance_within(source, v, radius) == expected, (radius, source, v)
+
+
+@given(small_cells, small_cells, st.integers(1, 12))
+def test_distance_within_is_translation_invariant(u, v, radius):
+    d = distance_bfs(u, v)
+    assert distance_within(u, v, radius) == (d if d <= radius else None)

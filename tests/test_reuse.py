@@ -1,3 +1,5 @@
+import hashlib
+import json
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexspan.reuse import (
+    _max_clique_bits,
     color_budget_certificate,
     double_reuse_pairs,
     max_spread,
@@ -58,6 +61,56 @@ def test_max_spread_witness_recheck_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "closer than 11" in proc.stdout
+
+
+def _max_clique_popcount_only(masks):
+    """The clique search before the colour bound: the same branching
+    order, pruned only by the number of candidates."""
+    best_size = 0
+    best_set = 0
+
+    def expand(cur, cur_size, cand):
+        nonlocal best_size, best_set
+        if cur_size > best_size:
+            best_size, best_set = cur_size, cur
+        while cand:
+            if cur_size + cand.bit_count() <= best_size:
+                return
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            expand(cur | bit, cur_size + 1, cand & masks[v])
+
+    expand(0, 0, (1 << len(masks)) - 1)
+    return best_size, best_set
+
+
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_max_clique_colour_bound_keeps_the_first_maximum_clique(n, density, rnd):
+    masks = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rnd.random() < density:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    assert _max_clique_bits(masks) == _max_clique_popcount_only(masks)
+
+
+# sha256 of the sorted-key JSON of run_checks(p): any change to a
+# verdict, a tally or a witness changes it
+BATTERY_DIGESTS = {
+    4: "bcb54b46da5a770fab4688ab1eede0a9993aadafd65e65802519a04f7101f7ea",
+    5: "9f6286b2d5f566864acc5e5c09746c4c0c77bf2685ac632fbf020c1eae2d15b6",
+    6: "13ab7f596d8715b39d59ae7274bdeb83e240c7762be5d6599408ea2156513830",
+    7: "5cd64434224c159caf62c556715ad177b1770f945d05fbd286a76da807b569ad",
+}
+
+
+@pytest.mark.parametrize("p", sorted(BATTERY_DIGESTS))
+def test_run_checks_reports_are_pinned(p):
+    text = json.dumps([r.to_dict() for r in run_checks(p)], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BATTERY_DIGESTS[p]
 
 
 def test_max_spread_agrees_with_powerset_scan():
