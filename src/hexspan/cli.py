@@ -2,10 +2,11 @@
 
 Exit codes follow one contract everywhere: 0 success or pass, 1 a
 verification failed or a bound was not attained, 2 usage or parse
-error, 3 resource-guard refusal, 4 an internal check failed (a bug in
-the package, such as a spread witness the BFS recheck rejects).  Every
-subcommand takes --json for machine-readable output with a
-schema-version field.
+error (``InputError``, ``ColoringFormatError``, a file that cannot be
+read or written), 3 resource-guard refusal, 4 an internal check failed
+or any other exception (a bug in the package, such as a spread witness
+the BFS recheck rejects).  Every subcommand takes --json for
+machine-readable output with a schema-version field.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .coloring import (
     verify_window,
     write_coloring_file,
 )
+from .errors import InputError
 from .grid import distance_bfs, distance_closed, pairwise_distances
 from .render import render_svg
 from .reuse import run_checks
@@ -315,14 +317,19 @@ def run(argv=None) -> int:
     except ColoringFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # any other exception is a bug in the package: keep its traceback
+        # (imported here, so that a normal run does not load the module)
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 4
 
 

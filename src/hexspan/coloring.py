@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InputError
 from .grid import Vertex, distance_closed, pairwise_distances, parity, translate
 from .rings import ball
 from .solver import ResourceGuard, bitmask_graph, greedy_clique, solve_coloring
@@ -35,10 +36,16 @@ from .spans import span_even
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
+    """(g, x, y) with g = gcd(a, b) = a*x + b*y; a loop, so that the
+    entries of a coloring file cannot exhaust the recursion limit."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    s = 1 if a >= 0 else -1
+    return abs(a), s * x0, s * y0
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ def lattice_geometry(basis: tuple[Vertex, Vertex]) -> LatticeGeometry:
     (p1, q1), (p2, q2) = basis
     det = p1 * q2 - p2 * q1
     if det == 0:
-        raise ValueError(f"degenerate lattice basis {basis}")
+        raise InputError(f"degenerate lattice basis {basis}")
     det = abs(det)
     g, alpha, beta = _egcd(p1, p2)
     a = abs(g)
@@ -99,7 +106,7 @@ class LatticeColoring:
     def __post_init__(self) -> None:
         for t in self.basis:
             if (t[0] + t[1]) % 2 != 0:
-                raise ValueError(f"basis vector {t} is not an even translation")
+                raise InputError(f"basis vector {t} is not an even translation")
         self.geometry = lattice_geometry(self.basis)
 
     @property
@@ -187,7 +194,7 @@ def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
                     return VerifyResult(False, violations, checked)
     cells = geo.cells()
     if set(coloring.assignment) != set(cells):
-        raise ValueError("assignment does not cover the fundamental domain exactly")
+        raise InputError("assignment does not cover the fundamental domain exactly")
     by_color: dict[int, list[Vertex]] = {}
     for cell, color in coloring.assignment.items():
         by_color.setdefault(color, []).append(cell)
@@ -251,7 +258,7 @@ def search_lattice(l: int, max_index: int) -> LatticeColoring | None:
     and returns the first valid one, or None.  Pure and deterministic.
     """
     if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+        raise InputError(f"l must be >= 1, got {l}")
     for det, basis in even_sublattices(max_index):
         if _separation_ok(basis, l):
             return single_coset_coloring(l, basis)
@@ -398,7 +405,7 @@ def exact_window_span(l: int, radius: int, budget: int,
     is never silently turned into an answer.
     """
     if l < 1 or radius < 0 or budget < 0:
-        raise ValueError("l must be >= 1, radius >= 0, budget >= 0")
+        raise InputError("l must be >= 1, radius >= 0, budget >= 0")
     cells = ball((0, 0), radius)
     if len(cells) > guard:
         raise ResourceGuard(
@@ -431,8 +438,12 @@ def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
         )
     adj = window_conflicts(cells, l)
     n = len(cells)
-    edges = [(a + 1, b + 1) for a in range(n) for b in range(a + 1, n)
-             if adj[a] >> b & 1]
+    edges = []
+    for a in range(n):
+        m = adj[a] >> (a + 1)   # bit k: vertex a + 1 + k
+        while m:
+            edges.append((a + 1, a + 1 + (m & -m).bit_length()))
+            m &= m - 1
     lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
              "c vertex ids map to cells as:"]
     lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
@@ -473,7 +484,7 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 
-class ColoringFormatError(ValueError):
+class ColoringFormatError(InputError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -572,7 +583,11 @@ def read_coloring(text: str) -> LatticeColoring | WindowColoring:
 
 def read_coloring_file(path) -> LatticeColoring | WindowColoring:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_coloring(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ColoringFormatError(1, f"not UTF-8 text: {exc}") from None
+    return read_coloring(text)
 
 
 def write_coloring_file(coloring, path) -> None:

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import InputError
 from .grid import Vertex, distance_bfs, distance_closed_array, distance_within, pairwise_distances
 from .rings import (
     ball,
@@ -120,7 +121,7 @@ def spread_by_powerset(source: Vertex, p: int, target) -> int:
     """
     members = sorted(reuse_set(source, p, target).members)
     if len(members) > 20:
-        raise ValueError("power-set scan limited to 20 reuse cells")
+        raise InputError("power-set scan limited to 20 reuse cells")
     sep = 2 * p + 1
     best = 0
     for size in range(len(members), 0, -1):
@@ -180,7 +181,7 @@ def verify_path_bound(p: int) -> ObservationReport:
     cannot satisfy the premise).
     """
     if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+        raise InputError(f"p must be >= 2, got {p}")
     report = ObservationReport("path-bound", p, {"outer_radius": 2 * p + 2})
     inner = ball(ORIGIN, p)
     outer = [v for k in range(p + 1, 2 * p + 3) for v in build_ring(ORIGIN, k).members]
@@ -220,7 +221,7 @@ def verify_corner_reuse(p: int, qs=None) -> ObservationReport:
     qs = list(qs)
     for q in qs:
         if not 0 <= q <= p - 2:
-            raise ValueError(f"q must be in 0..p-2 = 0..{p - 2}, got {q}")
+            raise InputError(f"q must be in 0..p-2 = 0..{p - 2}, got {q}")
     report = ObservationReport("corner-reuse", p, {"q": qs, "bound": 2})
     for q in qs:
         _check_spreads(report, build_ring(ORIGIN, p - q).corners, p,
@@ -236,7 +237,7 @@ def verify_noncorner_reuse(p: int, qs=None) -> ObservationReport:
     qs = list(qs)
     for q in qs:
         if not 0 <= q <= p - 3:
-            raise ValueError(f"q must be in 0..p-3 = 0..{p - 3}, got {q}")
+            raise InputError(f"q must be in 0..p-3 = 0..{p - 3}, got {q}")
     report = ObservationReport("noncorner-reuse", p, {"q": qs, "bound": 1})
     for q in qs:
         _check_spreads(report, build_ring(ORIGIN, p - q).non_corners, p,
@@ -271,12 +272,12 @@ def verify_shell_reuse(p: int, q: int, r: int) -> ObservationReport:
     two is meant, so both are kept as they are.
     """
     if p < 4:
-        raise ValueError(f"p must be >= 4, got {p}")
+        raise InputError(f"p must be >= 4, got {p}")
     if not 0 <= q <= p - 4:
-        raise ValueError(f"q must be in 0..p-4 = 0..{p - 4}, got {q}")
+        raise InputError(f"q must be in 0..p-4 = 0..{p - 4}, got {q}")
     k = p - q
     if not 1 <= r <= k // 2 - 1:
-        raise ValueError(f"r must be in 1..floor((p-q)/2)-1 = 1..{k // 2 - 1}, got {r}")
+        raise InputError(f"r must be in 1..floor((p-q)/2)-1 = 1..{k // 2 - 1}, got {r}")
     check_single = q <= p - 5
     report = ObservationReport(
         "shell-reuse", p,
@@ -315,7 +316,7 @@ def verify_corner_pair_exclusion(p: int) -> ObservationReport:
     reused into the radius p+1 ring: any double placements collide in a
     shared cell.  Corners from opposite triples stay compatible."""
     if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+        raise InputError(f"p must be >= 2, got {p}")
     report = ObservationReport("corner-pair-exclusion", p, {"target_ring": p + 1})
     corners = build_ring(ORIGIN, p).corners
     target = build_ring(ORIGIN, p + 1).members
@@ -355,7 +356,7 @@ def color_budget_certificate(p: int) -> ObservationReport:
     sizes, with any shell-size shortfall absorbed by the U cap.
     """
     if p < 4:
-        raise ValueError(f"p must be >= 4, got {p}")
+        raise InputError(f"p must be >= 4, got {p}")
     report = ObservationReport("new-color-budget", p, {"stages": p // 2 - 1})
     report.params["first_ring_gap"] = 3 * (p + 1) - 3 * p
     cert = span_even(2 * p)

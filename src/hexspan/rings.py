@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
 from .grid import Vertex, distance_closed, is_right
 
 
@@ -76,7 +77,7 @@ def _apply(center: Vertex, offsets, mirror: bool):
 def build_ring(center: Vertex, k: int) -> Ring:
     """The radius-k ring around ``center`` (either handedness)."""
     if k < 1:
-        raise ValueError(f"ring radius must be >= 1, got {k}")
+        raise InputError(f"ring radius must be >= 1, got {k}")
     mirror = not is_right(center)
     offsets, arc_offsets = _ring_offsets(k)
     members = tuple(_apply(center, offsets, mirror))
@@ -97,14 +98,14 @@ class DistanceClique:
 
 def build_clique(center: Vertex, p: int) -> DistanceClique:
     if p < 1:
-        raise ValueError(f"clique parameter must be >= 1, got {p}")
+        raise InputError(f"clique parameter must be >= 1, got {p}")
     return DistanceClique(center, p, tuple(ball(center, p)))
 
 
 def ball(center: Vertex, radius: int) -> list[Vertex]:
     """Cells within graph distance ``radius`` of ``center``."""
     if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+        raise InputError(f"radius must be >= 0, got {radius}")
     out = [center]
     for k in range(1, radius + 1):
         out.extend(build_ring(center, k).members)
@@ -140,9 +141,9 @@ def build_shell(center: Vertex, k: int, h: int) -> ShellSet:
     corner cells and stop being a set of non-corner cells.
     """
     if k < 5:
-        raise ValueError(f"corner shells are defined for rings k >= 5, got k={k}")
+        raise InputError(f"corner shells are defined for rings k >= 5, got k={k}")
     if not 1 <= h <= k // 2 - 1:
-        raise ValueError(
+        raise InputError(
             f"shell depth h must satisfy 1 <= h <= floor(k/2)-1 = {k // 2 - 1}, got h={h}"
         )
     return ShellSet(center, k, h, _shell_members(center, k, h))

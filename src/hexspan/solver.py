@@ -5,7 +5,25 @@ when feasible, returns one assignment.  Vertex selection is greatest
 saturation first (ties: higher uncolored degree, then lower index) and
 color symmetry is broken by first-use indexing: a vertex may only open
 color c+1 when colors 0..c are already in use.  The search is fully
-deterministic.
+deterministic (DSATUR: Brélaz, CACM 1979).
+
+The search state is held in bitsets over the vertices, in the manner of
+San Segundo et al.'s bit-parallel clique search (Computers & OR, 2011),
+so one search node costs a few big-int operations, not a loop over the
+vertices or a vertex's neighbors:
+
+* ``uncolored``: the vertices without a color;
+* ``blocked[c]``: the vertices with a neighbor colored c;
+* saturation and uncolored degree as bit-sliced counters: plane i holds
+  bit i of every vertex's count.  Coloring v with c adds
+  ``adj[v] & ~blocked[c]`` to the saturation planes (ripple carry) and
+  subtracts ``adj[v]`` from the degree planes (ripple borrow).
+
+The pick narrows ``uncolored`` plane by plane from the top, first to the
+greatest saturation, then to the greatest degree, and takes the lowest
+set bit.  Python ints are immutable, so each stack frame keeps the plane
+lists and the ``blocked[c]`` row its vertex replaced, and undoing a
+color is restoring them.
 
 Resource limits raise ``ResourceGuard``.  A guarded run never returns a
 wrong verdict; it refuses.
@@ -14,6 +32,8 @@ wrong verdict; it refuses.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InputError
 
 
 class ResourceGuard(Exception):
@@ -73,69 +93,80 @@ def solve_coloring(adj: list[int], budget: int,
 
     The depth-first search runs over an explicit stack with one frame
     per colored vertex: the vertex, its color, the colors still to try,
-    the number of colors in use before it, and the neighbors whose
-    saturation it raised.  Every visit to a partial coloring is one
-    node; ``max_nodes`` bounds their number.
+    the number of colors in use before it, and the saturation planes,
+    degree planes and ``blocked`` row it replaced.  Every visit to a
+    partial coloring is one node; ``max_nodes`` bounds their number.
     """
     n = len(adj)
     if budget < 0:
-        raise ValueError("budget must be >= 0")
+        raise InputError("budget must be >= 0")
     if n == 0:
         return []
     if budget == 0:
         return None
+    budget = min(budget, n)         # n colors always suffice
     colors = [-1] * n
-    neighbor_colors = [0] * n   # bitmask of colors adjacent to v
-    uncolored_deg = [m.bit_count() for m in adj]
-    stack: list[tuple[int, int, int, int, list[int]]] = []
+    uncolored = (1 << n) - 1
+    blocked = [0] * budget          # vertices with a neighbor colored c
+    sat = [0] * budget.bit_length()  # a saturation never exceeds budget
+    degrees = [m.bit_count() for m in adj]
+    deg = [sum(1 << v for v, d in enumerate(degrees) if d >> i & 1)
+           for i in range(max(degrees).bit_length())]
+    stack: list[tuple] = []
     used = 0
     nodes = 0
     while True:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
-        if len(stack) == n:
+        if not uncolored:
             return colors
-        # greatest saturation, then uncolored degree, then lowest index
-        v = -1
-        best_key = (-1, -1, 0)
-        for u in range(n):
-            if colors[u] < 0:
-                key = (neighbor_colors[u].bit_count(), uncolored_deg[u], -u)
-                if key > best_key:
-                    best_key = key
-                    v = u
-        avail = ~neighbor_colors[v] & ((1 << min(used + 1, budget)) - 1)
+        # greatest saturation, then uncolored degree, then lowest index:
+        # from the top plane down, keep the candidates with the bit set
+        # whenever some have it
+        cand = uncolored
+        for plane in reversed(sat):
+            if cand & plane:
+                cand &= plane
+        for plane in reversed(deg):
+            if cand & plane:
+                cand &= plane
+        bit = cand & -cand
+        v = bit.bit_length() - 1
+        avail = 0
+        for c in range(min(used + 1, budget)):
+            if not blocked[c] & bit:
+                avail |= 1 << c
         # out of colors for v: undo the deepest colored vertex and move on
         # to its next color, until some vertex has one left
         while not avail:
             if not stack:
                 return None
-            v, c, avail, used, touched = stack.pop()
-            bit = 1 << c
-            m = adj[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                uncolored_deg[u] += 1
-            for u in touched:
-                neighbor_colors[u] &= ~bit
+            v, c, avail, used, sat, deg, row = stack.pop()
+            blocked[c] = row
             colors[v] = -1
+            bit = 1 << v
+            uncolored |= bit
         # give v its lowest remaining color and descend
         c = (avail & -avail).bit_length() - 1
         avail &= avail - 1
+        stack.append((v, c, avail, used, sat, deg, blocked[c]))
         colors[v] = c
-        touched = []
-        bit = 1 << c
+        uncolored ^= bit
         m = adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            uncolored_deg[u] -= 1
-            if colors[u] < 0 and not neighbor_colors[u] & bit:
-                neighbor_colors[u] |= bit
-                touched.append(u)
-        stack.append((v, c, avail, used, touched))
+        # saturation += 1 where c is new (ripple carry), degree -= 1 on
+        # every neighbor (ripple borrow); the old lists stay in the frame
+        sat, deg = sat[:], deg[:]
+        carry, borrow = m & ~blocked[c], m
+        i = 0
+        while carry:
+            sat[i], carry = sat[i] ^ carry, sat[i] & carry
+            i += 1
+        i = 0
+        while borrow:
+            deg[i], borrow = deg[i] ^ borrow, ~deg[i] & borrow
+            i += 1
+        blocked[c] |= m
         used = max(used, c + 1)
 
 

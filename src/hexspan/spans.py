@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
+
 
 def nearest_int_bracket(x) -> int:
     """The unique integer in (x - 1/2, x + 1/2], i.e. floor(x + 1/2).
@@ -52,11 +54,11 @@ def span_even(l: int) -> SpanCertificate:
     guessing.
     """
     if l % 2 != 0:
-        raise ValueError(
+        raise InputError(
             f"l={l} is odd: odd separations are outside this toolkit's range"
         )
     if l < 8:
-        raise ValueError(
+        raise InputError(
             f"l={l} is too small: the quadratic span formula covers even l >= 8 only"
         )
     p = l // 2

@@ -9,8 +9,10 @@ from hexspan.coloring import (
     WindowColoring,
     exact_window_span,
     single_coset_coloring,
+    window_conflicts,
     write_coloring,
 )
+from hexspan.errors import InputError
 from hexspan.render import render_svg
 from hexspan.rings import ball
 from hexspan.solver import ResourceGuard
@@ -116,6 +118,28 @@ def test_export_dimacs_l4_r3_edge_count():
     assert f"p edge 19 {m}" in text
 
 
+def _dimacs_by_pair_probe(l, radius):
+    # the export as it was written before it walked set bits: every pair
+    # (a, b), a < b, probed in the bitmask graph
+    cells = sorted(ball((0, 0), radius))
+    adj = window_conflicts(cells, l)
+    n = len(cells)
+    edges = [(a + 1, b + 1) for a in range(n) for b in range(a + 1, n)
+             if adj[a] >> b & 1]
+    lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
+             "c vertex ids map to cells as:"]
+    lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
+    lines.append(f"p edge {n} {len(edges)}")
+    lines += [f"e {a} {b}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("l", range(2, 9))
+def test_export_dimacs_matches_the_pair_probe(l):
+    for radius in range(8):
+        assert export_dimacs(l, radius) == _dimacs_by_pair_probe(l, radius)
+
+
 def test_export_dimacs_guard():
     with pytest.raises(ResourceGuard):
         export_dimacs(4, 12)
@@ -149,6 +173,40 @@ def test_verify_coloring_parse_error_exit_2(tmp_path, capsys):
 
 def test_verify_coloring_missing_file(capsys):
     assert run(["verify-coloring", "/nonexistent/x.col"]) == 2
+
+
+def test_unreadable_coloring_files_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.col"
+    binary.write_bytes(b"hexcolor v1\n\xff\xfe\n")
+    assert run(["verify-coloring", str(binary)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert run(["verify-coloring", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (InputError("l out of range"), 2, "error: "),
+    (ValueError("a bug"), 4, "internal error: ValueError: "),
+    (KeyError("a bug"), 4, "internal error: KeyError: "),
+])
+def test_exit_code_by_exception_type(monkeypatch, capsys, exc, code, prefix):
+    # only the user-input type is a usage error; any other exception out
+    # of the library is a bug
+    import hexspan.cli as cli
+
+    def fail(l):
+        raise exc
+
+    monkeypatch.setattr(cli, "span_even", fail)
+    assert run(["span", "10"]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_argument_checks_exit_2(capsys):
+    for argv in (["ring", "0"], ["clique", "0"], ["check-observations", "--p", "3"],
+                 ["search-lattice", "0"], ["exact-window", "0", "--radius", "1",
+                                           "--budget", "3"]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_search_lattice_command(tmp_path, capsys):

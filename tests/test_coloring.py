@@ -317,3 +317,62 @@ def test_lattice_file_must_cover_domain():
         text = f"hexcolor v1\nl 2\nlattice {basis}\ncell 0 0 1\n"
         with pytest.raises(ColoringFormatError, match="do not cover"):
             read_coloring(text)
+
+
+kind_lines = st.one_of(st.just("window"), st.builds(
+    "lattice {} {} {} {}".format, *[st.integers(-3, 3)] * 4))
+cell_lines = st.builds("cell {} {} {}".format, st.integers(-2, 2), st.integers(-2, 2),
+                       st.integers(0, 3))
+coloring_lines = st.one_of(
+    kind_lines,
+    cell_lines,
+    st.builds("l {}".format, st.integers(-2, 12)),
+    st.lists(st.sampled_from(["hexcolor", "v1", "l", "lattice", "window", "cell",
+                              "#", "0", "1", "-1", "x", "10" * 2000]),
+             max_size=6).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+@given(st.one_of(
+    st.text(),
+    st.lists(coloring_lines, max_size=12).map(
+        lambda lines: "\n".join(["hexcolor v1", *lines])),
+    st.tuples(st.integers(0, 9), kind_lines, st.lists(cell_lines, max_size=8)).map(
+        lambda t: "\n".join(["hexcolor v1", f"l {t[0]}", t[1], *t[2]]))))
+def test_read_coloring_rejects_only_with_format_errors(text):
+    try:
+        coloring = read_coloring(text)
+    except ColoringFormatError:
+        return
+    assert write_coloring(read_coloring(write_coloring(coloring))) == write_coloring(coloring)
+
+
+def test_read_coloring_huge_lattice_entries():
+    # Euclid on 1200-digit entries takes thousands of steps
+    a, b = 10 ** 1200 + 2, 7 ** 1420 + 1
+    text = f"hexcolor v1\nl 2\nlattice {a} 0 {b} 2\ncell 0 0 1\n"
+    with pytest.raises(ColoringFormatError, match="do not cover"):
+        read_coloring(text)
+
+
+SMALL_LATTICES = [basis for _, basis in even_sublattices(40)]
+
+
+@given(st.sampled_from(SMALL_LATTICES), st.integers(1, 12), st.data())
+def test_lattice_file_write_read_write_is_a_fixed_point(basis, l, data):
+    cells = lattice_geometry(basis).cells()
+    colors = data.draw(st.lists(st.integers(1, 60), min_size=len(cells),
+                                max_size=len(cells)))
+    text = write_coloring(LatticeColoring(l, basis, dict(zip(cells, colors))))
+    assert write_coloring(read_coloring(text)) == text
+
+
+@given(st.integers(1, 12),
+       st.dictionaries(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                       st.integers(1, 10 ** 6), min_size=1, max_size=60))
+def test_window_file_write_read_write_is_a_fixed_point(l, assignment):
+    text = write_coloring(WindowColoring(l, assignment))
+    back = read_coloring(text)
+    assert isinstance(back, WindowColoring)
+    assert write_coloring(back) == text

@@ -43,6 +43,11 @@ def test_empty_and_trivial():
     assert solve_coloring([0], 0) is None
 
 
+def test_budget_beyond_the_vertex_count():
+    # the state is sized by min(budget, n), not by the budget
+    assert solve_coloring(_complete(3), 10 ** 12) == [0, 1, 2]
+
+
 def test_cycle5_needs_three():
     n = 5
     adj = [0] * n
@@ -136,6 +141,19 @@ def test_node_counts_pinned(radius, budget, feasible, nodes):
         solve_coloring(adj, budget, max_nodes=nodes - 1)
 
 
+@pytest.mark.parametrize("l, radius, budget, feasible, nodes", [
+    (8, 5, 31, False, 723),
+    (4, 7, 11, True, 4204),
+    (6, 6, 20, True, 8573),
+])
+def test_window_node_counts_pinned(l, radius, budget, feasible, nodes):
+    # window-sized instances of the exact window decisions
+    adj = window_conflicts(ball((0, 0), radius), l)
+    assert (solve_coloring(adj, budget, max_nodes=nodes) is not None) == feasible
+    with pytest.raises(ResourceGuard):
+        solve_coloring(adj, budget, max_nodes=nodes - 1)
+
+
 def test_deep_search_leaves_recursion_limit_alone():
     before = sys.getrecursionlimit()
     assert solve_coloring([0] * 1500, 1) == [0] * 1500
@@ -173,3 +191,94 @@ def test_clique_never_exceeds_chromatic(adj):
 @settings(max_examples=60, deadline=None)
 def test_greedy_clique_exceed_matches_full_verdict(adj, t):
     assert (len(greedy_clique(adj, exceed=t)) > t) == (len(greedy_clique(adj)) > t)
+
+
+def _reference_solve_coloring(adj, budget, max_nodes):
+    """The per-neighbor DSATUR that the bitset solver replaced, kept as
+    the reference for its pick rule, color order and node count.
+    Returns (colors or None, nodes); raises ResourceGuard past
+    ``max_nodes``."""
+    n = len(adj)
+    if n == 0:
+        return [], 0
+    if budget == 0:
+        return None, 0
+    colors = [-1] * n
+    neighbor_colors = [0] * n
+    uncolored_deg = [m.bit_count() for m in adj]
+    stack = []
+    used = 0
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > max_nodes:
+            raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
+        if len(stack) == n:
+            return colors, nodes
+        v = -1
+        best_key = (-1, -1, 0)
+        for u in range(n):
+            if colors[u] < 0:
+                key = (neighbor_colors[u].bit_count(), uncolored_deg[u], -u)
+                if key > best_key:
+                    best_key = key
+                    v = u
+        avail = ~neighbor_colors[v] & ((1 << min(used + 1, budget)) - 1)
+        while not avail:
+            if not stack:
+                return None, nodes
+            v, c, avail, used, touched = stack.pop()
+            bit = 1 << c
+            m = adj[v]
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                uncolored_deg[u] += 1
+            for u in touched:
+                neighbor_colors[u] &= ~bit
+            colors[v] = -1
+        c = (avail & -avail).bit_length() - 1
+        avail &= avail - 1
+        colors[v] = c
+        touched = []
+        bit = 1 << c
+        m = adj[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            uncolored_deg[u] -= 1
+            if colors[u] < 0 and not neighbor_colors[u] & bit:
+                neighbor_colors[u] |= bit
+                touched.append(u)
+        stack.append((v, c, avail, used, touched))
+        used = max(used, c + 1)
+
+
+@st.composite
+def graphs_of_any_density(draw):
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0, 1))
+    rnd = draw(st.randoms(use_true_random=False))
+    adj = [0] * n
+    for v in range(n):
+        for u in range(v + 1, n):
+            if rnd.random() < density:
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
+    return adj
+
+
+@given(graphs_of_any_density(), st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_same_search_as_the_reference_solver(adj, budget):
+    cap = 2000
+    try:
+        expected, nodes = _reference_solve_coloring(adj, budget, cap)
+    except ResourceGuard:
+        with pytest.raises(ResourceGuard):
+            solve_coloring(adj, budget, max_nodes=cap)
+        return
+    assert solve_coloring(adj, budget, max_nodes=nodes) == expected
+    if nodes:
+        with pytest.raises(ResourceGuard):
+            solve_coloring(adj, budget, max_nodes=nodes - 1)
