@@ -15,7 +15,8 @@ routes:
 * sparse set BFS: ``bfs_distances`` sweeps outward from one source
   until a given set of targets is reached; ``distance_bfs`` is its
   single-target form;
-* dense numpy field: ``distance_field`` sweeps a whole box at once.
+* dense bit-parallel field: ``distance_field`` sweeps a whole box at
+  once (layout below).
   ``distance_within`` reads its distances from two cached fields, one
   swept from (0, 0) and one from (1, 0).  Even translations are
   automorphisms, so the field of u's handedness, read at offset v - u,
@@ -24,6 +25,28 @@ routes:
   lies in the box |di| <= (R+1)//2, |dj| <= R, so inside that box the
   field is exact up to R and reads more than R (or -1) beyond it.
 
+``distance_field`` keeps the w x h box as one Python int, a bitboard:
+bit x*h + y stands for box cell (x, y) = (i - si + di_max, j - sj + dj_max),
+so the box is w rows of h bits, row x holding one i and column y one j
+(the C order of the result array).  One BFS level turns the frontier F
+into its unseen neighbours with three shifts:
+
+* ``(F & off_last) << 1`` and ``(F & off_first) >> 1`` are the vertical
+  steps (j + 1 and j - 1).  The column guards ``off_last`` and
+  ``off_first`` clear the bits at y = h - 1 and at y = 0 first, so that
+  no step wraps into the next or previous row;
+* ``F << h`` (i + 1) or ``F >> h`` (i - 1) is the horizontal step.  The
+  graph is bipartite, so the cells of one level all share a handedness
+  and all step the same way: east from right-handed cells, west from
+  left-handed ones.  Bits shifted past either end of the box fall off
+  or are cleared by the final ``& unseen``.
+
+The distances come out bit-sliced: the cells first reached at level d
+are OR-ed into plane b for every set bit b of d, and at the end each
+plane is unpacked once (``np.unpackbits``) and weighted by 2**b.
+Cells never reached hold -1.  A level costs about a dozen big-int
+operations, whatever the size of its frontier.
+
 The closed form's westward correction term was calibrated against the
 BFS oracle, and their equivalence is enforced by the test suite,
 exhaustively up to radius 30.
@@ -31,10 +54,13 @@ exhaustively up to radius 30.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import InputError
 
 Vertex = tuple[int, int]
 
@@ -74,16 +100,27 @@ def distance_closed(u: Vertex, v: Vertex) -> int:
 
 
 def distance_closed_array(i1, j1, i2, j2):
-    """``distance_closed`` over numpy arrays, broadcasting."""
-    i1, j1, i2, j2 = np.broadcast_arrays(i1, j1, i2, j2)
-    di = np.abs(i1 - i2)
-    dj = np.abs(j1 - j2)
-    t1 = (i1 + j1) & 1
-    t2 = (i2 + j2) & 1
-    first_is_west = i1 < i2
-    west_t = np.where(first_is_west, t1, t2)
-    east_t = np.where(first_is_west, t2, t1)
-    return np.where(di <= dj, di + dj, 2 * di + west_t - east_t)
+    """``distance_closed`` over numpy arrays, broadcasting.
+
+    The parity difference is taken on the un-broadcast inputs and the
+    result is finished in place, so at most three full-size integer
+    arrays are live.  The inputs are never written.
+    """
+    i1, j1, i2, j2 = (np.asarray(a) for a in (i1, j1, i2, j2))
+    # the parity difference already has the full broadcast shape and dtype;
+    # np.asarray keeps 0-d results arrays, so the in-place steps apply
+    out = np.asarray(((i1 + j1) & 1) - ((i2 + j2) & 1))
+    di = np.asarray(i1 - i2)
+    dj = np.asarray(j1 - j2)
+    # parity(first) - parity(second) is parity(west) - parity(east) unless
+    # the first cell lies east of the second
+    np.negative(out, out=out, where=di > 0)
+    np.abs(di, out=di)
+    np.abs(dj, out=dj)
+    out += di
+    out += di
+    np.add(di, dj, out=out, where=di <= dj)
+    return out
 
 
 def pairwise_distances(cells: list[Vertex]) -> np.ndarray:
@@ -132,46 +169,77 @@ def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
     return out
 
 
+def _to_bits(mask: np.ndarray) -> int:
+    """A bool array as one int, bit k standing for flat (C-order) index k."""
+    return int.from_bytes(np.packbits(mask, axis=None, bitorder="little").tobytes(), "little")
+
+
+def _from_bits(bits: int, n: int) -> np.ndarray:
+    """The first n bits of ``bits`` as a flat uint8 array of 0s and 1s."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
+@lru_cache(maxsize=8)
+def _column_guards(w: int, h: int) -> tuple[int, int, int]:
+    """Bitboard masks of the w x h box: every cell, every cell off the
+    last column (y = h - 1) and every cell off column 0."""
+    y = np.broadcast_to(np.arange(h), (w, h))
+    full = (1 << (w * h)) - 1
+    return full, full ^ _to_bits(y == h - 1), full ^ _to_bits(y == 0)
+
+
 def distance_field(source: Vertex, di_max: int, dj_max: int,
                    stop_mask: np.ndarray | None = None) -> np.ndarray:
     """BFS distance to every cell of the box |i-si| <= di_max,
-    |j-sj| <= dj_max, as an array indexed [i - si + di_max, j - sj + dj_max].
+    |j-sj| <= dj_max, as an int32 array indexed [i - si + di_max, j - sj + dj_max].
 
-    Level-synchronous sweep with the three neighbour shifts.  Unreached
-    cells hold -1.  Distances are exact for any cell whose geodesic fits
-    in the box; a geodesic of length L satisfies |di| <= (L+1)/2 and
-    |dj| <= L along its whole course, which is how callers size the box.
-    ``stop_mask`` (same shape) lets the sweep stop early once every
-    flagged cell has been reached.
+    Level-synchronous bit-parallel sweep (see the module docstring).
+    Unreached cells hold -1.  Distances are exact for any cell whose
+    geodesic fits in the box; a geodesic of length L satisfies
+    |di| <= (L+1)/2 and |dj| <= L along its whole course, which is how
+    callers size the box.  ``stop_mask`` (a bool array of the same shape)
+    lets the sweep stop early once every flagged cell has been reached;
+    cells not reached by then hold -1.
     """
+    di_max, dj_max = operator.index(di_max), operator.index(dj_max)
+    if di_max < 0 or dj_max < 0:
+        raise InputError(f"box half-widths must be >= 0, got {di_max}, {dj_max}")
     w = 2 * di_max + 1
     h = 2 * dj_max + 1
-    ii = np.arange(w)[:, None] + (source[0] - di_max)
-    jj = np.arange(h)[None, :] + (source[1] - dj_max)
-    even = ((ii + jj) % 2) == 0
-    dist = np.full((w, h), -1, dtype=np.int32)
-    frontier = np.zeros((w, h), dtype=bool)
-    frontier[di_max, dj_max] = True
-    dist[di_max, dj_max] = 0
-    waiting = int(stop_mask.sum() - stop_mask[di_max, dj_max]) if stop_mask is not None else -1
+    if stop_mask is not None and (not isinstance(stop_mask, np.ndarray)
+                                  or stop_mask.shape != (w, h) or stop_mask.dtype != bool):
+        raise InputError(f"stop_mask must be a bool array of shape {(w, h)}")
+    full, off_last, off_first = _column_guards(w, h)
+    n = w * h
+    start = 1 << (di_max * h + dj_max)
+    unseen = full ^ start
+    # without a stop mask, wait for every cell: the sweep then ends when
+    # the box is exhausted, exactly when the frontier would run dry
+    waiting = (_to_bits(stop_mask) if stop_mask is not None else full) & unseen
+    frontier = start
+    east = is_right(source)  # the handedness of every frontier cell
+    planes = [0] * n.bit_length()  # planes[b]: cells whose distance has bit b set
     d = 0
-    while frontier.any():
-        if waiting == 0:
-            break
+    while frontier and waiting:
         d += 1
-        nxt = np.zeros_like(frontier)
-        nxt[:, 1:] |= frontier[:, :-1]
-        nxt[:, :-1] |= frontier[:, 1:]
-        fe = frontier & even
-        nxt[1:, :] |= fe[:-1, :]
-        fo = frontier & ~even
-        nxt[:-1, :] |= fo[1:, :]
-        nxt &= dist < 0
-        dist[nxt] = d
-        if stop_mask is not None:
-            waiting -= int((nxt & stop_mask).sum())
+        across = frontier << h if east else frontier >> h
+        nxt = ((frontier & off_last) << 1 | (frontier & off_first) >> 1 | across) & unseen
+        unseen ^= nxt
+        waiting &= unseen
+        b, e = 0, d
+        while e:
+            if e & 1:
+                planes[b] |= nxt
+            b += 1
+            e >>= 1
         frontier = nxt
-    return dist
+        east = not east
+    dist = np.zeros(n, dtype=np.int32)
+    for b in range(d.bit_length()):
+        dist |= np.left_shift(_from_bits(planes[b], n), b, dtype=np.int32)
+    dist -= _from_bits(unseen, n)  # unreached cells are 0 so far
+    return dist.reshape(w, h)
 
 
 @lru_cache(maxsize=32)

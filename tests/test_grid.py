@@ -1,7 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexspan.errors import InputError
 from hexspan.grid import (
     bfs_distances,
     distance_bfs,
@@ -117,6 +122,37 @@ def test_array_matches_scalar(u, v):
     assert int(arr[0]) == distance_closed(u, v)
 
 
+@pytest.mark.parametrize("shapes", [
+    ((6, 1), (1, 9)),  # outer product, the pairwise_distances layout
+    ((7,), ()),        # many cells against one 0-d cell
+    ((), ()),          # a single pair of 0-d cells
+])
+def test_array_broadcasts_like_the_scalar_form(shapes):
+    rng = np.random.default_rng(7)
+    first, second = shapes
+    i1, j1 = rng.integers(-30, 31, first), rng.integers(-30, 31, first)
+    i2, j2 = rng.integers(-30, 31, second), rng.integers(-30, 31, second)
+    inputs = [np.asarray(a) for a in (i1, j1, i2, j2)]
+    before = [a.copy() for a in inputs]
+    out = distance_closed_array(*inputs)
+    assert out.dtype == np.int64
+    assert out.shape == np.broadcast_shapes(first, second)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)  # the inputs are never written
+    full = np.broadcast_arrays(*inputs)
+    for idx in np.ndindex(out.shape):
+        u = (int(full[0][idx]), int(full[1][idx]))
+        v = (int(full[2][idx]), int(full[3][idx]))
+        assert out[idx] == distance_closed(u, v), (u, v)
+
+
+def test_array_takes_python_ints():
+    out = distance_closed_array(np.array([0, -1, 3]), np.array([0, 0, 2]), 0, 0)
+    assert out.dtype == np.int64 and out.tolist() == [0, 3, 5]
+    scalar = distance_closed_array(0, 0, -3, 0)
+    assert scalar.shape == () and scalar.dtype == np.int64 and scalar == 7
+
+
 def test_pairwise_distances_matrix():
     pts = [(0, 0), (1, 0), (-1, 0), (0, 7)]
     mat = pairwise_distances(pts)
@@ -139,6 +175,9 @@ def test_distance_field_early_stop():
     stop[10 + 1, 18 + 3] = True  # cell (1, 3)
     field = distance_field(src, 10, 18, stop_mask=stop)
     assert field[11, 21] == distance_bfs(src, (1, 3)) == 4
+    # the level that reaches the flagged cell is finished, nothing beyond it
+    whole = distance_field(src, 10, 18)
+    assert np.array_equal(field, np.where(whole <= 4, whole, -1))
 
 
 def test_distance_within_matches_sparse_bfs():
@@ -160,3 +199,116 @@ def test_distance_within_matches_sparse_bfs():
 def test_distance_within_is_translation_invariant(u, v, radius):
     d = distance_bfs(u, v)
     assert distance_within(u, v, radius) == (d if d <= radius else None)
+
+
+def _reference_distance_field(source, di_max, dj_max, stop_mask=None):
+    """The numpy array sweep that ``distance_field`` replaced: twelve
+    whole-box array operations per level, the same early-stop rule."""
+    w = 2 * di_max + 1
+    h = 2 * dj_max + 1
+    ii = np.arange(w)[:, None] + (source[0] - di_max)
+    jj = np.arange(h)[None, :] + (source[1] - dj_max)
+    even = ((ii + jj) % 2) == 0
+    dist = np.full((w, h), -1, dtype=np.int32)
+    frontier = np.zeros((w, h), dtype=bool)
+    frontier[di_max, dj_max] = True
+    dist[di_max, dj_max] = 0
+    waiting = int(stop_mask.sum() - stop_mask[di_max, dj_max]) if stop_mask is not None else -1
+    d = 0
+    while frontier.any():
+        if waiting == 0:
+            break
+        d += 1
+        nxt = np.zeros_like(frontier)
+        nxt[:, 1:] |= frontier[:, :-1]
+        nxt[:, :-1] |= frontier[:, 1:]
+        fe = frontier & even
+        nxt[1:, :] |= fe[:-1, :]
+        fo = frontier & ~even
+        nxt[:-1, :] |= fo[1:, :]
+        nxt &= dist < 0
+        dist[nxt] = d
+        if stop_mask is not None:
+            waiting -= int((nxt & stop_mask).sum())
+        frontier = nxt
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cells,
+       st.integers(0, 7) | st.just(0),
+       st.integers(0, 12) | st.just(0),
+       st.sampled_from(["none", "all-false", "source", "sparse", "full-sweep"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_distance_field_is_the_reference_sweep(source, di_max, dj_max, stop, seed):
+    shape = (2 * di_max + 1, 2 * dj_max + 1)
+    mask = None if stop == "none" else np.zeros(shape, dtype=bool)
+    if stop == "source":
+        mask[di_max, dj_max] = True
+    elif stop == "sparse":
+        mask |= np.random.default_rng(seed).random(shape) < 0.05
+    elif stop == "full-sweep":
+        # a cell the box cannot reach if there is one (a one-column box
+        # reaches only the source and its horizontal neighbour), else
+        # one of the last cells reached: either way the sweep runs out
+        whole = _reference_distance_field(source, di_max, dj_max)
+        unreached = np.argwhere(whole < 0)
+        target = unreached[0] if len(unreached) else np.unravel_index(whole.argmax(), shape)
+        mask[tuple(target)] = True
+    expected = _reference_distance_field(source, di_max, dj_max,
+                                         None if mask is None else mask.copy())
+    got = distance_field(source, di_max, dj_max, stop_mask=mask)
+    assert got.dtype == expected.dtype == np.int32
+    assert got.shape == expected.shape == shape
+    assert np.array_equal(got, expected)
+
+
+def test_distance_field_one_column_and_one_row_boxes():
+    # dj_max = 0: only the horizontal edge leaves the source's column
+    assert distance_field((0, 0), 2, 0).tolist() == [[-1], [-1], [0], [1], [-1]]
+    assert distance_field((1, 0), 2, 0).tolist() == [[-1], [1], [0], [-1], [-1]]
+    # di_max = 0: a vertical path
+    assert distance_field((0, 0), 0, 3).tolist() == [[3, 2, 1, 0, 1, 2, 3]]
+    # a flagged cell the box cannot reach leaves the sweep to run out
+    stop = np.zeros((5, 1), dtype=bool)
+    stop[0, 0] = True
+    assert distance_field((0, 0), 2, 0, stop_mask=stop).tolist() == [[-1], [-1], [0], [1], [-1]]
+
+
+def test_distance_field_takes_numpy_integers():
+    # the bitboard of a 65 x 125 box is 8,125 bits wide, far past int64
+    got = distance_field((np.int64(1), np.int64(0)), np.int64(32), np.int64(62))
+    assert np.array_equal(got, distance_field((1, 0), 32, 62))
+
+
+@pytest.mark.parametrize("di_max, dj_max, mask", [
+    (-1, 3, None),
+    (2, -1, None),
+    (2, 3, np.zeros((5, 6), dtype=bool)),    # wrong shape
+    (2, 3, np.zeros((7, 5), dtype=bool)),    # transposed
+    (2, 3, np.zeros((5, 7), dtype=np.int8)),  # not bool
+    (2, 3, np.zeros(35, dtype=bool)),         # flat
+    (2, 3, [[False] * 7] * 5),                # not an array
+])
+def test_distance_field_rejects_bad_arguments(di_max, dj_max, mask):
+    with pytest.raises(InputError):
+        distance_field((0, 0), di_max, dj_max, stop_mask=mask)
+
+
+def test_distance_field_guard_survives_optimize_flag():
+    # python -O strips assert statements; the guard must be a real raise
+    code = (
+        "import numpy as np\n"
+        "from hexspan.errors import InputError\n"
+        "from hexspan.grid import distance_field\n"
+        "for args in [((0, 0), -1, 2, None), ((0, 0), 2, 3, np.zeros((5, 6), dtype=bool))]:\n"
+        "    try:\n"
+        "        distance_field(*args)\n"
+        "    except InputError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'accepted {args[1:3]}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 2
