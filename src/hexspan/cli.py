@@ -38,8 +38,9 @@ from .spans import span_even
 
 SCHEMA = "hexspan/1"
 
-# The BFS oracle holds the whole ball of radius d in memory (236 MB at
-# d = 1000, growing as d squared), so larger distances are refused.
+# The BFS oracle sweeps a box of up to about 1.5d x 3d cells: at d = 1000
+# the command takes 0.6 s and 81 MB peak, memory growing as d squared and
+# time about as d cubed, so larger distances are refused.
 DISTANCE_BFS_LIMIT = 1000
 
 

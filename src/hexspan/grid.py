@@ -9,21 +9,26 @@ and the graph is bipartite across the two handedness classes.
 Two distance implementations are provided on purpose.  ``distance_closed``
 is the O(1) closed form (with ``distance_closed_array`` and
 ``pairwise_distances`` as its numpy forms).  Breadth-first search is
-the slow, obviously-correct oracle it is checked against, by two
-routes:
+the slow, obviously-correct oracle it is checked against, and
+``distance_field`` is its one sweep: it fills a whole box around a
+source at once (layout below).  Its sizing rule: a geodesic never takes
+two horizontal steps in a row (the second would walk straight back), so
+every cell within distance R of the source, together with a geodesic to
+it, lies in the box |di| <= (R+1)//2, |dj| <= R.  Inside that box the
+field is exact up to R and reads more than R (or -1) beyond it.  Two
+readers size their boxes by this rule:
 
-* sparse set BFS: ``bfs_distances`` sweeps outward from one source
-  until a given set of targets is reached; ``distance_bfs`` is its
-  single-target form;
-* dense bit-parallel field: ``distance_field`` sweeps a whole box at
-  once (layout below).
-  ``distance_within`` reads its distances from two cached fields, one
-  swept from (0, 0) and one from (1, 0).  Even translations are
-  automorphisms, so the field of u's handedness, read at offset v - u,
-  gives d(u, v).  It relies on ``distance_field``'s sizing rule: every
-  cell within distance R of the source, together with a geodesic to it,
-  lies in the box |di| <= (R+1)//2, |dj| <= R, so inside that box the
-  field is exact up to R and reads more than R (or -1) beyond it.
+* ``bfs_distances`` takes R = 2|di| + |dj| + 1, the largest over its
+  targets, and stops the sweep once every target is reached.  A walk
+  reaches offset (di, dj) within R steps: at most one vertical step
+  before each of the |di| horizontal ones fixes the handedness, those
+  steps head for the target's j, and any overshoot is undone in pairs
+  plus at most one step.  The closed form plays no part in the sizing.
+  ``distance_bfs`` is the single-target form;
+* ``distance_within`` reads its distances from two cached fields, one
+  swept from (0, 0) and one from (1, 0), over the box of its radius.
+  Even translations are automorphisms, so the field of u's handedness,
+  read at offset v - u, gives d(u, v).
 
 ``distance_field`` keeps the w x h box as one Python int, a bitboard:
 bit x*h + y stands for box cell (x, y) = (i - si + di_max, j - sj + dj_max),
@@ -55,7 +60,6 @@ exhaustively up to radius 30.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -139,34 +143,24 @@ def distance_bfs(u: Vertex, v: Vertex) -> int:
 def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
     """BFS distances from ``source`` to every cell in ``targets``.
 
-    One breadth-first sweep, expanding until all targets are found.
+    One ``distance_field`` sweep, stopped once every target is reached,
+    over a box sized by the walk bound in the module docstring.  Keys
+    follow the first appearance of each target.
     """
-    remaining = set(targets)
-    out: dict[Vertex, int] = {}
-    if source in remaining:
-        out[source] = 0
-        remaining.discard(source)
-    if not remaining:
-        return out
-    cap = max(2 * (abs(t[0] - source[0]) + abs(t[1] - source[1])) + 8 for t in remaining)
-    seen = {source}
-    frontier = deque([source])
-    depth = 0
-    while frontier and remaining:
-        depth += 1
-        if depth > cap:
-            raise AssertionError(f"BFS sweep runaway from {source}")
-        for _ in range(len(frontier)):
-            ci, cj = frontier.popleft()
-            horizontal = (ci + 1, cj) if (ci + cj) % 2 == 0 else (ci - 1, cj)
-            for nb in (horizontal, (ci, cj + 1), (ci, cj - 1)):
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-                    if nb in remaining:
-                        out[nb] = depth
-                        remaining.discard(nb)
-    return out
+    cells = list(dict.fromkeys(targets))
+    if not cells:
+        return {}
+    si, sj = source
+    reach = max(2 * abs(i - si) + abs(j - sj) + 1 for i, j in cells)
+    di_max = (reach + 1) // 2
+    rows = np.array([i - si + di_max for i, _ in cells])
+    cols = np.array([j - sj + reach for _, j in cells])
+    stop = np.zeros((2 * di_max + 1, 2 * reach + 1), dtype=bool)
+    stop[rows, cols] = True
+    found = distance_field(source, di_max, reach, stop_mask=stop)[rows, cols]
+    if (found < 0).any():
+        raise AssertionError(f"BFS sweep from {source} missed a target")
+    return dict(zip(cells, found.tolist()))
 
 
 def _to_bits(mask: np.ndarray) -> int:

@@ -12,6 +12,7 @@ import colorsys
 import math
 
 from .coloring import LatticeColoring, WindowColoring
+from .errors import InputError
 from .grid import Vertex, parity
 
 SQ3 = math.sqrt(3.0)
@@ -48,6 +49,8 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     its fundamental domain tiled ``tile`` x ``tile`` times, so the
     periodic structure is visible.
     """
+    if tile < 1:
+        raise InputError(f"tile must be >= 1, got {tile}")
     if isinstance(coloring, LatticeColoring):
         t1, t2 = coloring.basis
         cells: dict[Vertex, int] = {}

@@ -34,9 +34,14 @@ def test_distance_command(capsys):
     assert run(["distance", "0", "0", "-1", "0", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["distance"] == 3 == payload["bfs"]
-    # the BFS oracle would hold a ball of radius 10000 in memory: refused
-    assert run(["distance", "0", "0", "5000", "0"]) == 3
-    assert "exceeds the BFS oracle limit" in capsys.readouterr().err
+    # d = 1000 with the widest BFS box the limit admits is still checked
+    assert run(["distance", "0", "0", "500", "500", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["distance"] == 1000 == payload["bfs"]
+    # one past the limit, and a box 100 times that size, are refused
+    for far in ("0 1001", "5000 0"):
+        assert run(["distance", "0", "0", *far.split()]) == 3
+        assert "exceeds the BFS oracle limit of 1000" in capsys.readouterr().err
 
 
 def test_ring_and_shell_commands(capsys):
@@ -259,6 +264,17 @@ def test_render_lattice_tiles_domain(tmp_path):
     assert run(["render", str(src), "--out", str(out), "--tile", "3"]) == 0
     svg = out.read_text()
     assert svg.count("<polygon") == 32 * 9
+
+
+@pytest.mark.parametrize("tile", ["0", "-2"])
+def test_render_tile_below_one_exit_2(tmp_path, capsys, tile):
+    coloring = single_coset_coloring(2, ((4, 4), (4, -4)))
+    src = tmp_path / "lat.col"
+    src.write_text(write_coloring(coloring))
+    out = tmp_path / "lat.svg"
+    assert run(["render", str(src), "--out", str(out), "--tile", tile]) == 2
+    assert f"tile must be >= 1, got {tile}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_is_deterministic(tmp_path):

@@ -164,9 +164,10 @@ def test_pairwise_distances_matrix():
 def test_distance_field_matches_bfs():
     src = (2, -1)
     field = distance_field(src, 12, 20)
+    reference = _reference_distance_field(src, 12, 20)
     for v in [(0, 0), (-3, 0), (2, 5), (-5, -7), (7, 3)]:
-        got = field[v[0] - src[0] + 12, v[1] - src[1] + 20]
-        assert got == distance_bfs(src, v), v
+        idx = (v[0] - src[0] + 12, v[1] - src[1] + 20)
+        assert field[idx] == reference[idx] == distance_closed(src, v), v
 
 
 def test_distance_field_early_stop():
@@ -182,22 +183,26 @@ def test_distance_field_early_stop():
 
 def test_distance_within_matches_sparse_bfs():
     # both handedness fields, read over a box twice the size they cover:
-    # exact within the radius, None beyond it
+    # exact within the radius, None beyond it.  The reference sweep runs
+    # over the walk-bound box of the farthest corner, so it is exact on
+    # the whole box read here.
     for radius in range(1, 13):
         di_max = 2 * ((radius + 1) // 2)
+        reach = 2 * di_max + 2 * radius + 1
         for source in ((0, 0), (1, 0)):
-            box = [(source[0] + di, source[1] + dj)
-                   for di in range(-di_max, di_max + 1)
-                   for dj in range(-2 * radius, 2 * radius + 1)]
-            exact = bfs_distances(source, box)
-            for v in box:
-                expected = exact[v] if exact[v] <= radius else None
-                assert distance_within(source, v, radius) == expected, (radius, source, v)
+            exact = _reference_distance_field(source, (reach + 1) // 2, reach)
+            for di in range(-di_max, di_max + 1):
+                for dj in range(-2 * radius, 2 * radius + 1):
+                    d = exact[di + (reach + 1) // 2, dj + reach]
+                    assert d >= 0
+                    expected = d if d <= radius else None
+                    v = (source[0] + di, source[1] + dj)
+                    assert distance_within(source, v, radius) == expected, (radius, source, v)
 
 
 @given(small_cells, small_cells, st.integers(1, 12))
 def test_distance_within_is_translation_invariant(u, v, radius):
-    d = distance_bfs(u, v)
+    d = _reference_distance(u, v)
     assert distance_within(u, v, radius) == (d if d <= radius else None)
 
 
@@ -232,6 +237,14 @@ def _reference_distance_field(source, di_max, dj_max, stop_mask=None):
             waiting -= int((nxt & stop_mask).sum())
         frontier = nxt
     return dist
+
+
+def _reference_distance(u, v):
+    """d(u, v) by the reference sweep, over the box of the walk bound
+    2|di| + |dj| + 1 (see the ``grid`` module docstring)."""
+    reach = 2 * abs(v[0] - u[0]) + abs(v[1] - u[1]) + 1
+    field = _reference_distance_field(u, (reach + 1) // 2, reach)
+    return int(field[v[0] - u[0] + (reach + 1) // 2, v[1] - u[1] + reach])
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,3 +325,51 @@ def test_distance_field_guard_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2
+
+
+@pytest.mark.parametrize("source", [(0, 0), (1, 0)])
+def test_bfs_distances_one_sweep_over_a_wide_box(source):
+    # one call, so one box, sized by the farthest target
+    targets = [(source[0] + di, source[1] + dj)
+               for di in range(-20, 21) for dj in range(-40, 41)]
+    got = bfs_distances(source, targets)
+    assert list(got) == targets
+    for v in targets:
+        assert got[v] == distance_closed(source, v), v
+
+
+@pytest.mark.parametrize("source", [(0, 0), (1, 0)])
+def test_bfs_distances_single_far_targets(source):
+    # one target per call: the box is as small as the walk bound allows
+    for k in range(1, 61):
+        for di, dj in [(k, 0), (-k, 0), (0, k), (0, -k), (k, k), (k, -k), (-k, k), (-k, -k)]:
+            v = (source[0] + di, source[1] + dj)
+            assert bfs_distances(source, [v]) == {v: distance_closed(source, v)}, v
+
+
+def test_bfs_distances_edge_cases():
+    src = (3, -2)
+    assert bfs_distances(src, []) == {}
+    assert bfs_distances(src, [src]) == {src: 0}
+    got = bfs_distances(src, iter([(0, 7), src, (-1, 0), (0, 7), (5, 5)]))
+    assert list(got) == [(0, 7), src, (-1, 0), (5, 5)]  # first-seen order
+    assert got == {v: distance_closed(src, v) for v in got}
+
+
+def test_bfs_distances_guard_survives_optimize_flag():
+    # a sweep that misses a target must raise, not hand back -1
+    code = (
+        "import numpy as np\n"
+        "import hexspan.grid as grid\n"
+        "grid.distance_field = lambda source, di_max, dj_max, stop_mask=None: "
+        "np.full((2 * di_max + 1, 2 * dj_max + 1), -1, dtype=np.int32)\n"
+        "try:\n"
+        "    grid.distance_bfs((0, 0), (3, 2))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('a missed target was accepted')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "missed a target" in proc.stdout
