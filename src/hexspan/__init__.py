@@ -38,8 +38,8 @@ from .reuse import (
     verify_shell_reuse_all,
 )
 from .spans import SpanCertificate, nearest_int_bracket, span_even
-from .errors import InputError
-from .solver import ResourceGuard, solve_coloring
+from .errors import InputError, ResourceGuard
+from .solver import solve_coloring
 from .coloring import (
     LatticeColoring,
     WindowColoring,

@@ -28,20 +28,14 @@ from .coloring import (
     verify_window,
     write_coloring_file,
 )
-from .errors import InputError
-from .grid import distance_bfs, distance_closed, pairwise_distances
+from .errors import InputError, ResourceGuard
+from .grid import DISTANCE_BFS_LIMIT, distance_bfs, distance_closed, pairwise_distances
 from .render import render_svg
 from .reuse import run_checks
 from .rings import build_clique, build_ring, build_shell
-from .solver import ResourceGuard
 from .spans import span_even
 
 SCHEMA = "hexspan/1"
-
-# The BFS oracle sweeps a box of up to about 1.5d x 3d cells: at d = 1000
-# the command takes 0.6 s and 81 MB peak, memory growing as d squared and
-# time about as d cubed, so larger distances are refused.
-DISTANCE_BFS_LIMIT = 1000
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -17,8 +17,8 @@ the handedness-preserving automorphisms):
   exact coloring problem on the quotient with wrap-around distances,
   solved by the branch-and-bound engine.
 
-Finite windows use plain explicit assignments and a brute-force
-verifier.
+Periodic checks read one orbit table: the search with the ring-formula
+ball, ``verify_lattice`` with the BFS ball.  Windows go pair by pair.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
-from .grid import Vertex, distance_closed, pairwise_distances, parity, translate
+from .errors import InputError, ResourceGuard
+from .grid import Vertex, _handed_fields, distance_closed, pairwise_distances, parity, translate
 from .rings import ball
-from .solver import ResourceGuard, bitmask_graph, greedy_clique, solve_coloring
+from .solver import bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
 
 
@@ -168,63 +168,66 @@ class VerifyResult:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
-def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
-    """Full periodic validity check.
+def _orbit_index(geo: LatticeGeometry, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The orbit table: [r, m] is the domain index of canonical(u + o) for
+    domain cell u = divmod(rows[r], d) and offset o = offsets[:, m]."""
+    xs, ys = np.divmod(rows, geo.d)
+    cx, cy = geo.canonical((xs[:, None] + offsets[0], ys[:, None] + offsets[1]))
+    return cx * geo.d + cy
 
-    Same-cell repeats are checked through every nonzero lattice vector
-    with coordinates up to 2l+2 (a violating translation moves columns
-    by at most l/2+1 and rows by at most l, so the box is sufficient),
-    from a representative of each handedness class.  Distinct same-color
-    cells are checked through the wrap-around distance.  The check
-    stops at the first 100 violations.
-    """
-    l = coloring.l
-    geo = coloring.geometry
+
+# lookups per verify_lattice block: 128 KiB temporaries, at l = 40 twice as fast as 2**16
+_BLOCK_LOOKUPS = 1 << 14
+
+
+def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
+    """Full periodic check: domain cell u clashes with k, of its color, if
+    canonical(u + o) = k for some o != 0 in the BFS ball of u's handedness
+    (k = u, separation, is checked from (0, 0) only).  Only cells whose
+    color repeats are looked up, in blocks of rows; a pair is reported
+    once, from its lower index, at its nearest ball cell.  ``checked``
+    counts lookups; the check stops at 100 violations.  ``InputError`` if
+    the assignment does not cover the domain, ``ResourceGuard`` if l is
+    above the BFS limit."""
+    l, geo, assignment = coloring.l, coloring.geometry, coloring.assignment
+    cells = geo.cells()
+    if assignment.keys() != set(cells):
+        raise InputError("assignment does not cover the fundamental domain exactly")
+    palette: dict[int, int] = {}
+    code = np.array([palette.setdefault(assignment[cell], len(palette)) for cell in cells])
+    rows = np.flatnonzero((np.bincount(code)[code] > 1) | (np.arange(geo.det) == 0))
     violations: list[Violation] = []
     checked = 0
-    lam_self = [t for t in geo.points_in_box(2 * l + 2, 2 * l + 2) if t != (0, 0)]
-    for rep in ((0, 0), (1, 0)):
-        for t in lam_self:
-            checked += 1
-            d = distance_closed(rep, translate(rep, t))
-            if d <= l:
-                color = coloring.color_of(rep)
-                violations.append(Violation(rep, translate(rep, t), d, color))
-                if len(violations) >= 100:
-                    return VerifyResult(False, violations, checked)
-    cells = geo.cells()
-    if set(coloring.assignment) != set(cells):
-        raise InputError("assignment does not cover the fundamental domain exactly")
-    by_color: dict[int, list[Vertex]] = {}
-    for cell, color in coloring.assignment.items():
-        by_color.setdefault(color, []).append(cell)
-    lam_cross = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
-    for color, cells_of in by_color.items():
-        cells_of = sorted(cells_of)
-        for a in range(len(cells_of)):
-            for b in range(a + 1, len(cells_of)):
-                u, v = cells_of[a], cells_of[b]
-                checked += 1
-                for t in lam_cross:
-                    d = distance_closed(u, translate(v, t))
-                    if d <= l:
-                        violations.append(Violation(u, translate(v, t), d, color))
-                        break
-                if len(violations) >= 100:
+    for hand, field_ in enumerate(_handed_fields(l)):
+        xs, ys = np.nonzero((field_ > 0) & (field_ <= l))
+        order = np.argsort(field_[xs, ys], kind="stable")
+        offsets = np.stack([xs - (l + 1) // 2, ys - l])[:, order]
+        dist = field_[xs, ys][order]
+        own = rows[parity(np.divmod(rows, geo.d)) == hand, None]
+        step = max(1, _BLOCK_LOOKUPS // max(dist.size, 1))
+        for start in range(0, len(own), step):
+            u = own[start:start + step]
+            index = _orbit_index(geo, u[:, 0], offsets)
+            checked += index.size
+            hits = (code[index] == code[u]) & ((index > u) | (index == 0) & (u == 0))
+            nearest: dict[tuple[int, int], int] = {}
+            for r, m in zip(*np.nonzero(hits)):
+                nearest.setdefault((r, index[r, m]), m)
+            for (r, _), m in nearest.items():
+                x, y = cells[u[r, 0]]
+                v = (x + int(offsets[0, m]), y + int(offsets[1, m]))
+                violations.append(Violation((x, y), v, int(dist[m]), assignment[(x, y)]))
+                if len(violations) == 100:
                     return VerifyResult(False, violations, checked)
     return VerifyResult(not violations, violations, checked)
 
 
 def _separation_ok(basis: tuple[Vertex, Vertex], l: int) -> bool:
-    """True iff no nonzero lattice vector moves cells by l or less.
-
-    Lattice vectors are even translations, which are automorphisms, so
-    d(v, v+t) is the same for every v and equals d((0, 0), t)."""
-    geo = lattice_geometry(basis)
-    for t in geo.points_in_box(l // 2 + 1, l):
-        if t != (0, 0) and distance_closed((0, 0), t) <= l:
-            return False
-    return True
+    """True iff no cell of the radius-l ball around (0, 0) but the centre
+    lies in its orbit: no nonzero lattice vector (an even translation, so
+    an automorphism) moves any cell by l or less."""
+    index = _orbit_index(lattice_geometry(basis), np.zeros(1, dtype=int), _ball_offsets(l)[0])
+    return np.count_nonzero(index == 0) == 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -281,21 +284,15 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     """Bitmask conflict graph over the fundamental domain.
 
     Domain cells u and v conflict iff some cell within distance l of u
-    lies in the orbit of v.  Even translations are automorphisms, so the
-    ball around u is u plus the ball offsets of its handedness class;
-    ``canonical`` maps each ball cell to the domain cell of its orbit.
-    The rule is applied to all cells of one handedness at once: domain
-    cell k = x*d + y is (x, y) = divmod(k, d), and ``parity`` and
-    ``canonical`` work elementwise on arrays of cells and ball cells.
-    The rule is exact, and symmetric because the lattice acts by
-    automorphisms."""
+    lies in the orbit of v: the orbit table of u's row, with the
+    ring-formula ball offsets of its handedness, lists v.  The rule is
+    exact, and symmetric because the lattice acts by automorphisms."""
     n = geo.det
-    xs, ys = np.divmod(np.arange(n), geo.d)
+    rows = np.arange(n)
     related = np.zeros((n, n), dtype=bool)
-    for hand, (di, dj) in enumerate(_ball_offsets(l)):
-        rows = np.flatnonzero(parity((xs, ys)) == hand)
-        cx, cy = geo.canonical((xs[rows, None] + di, ys[rows, None] + dj))
-        related[rows[:, None], cx * geo.d + cy] = True
+    for hand, offsets in enumerate(_ball_offsets(l)):
+        block = rows[parity(np.divmod(rows, geo.d)) == hand]
+        related[block[:, None], _orbit_index(geo, block, offsets)] = True
     return bitmask_graph(related)
 
 

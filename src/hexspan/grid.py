@@ -15,7 +15,7 @@ source at once (layout below).  Its sizing rule: a geodesic never takes
 two horizontal steps in a row (the second would walk straight back), so
 every cell within distance R of the source, together with a geodesic to
 it, lies in the box |di| <= (R+1)//2, |dj| <= R.  Inside that box the
-field is exact up to R and reads more than R (or -1) beyond it.  Two
+field is exact up to R and reads more than R (or -1) beyond it.  Three
 readers size their boxes by this rule:
 
 * ``bfs_distances`` takes R = 2|di| + |dj| + 1, the largest over its
@@ -28,7 +28,8 @@ readers size their boxes by this rule:
 * ``distance_within`` reads its distances from two cached fields, one
   swept from (0, 0) and one from (1, 0), over the box of its radius.
   Even translations are automorphisms, so the field of u's handedness,
-  read at offset v - u, gives d(u, v).
+  read at offset v - u, gives d(u, v);
+* ``coloring.verify_lattice`` reads the radius-l ball from those fields.
 
 ``distance_field`` keeps the w x h box as one Python int, a bitboard:
 bit x*h + y stands for box cell (x, y) = (i - si + di_max, j - sj + dj_max),
@@ -64,9 +65,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceGuard
 
 Vertex = tuple[int, int]
+
+# The BFS oracle's one limit: a sweep to distance d covers up to 1.5d x 3d
+# cells, memory growing as d squared and time about as d cubed.  At d = 1000
+# `distance 0 0 500 500` takes 0.6 s, 81 MB; verify_lattice 2.3 s, 189 MB.
+DISTANCE_BFS_LIMIT = 1000
 
 
 def parity(v: Vertex) -> int:
@@ -240,6 +246,8 @@ def distance_field(source: Vertex, di_max: int, dj_max: int,
 def _handed_fields(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """``distance_field`` from (0, 0) and from (1, 0) over the box
     ((radius+1)//2, radius), read-only; one pair per radius."""
+    if radius > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"radius {radius} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
     fields = tuple(distance_field(src, (radius + 1) // 2, radius) for src in ((0, 0), (1, 0)))
     for f in fields:
         f.setflags(write=False)

@@ -33,11 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-
-
-class ResourceGuard(Exception):
-    """Raised when a search would exceed its configured resource limit."""
+from .errors import InputError, ResourceGuard
 
 
 def bitmask_graph(related: np.ndarray) -> list[int]:

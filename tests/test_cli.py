@@ -169,6 +169,31 @@ def test_verify_coloring_roundtrip_and_mutation(tmp_path, capsys):
     assert payload["valid"] is False and payload["violations"]
 
 
+def test_verify_coloring_lattice_violations_pinned(tmp_path, capsys):
+    # l = 8 on ((4, 4), (4, -4)): six lattice vectors at distance 8 break
+    # separation, and (0, 1) takes the color of (0, 0); each pair of domain
+    # cells is reported once, at its nearest ball cell, nearest pair first
+    coloring = single_coset_coloring(8, ((4, 4), (4, -4)))
+    coloring.assignment[(0, 1)] = coloring.assignment[(0, 0)]
+    path = tmp_path / "bad.col"
+    path.write_text(write_coloring(coloring))
+    assert run(["verify-coloring", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == [
+        {"u": [0, 0], "v": [0, 1], "distance": 1, "color": 1},
+        {"u": [0, 0], "v": [-4, -4], "distance": 8, "color": 1},
+    ]
+    assert payload["checked"] == 216  # rows (0, 0) and (0, 1), 108 ball cells each
+
+
+def test_verify_coloring_refuses_l_past_the_bfs_limit(tmp_path, capsys):
+    path = tmp_path / "far.col"
+    path.write_text("hexcolor v1\nl 1001\nlattice 2 0 0 2\n"
+                    "cell 0 0 1\ncell 0 1 2\ncell 1 0 3\ncell 1 1 4\n")
+    assert run(["verify-coloring", str(path)]) == 3
+    assert "exceeds the BFS oracle limit of 1000" in capsys.readouterr().err
+
+
 def test_verify_coloring_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.col"
     path.write_text("hexcolor v1\nl 3\nwindow\ncell 0 0 zero\n")

@@ -1,13 +1,22 @@
+import subprocess
+import sys
+import time
+import tracemalloc
+from functools import lru_cache
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexspan import coloring as coloring_module
 from hexspan.coloring import (
     ColoringFormatError,
     LatticeColoring,
+    VerifyResult,
+    Violation,
     WindowColoring,
     _separation_ok,
     even_sublattices,
@@ -24,10 +33,10 @@ from hexspan.coloring import (
     window_conflicts,
     write_coloring,
 )
+from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import distance_bfs, distance_closed, translate
 from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
-from hexspan.solver import ResourceGuard
 
 even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
     lambda t: t if (t[0] + t[1]) % 2 == 0 else (t[0], t[1] + 1)
@@ -115,6 +124,176 @@ def test_conflict_graphs_match_plain_pair_scans():
         n, lambda a, b: distance_closed(cells[a], cells[b]) <= 4)
     assert compatibility_masks(cells, 5) == _plain_graph(
         n, lambda a, b: distance_closed(cells[a], cells[b]) >= 5)
+
+
+def _box_scan_separation_ok(basis, l):
+    # the separation filter as it was written before it read the orbit
+    # table: every lattice vector of the box |i| <= l/2 + 1, |j| <= l
+    geo = lattice_geometry(basis)
+    for t in geo.points_in_box(l // 2 + 1, l):
+        if t != (0, 0) and distance_closed((0, 0), t) <= l:
+            return False
+    return True
+
+
+def test_separation_matches_the_box_scan():
+    for det, basis in even_sublattices(200):
+        for l in range(1, 17):
+            assert _separation_ok(basis, l) == _box_scan_separation_ok(basis, l), (l, basis)
+
+
+def _box_walk_verify_lattice(coloring):
+    # verify_lattice as it was written before it read the orbit table:
+    # two hand-sized boxes of lattice vectors and the closed form
+    l = coloring.l
+    geo = coloring.geometry
+    violations = []
+    checked = 0
+    lam_self = [t for t in geo.points_in_box(2 * l + 2, 2 * l + 2) if t != (0, 0)]
+    for rep in ((0, 0), (1, 0)):
+        for t in lam_self:
+            checked += 1
+            d = distance_closed(rep, translate(rep, t))
+            if d <= l:
+                color = coloring.color_of(rep)
+                violations.append(Violation(rep, translate(rep, t), d, color))
+                if len(violations) >= 100:
+                    return VerifyResult(False, violations, checked)
+    cells = geo.cells()
+    if set(coloring.assignment) != set(cells):
+        raise InputError("assignment does not cover the fundamental domain exactly")
+    by_color = {}
+    for cell, color in coloring.assignment.items():
+        by_color.setdefault(color, []).append(cell)
+    lam_cross = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
+    for color, cells_of in by_color.items():
+        cells_of = sorted(cells_of)
+        for a in range(len(cells_of)):
+            for b in range(a + 1, len(cells_of)):
+                u, v = cells_of[a], cells_of[b]
+                checked += 1
+                for t in lam_cross:
+                    d = distance_closed(u, translate(v, t))
+                    if d <= l:
+                        violations.append(Violation(u, translate(v, t), d, color))
+                        break
+                if len(violations) >= 100:
+                    return VerifyResult(False, violations, checked)
+    return VerifyResult(not violations, violations, checked)
+
+
+@lru_cache(maxsize=None)
+def _searched(l):
+    return search_periodic(l)
+
+
+@pytest.mark.parametrize("l, tried, basis, det, colors", [
+    (8, 163, ((7, -5), (33, -33)), 66, 33),
+    (10, 317, ((18, -16), (48, -48)), 96, 48),
+    (12, 653, ((10, -8), (67, -67)), 134, 67),
+])
+def test_search_periodic_results_pinned(l, tried, basis, det, colors):
+    res = _searched(l)
+    assert res.lattices_tried == tried
+    assert res.coloring.basis == basis
+    assert res.coloring.det == det and res.coloring.color_count == colors
+
+
+def _clashing_pairs(coloring, result):
+    # unordered pairs of distinct domain cells named by the violations
+    canonical = coloring.geometry.canonical
+    pairs = {frozenset((canonical(v.u), canonical(v.v))) for v in result.violations}
+    return {pair for pair in pairs if len(pair) == 2}
+
+
+def _assert_matches_the_box_walk(coloring, result):
+    reference = _box_walk_verify_lattice(coloring)
+    assert result.valid == reference.valid == (not result.violations)
+    if len(result.violations) < 100 and len(reference.violations) < 100:
+        assert _clashing_pairs(coloring, result) == _clashing_pairs(coloring, reference)
+    for viol in result.violations:
+        assert viol.u != viol.v
+        assert coloring.color_of(viol.u) == coloring.color_of(viol.v) == viol.color
+        assert distance_bfs(viol.u, viol.v) == viol.distance <= coloring.l
+
+
+VERIFY_LATTICES = [basis for _, basis in even_sublattices(80)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_lattice_matches_the_box_walk(data):
+    # single-coset lattices and the search results, with colors merged,
+    # checked in blocks of one row, a few rows and all rows
+    if data.draw(st.booleans()):
+        base = single_coset_coloring(data.draw(st.integers(2, 12)),
+                                     data.draw(st.sampled_from(VERIFY_LATTICES)))
+    else:
+        base = _searched(data.draw(st.sampled_from([8, 10, 12]))).coloring
+    palette = sorted(set(base.assignment.values()))
+    assignment = dict(base.assignment)
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(palette),
+                                             st.sampled_from(palette)), max_size=3)):
+        assignment = {cell: b if c == a else c for cell, c in assignment.items()}
+    mutant = LatticeColoring(base.l, base.basis, assignment)
+    with mock.patch.object(coloring_module, "_BLOCK_LOOKUPS",
+                           data.draw(st.sampled_from([1, 500, 1 << 14]))):
+        result = verify_lattice(mutant)
+    _assert_matches_the_box_walk(mutant, result)
+
+
+def test_repeated_colors_at_large_l_verify_in_bounded_memory():
+    # the valid single-coset coloring of ((42, 42), (42, -42)) at l = 40,
+    # written over its index-2 sublattice, so that every color repeats
+    base = single_coset_coloring(40, ((42, 42), (42, -42)))
+    basis = ((84, 84), (42, -42))
+    cells = lattice_geometry(basis).cells()
+    coloring = LatticeColoring(40, basis, {c: base.color_of(c) for c in cells})
+    assert coloring.det == 2 * base.det == 2 * coloring.color_count
+    start = time.perf_counter()
+    assert verify_lattice(coloring).valid
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert verify_lattice(coloring).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    # one recolored cell clashes with a cell of its new color
+    u, donor = (5, 7), (5, 12)
+    broken = LatticeColoring(40, basis, {**coloring.assignment,
+                                         u: coloring.color_of(donor)})
+    result = verify_lattice(broken)
+    assert not result.valid
+    _assert_matches_the_box_walk(broken, result)
+
+
+def test_verify_lattice_refuses_l_past_the_bfs_limit():
+    coloring = single_coset_coloring(1001, ((2, 0), (0, 2)))
+    with pytest.raises(ResourceGuard, match="BFS oracle limit of 1000"):
+        verify_lattice(coloring)
+    # coverage is checked before any lookup
+    partial = LatticeColoring(1001, ((2, 0), (0, 2)), {(0, 0): 1})
+    with pytest.raises(InputError, match="does not cover"):
+        verify_lattice(partial)
+
+
+def test_verify_lattice_refusal_survives_optimize_flag():
+    # python -O strips assert statements; the refusal must be a real raise
+    code = (
+        "from hexspan.coloring import single_coset_coloring, verify_lattice\n"
+        "from hexspan.errors import ResourceGuard\n"
+        "try:\n"
+        "    verify_lattice(single_coset_coloring(1001, ((2, 0), (0, 2))))\n"
+        "except ResourceGuard as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('l = 1001 was swept')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "BFS oracle limit" in proc.stdout
 
 
 def test_sparse_lattice_is_valid():
