@@ -18,7 +18,9 @@ the handedness-preserving automorphisms):
   solved by the branch-and-bound engine.
 
 Periodic checks read one orbit table: the search with the ring-formula
-ball, ``verify_lattice`` with the BFS ball.  Windows go pair by pair.
+ball, ``verify_lattice`` with the BFS ball.  ``verify_window`` stays on
+the closed form, so the two verifiers share no distance code: it takes
+one numpy pass per offset of the candidate box, over all cells at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceGuard
-from .grid import Vertex, _handed_fields, distance_closed, pairwise_distances, parity, translate
+from .grid import (
+    DISTANCE_BFS_LIMIT,
+    Vertex,
+    _handed_fields,
+    distance_closed,
+    distance_closed_array,
+    pairwise_distances,
+    parity,
+)
 from .rings import ball
 from .solver import bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
@@ -198,11 +208,7 @@ def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
     rows = np.flatnonzero((np.bincount(code)[code] > 1) | (np.arange(geo.det) == 0))
     violations: list[Violation] = []
     checked = 0
-    for hand, field_ in enumerate(_handed_fields(l)):
-        xs, ys = np.nonzero((field_ > 0) & (field_ <= l))
-        order = np.argsort(field_[xs, ys], kind="stable")
-        offsets = np.stack([xs - (l + 1) // 2, ys - l])[:, order]
-        dist = field_[xs, ys][order]
+    for hand, (offsets, dist) in enumerate(_bfs_ball(l)):
         own = rows[parity(np.divmod(rows, geo.d)) == hand, None]
         step = max(1, _BLOCK_LOOKUPS // max(dist.size, 1))
         for start in range(0, len(own), step):
@@ -278,6 +284,24 @@ def _ball_offsets(l: int) -> tuple[np.ndarray, np.ndarray]:
         offsets.flags.writeable = False
         out.append(offsets)
     return out[0], out[1]
+
+
+@lru_cache(maxsize=32)
+def _bfs_ball(l: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The radius-l ball but its centre, read from the BFS oracle, around a
+    right-handed cell and around a left-handed cell (indexed by
+    ``parity``): (2, m) offsets nearest first, and their distances;
+    read-only, one pair per l."""
+    out = []
+    for field_ in _handed_fields(l):
+        xs, ys = np.nonzero((field_ > 0) & (field_ <= l))
+        order = np.argsort(field_[xs, ys], kind="stable")
+        offsets = np.stack([xs - (l + 1) // 2, ys - l])[:, order]
+        dist = field_[xs, ys][order]
+        offsets.flags.writeable = False
+        dist.flags.writeable = False
+        out.append((offsets, dist))
+    return tuple(out)
 
 
 def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
@@ -449,31 +473,109 @@ def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _squeeze(coords: list[int], cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Small non-negative stand-ins for ``coords``, and for their distinct
+    values in ascending order: every gap between consecutive distinct
+    values above ``cap`` shrinks to cap or cap + 1, whichever keeps its
+    parity.  Order, parity and every difference below ``cap`` survive, and
+    no larger difference falls below ``cap``, however far apart the values
+    are."""
+    distinct = sorted(set(coords))
+    at, prev = distinct[0] % 2, distinct[0]
+    small = {}
+    for x in distinct:
+        gap = x - prev
+        at += gap if gap <= cap else cap + (gap - cap) % 2
+        small[x], prev = at, x
+    return (np.array([small[x] for x in coords], dtype=np.int64),
+            np.array(list(small.values()), dtype=np.int64))
+
+
+def _gaps(values: np.ndarray, reach: int) -> np.ndarray:
+    """The differences 0..reach between two of the ascending distinct
+    ``values``, ascending."""
+    seen = np.zeros(max(reach, 0) + 1, dtype=bool)
+    seen[0] = True
+    for r in range(1, values.size):
+        gaps = values[r:] - values[:-r]  # grows with r
+        if gaps.min() > reach:
+            break
+        seen[gaps[gaps <= reach]] = True
+    return np.flatnonzero(seen)
+
+
 def verify_window(coloring: WindowColoring) -> VerifyResult:
     """Check every pair of window cells at distance <= l for a color clash,
-    stopping at the first 1000 clashes."""
+    on the closed form, stopping at the first 1000 clashes.
+
+    Every pair u < v whose offset v - u lies in the box |di| <= l//2 + 1,
+    |dj| <= l (which holds every cell within distance l) is a candidate;
+    ``checked`` counts the candidates, and violations come in (u, v) order.
+    Cells are keyed in a compressed layout.  The positive box offsets
+    whose di and dj occur between window cells are taken one at a time,
+    each in one numpy pass over all cells; one ``searchsorted`` per di
+    finds the partners, which the passes then step along.  When the cap is
+    hit, ``checked`` counts the candidates up to the 1000th clash.
+    ``ResourceGuard`` if l is above the BFS oracle's limit, the bound that
+    lattice files have too."""
     l = coloring.l
+    if l > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"l {l} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}, "
+                            "which bounds window verification too")
     cells = sorted(coloring.assignment)
-    index = set(cells)
-    violations: list[Violation] = []
-    checked = 0
-    # candidate offsets: |di| <= l//2 + 1 and |dj| <= l covers d <= l
-    offsets = [(di, dj)
-               for di in range(-(l // 2) - 1, l // 2 + 2)
-               for dj in range(-l, l + 1)
-               if (di, dj) != (0, 0)]
-    for u in cells:
-        cu = coloring.assignment[u]
-        for off in offsets:
-            v = translate(u, off)
-            if v <= u or v not in index:
-                continue
-            checked += 1
-            if coloring.assignment[v] == cu and distance_closed(u, v) <= l:
-                violations.append(Violation(u, v, distance_closed(u, v), cu))
-                if len(violations) >= 1000:
-                    return VerifyResult(False, violations, checked)
-    return VerifyResult(not violations, violations, checked)
+    if not cells:
+        return VerifyResult(True, [], 0)
+    n = len(cells)
+    reach_i, reach_j = l // 2 + 1, l
+    # gaps capped just past the box keep the key order and every in-box
+    # offset, and the key width leaves room for any dj, so no shift wraps
+    ii, i_values = _squeeze([i for i, _ in cells], reach_i + 1)
+    jj, j_values = _squeeze([j for _, j in cells], reach_j + 1)
+    width = int(jj.max()) + l + 1
+    keys = ii * width + jj
+    palette: dict[int, int] = {}
+    code = np.array([palette.setdefault(coloring.assignment[c], len(palette)) for c in cells])
+    hand = (ii + jj) & 1
+    rows, cols = _gaps(i_values, reach_i), _gaps(j_values, reach_j)
+    cols = np.concatenate([-cols[:0:-1], cols])
+    ext = np.append(keys, np.iinfo(np.int64).max)  # a sentinel past the last key
+    rep = np.array([[0], [1]])
+    counts = np.zeros(n, dtype=np.int64)
+    first = np.empty(0, dtype=np.int64)  # u * n + v of the earliest clashes, sorted
+    step_rows = []
+    for di in rows.tolist():
+        dj = cols if di else cols[cols > 0]  # the lexicographically positive half
+        if not dj.size:
+            continue
+        near = (distance_closed_array(rep, 0, rep + di, dj) <= l).T
+        steps = di * width + dj
+        step_rows.append(steps)
+        # v[u] is the first key at or past u's target.  A key between two
+        # consecutive targets would be a partner at a dj missing from cols,
+        # so stepping past each partner found keeps v exact
+        v = np.searchsorted(ext, keys + int(steps[0]))
+        for step, close in zip(steps.tolist(), near):
+            found = ext[v] == keys + step
+            counts += found
+            if close.any():
+                u = np.flatnonzero(found)
+                u = u[(code[v[u]] == code[u]) & close[hand[u]]]
+                pairs = u * n + v[u]
+                if first.size == 1000:
+                    pairs = pairs[pairs < first[-1]]
+                if pairs.size:
+                    first = np.sort(np.concatenate([first, pairs]))[:1000]
+            v += found
+    violations = []
+    for pair in first.tolist():
+        u, v = cells[pair // n], cells[pair % n]
+        violations.append(Violation(u, v, distance_closed(u, v), coloring.assignment[u]))
+    if len(violations) < 1000:
+        return VerifyResult(not violations, violations, int(counts.sum()))
+    u, v = divmod(int(first[-1]), n)
+    steps = np.concatenate(step_rows)
+    tail = np.isin(keys[u] + steps[steps <= keys[v] - keys[u]], keys)
+    return VerifyResult(False, violations, int(counts[:u].sum()) + np.count_nonzero(tail))
 
 
 # ---------------------------------------------------------------------------

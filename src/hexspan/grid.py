@@ -72,6 +72,8 @@ Vertex = tuple[int, int]
 # The BFS oracle's one limit: a sweep to distance d covers up to 1.5d x 3d
 # cells, memory growing as d squared and time about as d cubed.  At d = 1000
 # `distance 0 0 500 500` takes 0.6 s, 81 MB; verify_lattice 2.3 s, 189 MB.
+# verify_window, on the closed form, takes the same bound, so that coloring
+# files of either kind have one limit on l.
 DISTANCE_BFS_LIMIT = 1000
 
 

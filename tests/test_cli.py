@@ -8,6 +8,7 @@ from hexspan.cli import export_dimacs, run
 from hexspan.coloring import (
     WindowColoring,
     exact_window_span,
+    materialize_window,
     single_coset_coloring,
     window_conflicts,
     write_coloring,
@@ -190,6 +191,37 @@ def test_verify_coloring_refuses_l_past_the_bfs_limit(tmp_path, capsys):
     path = tmp_path / "far.col"
     path.write_text("hexcolor v1\nl 1001\nlattice 2 0 0 2\n"
                     "cell 0 0 1\ncell 0 1 2\ncell 1 0 3\ncell 1 1 4\n")
+    assert run(["verify-coloring", str(path)]) == 3
+    assert "exceeds the BFS oracle limit of 1000" in capsys.readouterr().err
+
+
+def test_verify_coloring_window_violations_pinned(tmp_path, capsys):
+    # four colors of the l = 4 coloring of ((6, 6), (6, -6)) merged into one
+    # on its radius-7 window: every clash is reported once, in (u, v) order
+    base = single_coset_coloring(4, ((6, 6), (6, -6)))
+    merged = {base.color_of(v) for v in [(0, 1), (1, 1), (-1, -1), (-2, 1)]}
+    window = materialize_window(base, 7)
+    window.assignment = {v: 1 if c in merged else c for v, c in window.assignment.items()}
+    path = tmp_path / "bad.col"
+    path.write_text(write_coloring(window))
+    assert run(["verify-coloring", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == [
+        {"u": [-2, 1], "v": [-1, -1], "distance": 3, "color": 1},
+        {"u": [-2, 1], "v": [0, 1], "distance": 4, "color": 1},
+        {"u": [-1, -1], "v": [0, 0], "distance": 2, "color": 1},
+        {"u": [-1, -1], "v": [0, 1], "distance": 3, "color": 1},
+        {"u": [-1, -1], "v": [1, 1], "distance": 4, "color": 1},
+        {"u": [0, 0], "v": [0, 1], "distance": 1, "color": 1},
+        {"u": [0, 0], "v": [1, 1], "distance": 2, "color": 1},
+        {"u": [0, 1], "v": [1, 1], "distance": 3, "color": 1},
+    ]
+    assert payload["checked"] == 1640  # pairs of the 85 cells with offsets in the box
+
+
+def test_verify_coloring_refuses_window_l_past_the_bfs_limit(tmp_path, capsys):
+    path = tmp_path / "far.col"
+    path.write_text("hexcolor v1\nl 100000\nwindow\ncell 0 0 1\ncell 0 1 2\n")
     assert run(["verify-coloring", str(path)]) == 3
     assert "exceeds the BFS oracle limit of 1000" in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexspan import coloring as coloring_module
@@ -178,6 +178,33 @@ def _box_walk_verify_lattice(coloring):
                         violations.append(Violation(u, translate(v, t), d, color))
                         break
                 if len(violations) >= 100:
+                    return VerifyResult(False, violations, checked)
+    return VerifyResult(not violations, violations, checked)
+
+
+def _pairwise_verify_window(coloring):
+    # verify_window as it was written before it went offset by offset over
+    # numpy arrays: every cell against every offset of the candidate box
+    l = coloring.l
+    cells = sorted(coloring.assignment)
+    index = set(cells)
+    violations: list[Violation] = []
+    checked = 0
+    # candidate offsets: |di| <= l//2 + 1 and |dj| <= l covers d <= l
+    offsets = [(di, dj)
+               for di in range(-(l // 2) - 1, l // 2 + 2)
+               for dj in range(-l, l + 1)
+               if (di, dj) != (0, 0)]
+    for u in cells:
+        cu = coloring.assignment[u]
+        for off in offsets:
+            v = translate(u, off)
+            if v <= u or v not in index:
+                continue
+            checked += 1
+            if coloring.assignment[v] == cu and distance_closed(u, v) <= l:
+                violations.append(Violation(u, v, distance_closed(u, v), cu))
+                if len(violations) >= 1000:
                     return VerifyResult(False, violations, checked)
     return VerifyResult(not violations, violations, checked)
 
@@ -449,6 +476,55 @@ def test_materialized_lattice_window_is_valid():
     coloring = single_coset_coloring(6, ((8, 8), (8, -8)))
     window = materialize_window(coloring, 18)
     assert verify_window(window).valid
+
+
+@st.composite
+def _windows(draw):
+    # windows cut from periodic colorings with colors merged, sparse
+    # clusters up to 10**30 apart, and monochrome balls
+    l = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["lattice", "sparse", "monochrome"]))
+    if kind == "lattice":
+        base = single_coset_coloring(l, draw(st.sampled_from(VERIFY_LATTICES)))
+        assignment = materialize_window(base, draw(st.integers(0, 12))).assignment
+        palette = sorted(set(assignment.values()))
+        for a, b in draw(st.lists(st.tuples(st.sampled_from(palette),
+                                             st.sampled_from(palette)), max_size=3)):
+            assignment = {cell: b if c == a else c for cell, c in assignment.items()}
+    elif kind == "sparse":
+        spread = 10 ** draw(st.integers(0, 30))
+        assignment = {}
+        for _ in range(draw(st.integers(1, 5))):
+            ci, cj = (draw(st.integers(-spread, spread)) for _ in range(2))
+            near = st.tuples(st.integers(-l, l), st.integers(-2 * l, 2 * l))
+            assignment.update({(ci + i, cj + j): c for (i, j), c in draw(
+                st.dictionaries(near, st.integers(1, 3), min_size=1, max_size=40)).items()})
+    else:
+        centre = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+        assignment = dict.fromkeys(ball(centre, draw(st.integers(0, 12))), 1)
+    return WindowColoring(l, assignment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows())
+@example(WindowColoring(4, dict.fromkeys(ball((0, 0), 12), 1)))  # past the 1000 cap
+def test_verify_window_matches_the_pairwise_loop(window):
+    assert verify_window(window).to_dict() == _pairwise_verify_window(window).to_dict()
+
+
+def test_verify_window_at_the_bfs_limit():
+    # three cells 1000 apart that span the l = 1000 box, and one far away:
+    # only offsets that occur between window cells are tried, not the
+    # million of the box
+    cells = [(0, 0), (0, 1000), (500, 500), (10 ** 30, 1)]
+    start = time.perf_counter()
+    result = verify_window(WindowColoring(1000, dict.fromkeys(cells, 1)))
+    assert time.perf_counter() - start < 1.0
+    assert result.checked == 3
+    assert [(v.u, v.v, v.distance) for v in result.violations] == [
+        ((0, 0), (0, 1000), 1000), ((0, 0), (500, 500), 1000), ((0, 1000), (500, 500), 1000)]
+    with pytest.raises(ResourceGuard, match="BFS oracle limit of 1000"):
+        verify_window(WindowColoring(1001, {(0, 0): 1}))
 
 
 def test_coloring_file_round_trip_lattice():
