@@ -29,6 +29,7 @@ from .reuse import (
     SpreadBound,
     color_budget_certificate,
     max_spread,
+    max_spreads,
     run_checks,
     verify_corner_pair_exclusion,
     verify_corner_reuse,

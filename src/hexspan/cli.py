@@ -110,6 +110,8 @@ def _cmd_check_observations(args) -> int:
         ps = [args.p]
     else:
         ps = list(range(args.p_min, args.p_max + 1))
+        if not ps:
+            raise InputError(f"empty p range: --p-min {args.p_min} > --p-max {args.p_max}")
     all_ok = True
     reports = []
     for p in ps:

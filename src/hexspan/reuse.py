@@ -49,34 +49,45 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
     Branches on candidates in increasing index order and keeps the first
     clique of each new best size.  Two bounds prune a node: the number of
     candidates, and the number of classes of a greedy colouring of the
-    candidates (a clique takes at most one cell per class).  Both cut
-    only subtrees that cannot beat the incumbent strictly, so the clique
-    returned is the one the unpruned search would keep.
+    candidates (a clique takes at most one cell per class; San Segundo
+    et al.).  Both cut only subtrees that cannot beat the incumbent
+    strictly, so the clique returned is the one the unpruned search
+    would keep.
+
+    A third bound ends the whole search: the class count of a greedy
+    colouring of the whole graph bounds the clique number, so once the
+    incumbent reaches it no strictly larger clique exists.  The
+    unpruned search would only replace the incumbent by a strictly
+    larger clique, so stopping there returns the same (size, bitset).
+    On the battery's compatibility graphs the bound is usually tight.
     """
     best_size = 0
     best_set = 0
     # the cells each cell may share a colour class with: its non-neighbours
     others = [~(m | 1 << v) for v, m in enumerate(masks)]
 
-    def expand(cur: int, cur_size: int, cand: int) -> None:
-        nonlocal best_size, best_set
-        if cur_size > best_size:
-            best_size, best_set = cur_size, cur
-        # greedy colour classes of cand, stopping once they exceed the
-        # slack best_size - cur_size and so can no longer prune
-        slack = best_size - cur_size
+    def colour_classes(cand: int, cap: int) -> int:
+        """Greedy colour classes of ``cand``, stopping once they exceed ``cap``."""
         uncoloured = cand
         classes = 0
-        while uncoloured and classes <= slack:
+        while uncoloured and classes <= cap:
             classes += 1
             free = uncoloured
             while free:
                 bit = free & -free
                 uncoloured ^= bit
                 free &= others[bit.bit_length() - 1]
-        if not uncoloured and classes <= slack:
+        return classes if not uncoloured else cap + 1
+
+    def expand(cur: int, cur_size: int, cand: int) -> None:
+        nonlocal best_size, best_set
+        if cur_size > best_size:
+            best_size, best_set = cur_size, cur
+        # a clique within cand takes one cell per class, so it cannot beat
+        # the incumbent if the classes fit in the slack best_size - cur_size
+        if colour_classes(cand, best_size - cur_size) <= best_size - cur_size:
             return
-        while cand:
+        while cand and best_size < bound:
             if cur_size + cand.bit_count() <= best_size:
                 return
             bit = cand & -cand
@@ -84,7 +95,9 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
             v = bit.bit_length() - 1
             expand(cur | bit, cur_size + 1, cand & masks[v])
 
-    expand(0, 0, (1 << len(masks)) - 1)
+    everything = (1 << len(masks)) - 1
+    bound = colour_classes(everything, len(masks))
+    expand(0, 0, everything)
     # expand refers to itself; unbinding it breaks that cycle, so the
     # masks are freed now rather than at the next cyclic collection
     del expand
@@ -98,20 +111,43 @@ def compatibility_masks(cells: list[Vertex], separation: int) -> list[int]:
     return bitmask_graph(pairwise_distances(cells) >= separation)
 
 
+def max_spreads(sources, p: int, target, label: str = "") -> list[SpreadBound]:
+    """Exact spread of each of ``sources`` into ``target`` for 2p distance
+    coloring, in the order of ``sources``.
+
+    One closed-form distance matrix of sources x sorted target cells
+    gives every source's sorted reuse set (``rings.reuse_set``) at once.
+    Sources with the same reuse set share one clique search.  Every
+    source's witness is still rechecked, together with the source, by
+    the independent BFS oracle.
+    """
+    sources = list(sources)
+    cells = sorted(frozenset(target))
+    sep = 2 * p + 1
+    src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
+    tgt = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    reusable = distance_closed_array(src[:, :1], src[:, 1:], tgt[:, 0], tgt[:, 1]) >= sep
+    solved: dict[bytes, tuple[int, tuple[Vertex, ...]]] = {}
+    spreads = []
+    for source, row in zip(sources, reusable):
+        key = row.tobytes()
+        if key not in solved:
+            members = [cells[i] for i in np.flatnonzero(row)]
+            size, chosen = _max_clique_bits(compatibility_masks(members, sep)) if members else (0, 0)
+            solved[key] = size, tuple(members[i] for i in range(len(members)) if chosen >> i & 1)
+        size, witness = solved[key]
+        # recheck the witness with the independent BFS oracle (a raise,
+        # not an assert, so that python -O keeps it)
+        for a, b in combinations((source, *witness), 2):
+            if distance_within(a, b, sep - 1) is not None:
+                raise AssertionError(f"spread witness {a}, {b} closer than {sep}")
+        spreads.append(SpreadBound(source, p, label, size, witness))
+    return spreads
+
+
 def max_spread(source: Vertex, p: int, target, label: str = "") -> SpreadBound:
     """Exact spread of ``source`` into ``target`` for 2p distance coloring."""
-    members = sorted(reuse_set(source, p, target).members)
-    if not members:
-        return SpreadBound(source, p, label, 0, ())
-    sep = 2 * p + 1
-    size, chosen = _max_clique_bits(compatibility_masks(members, sep))
-    witness = tuple(members[i] for i in range(len(members)) if chosen >> i & 1)
-    # recheck the witness with the independent BFS oracle (a raise, not
-    # an assert, so that python -O keeps it)
-    for a, b in combinations((source, *witness), 2):
-        if distance_within(a, b, sep - 1) is not None:
-            raise AssertionError(f"spread witness {a}, {b} closer than {sep}")
-    return SpreadBound(source, p, label, size, witness)
+    return max_spreads([source], p, target, label)[0]
 
 
 def spread_by_powerset(source: Vertex, p: int, target) -> int:
@@ -205,11 +241,10 @@ def _check_spreads(report: ObservationReport, sources, p: int, target, label: st
                    bound: int, **fields) -> None:
     """Tally the spread of each source into ``target`` and record every
     spread above ``bound`` as a counterexample (``fields`` first)."""
-    for source in sources:
-        spread = max_spread(source, p, target, label)
+    for spread in max_spreads(sources, p, target, label):
         report.tally(spread.max_spread)
         if spread.max_spread > bound:
-            report.fail(**fields, source=source, spread=spread.max_spread,
+            report.fail(**fields, source=spread.source, spread=spread.max_spread,
                         witness=spread.witness)
 
 

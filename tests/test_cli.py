@@ -361,3 +361,13 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["span"] == 33
+
+
+def test_check_observations_empty_p_range_exit_2(capsys):
+    # --p-min above --p-max selects no p: an input error, not a pass
+    for argv in (["check-observations", "--p-min", "9", "--p-max", "5"],
+                 ["check-observations", "--p-min", "9", "--p-max", "5", "--json"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: empty p range")

@@ -4,14 +4,16 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexspan.reuse import (
     _max_clique_bits,
     color_budget_certificate,
+    compatibility_masks,
     double_reuse_pairs,
     max_spread,
+    max_spreads,
     run_checks,
     shell_reuse_ranges,
     spread_by_powerset,
@@ -21,7 +23,7 @@ from hexspan.reuse import (
     verify_path_bound,
     verify_shell_reuse,
 )
-from hexspan.rings import build_ring, _shell_members
+from hexspan.rings import build_ring, reuse_set, _shell_members
 
 
 def test_max_spread_corner_example():
@@ -85,16 +87,114 @@ def _max_clique_popcount_only(masks):
     return best_size, best_set
 
 
-@given(st.integers(0, 40), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
-@settings(max_examples=150, deadline=None)
-def test_max_clique_colour_bound_keeps_the_first_maximum_clique(n, density, rnd):
+@st.composite
+def uniform_graphs(draw):
+    n = draw(st.integers(0, 40))
+    density = draw(st.floats(0.0, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
     masks = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
             if rnd.random() < density:
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
+    return masks
+
+
+@st.composite
+def battery_graphs(draw):
+    """The battery's graphs: up to 40 cells of a ring annulus just
+    outside the radius-p ball, joined at distance >= 2p+1.  On these the
+    whole-graph colouring bound is usually tight and ends the search."""
+    p = draw(st.integers(2, 8))
+    k = draw(st.integers(p + 1, 2 * p + 2))
+    width = draw(st.integers(0, 3))
+    rnd = draw(st.randoms(use_true_random=False))
+    annulus = [v for h in range(k, k + width + 1) for v in build_ring((0, 0), h).members]
+    cells = sorted(rnd.sample(annulus, min(draw(st.integers(0, 40)), len(annulus))))
+    return compatibility_masks(cells, 2 * p + 1)
+
+
+def _complete(n):
+    return [((1 << n) - 1) & ~(1 << a) for a in range(n)]
+
+
+@given(st.one_of(uniform_graphs(), battery_graphs()))
+@example([])
+@example([0] * 7)
+@example(_complete(1))
+@example(_complete(30))
+@settings(max_examples=200, deadline=None)
+def test_max_clique_colour_bound_keeps_the_first_maximum_clique(masks):
     assert _max_clique_bits(masks) == _max_clique_popcount_only(masks)
+
+
+def _spread_reference(source, p, target):
+    """One source's spread the slow way: its sorted reuse set, the
+    compatibility graph and the clique search without colour bounds."""
+    members = sorted(reuse_set(source, p, target).members)
+    size, chosen = _max_clique_popcount_only(compatibility_masks(members, 2 * p + 1))
+    return size, tuple(m for i, m in enumerate(members) if chosen >> i & 1)
+
+
+@st.composite
+def ring_cells(draw, max_k):
+    k = draw(st.integers(1, max_k))
+    return build_ring((0, 0), k).members[draw(st.integers(0, 3 * k - 1))]
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_max_spreads_matches_per_source_reference(p, data):
+    cell = ring_cells(3 * p + 2)
+    target = data.draw(st.lists(cell, max_size=40), label="target")
+    if target:
+        target += data.draw(st.lists(st.sampled_from(target), max_size=5), label="duplicates")
+    sources = data.draw(st.lists(cell, max_size=6), label="sources")
+    if sources or target:
+        # repeated sources, and sources inside the target
+        sources += data.draw(st.lists(st.sampled_from(sources + target), max_size=4),
+                             label="extra sources")
+    spreads = max_spreads(sources, p, target, "t")
+    assert [s.source for s in spreads] == sources
+    for s in spreads:
+        assert (s.p, s.target_label) == (p, "t")
+        assert (s.max_spread, s.witness) == _spread_reference(s.source, p, target)
+
+
+def test_max_spreads_edge_cases():
+    ring = build_ring((0, 0), 6).members
+    assert max_spreads([], 5, ring) == []
+    assert [s.max_spread for s in max_spreads([(0, 0), (0, 5)], 5, [])] == [0, 0]
+    # a repeated source, a source inside the target, a doubled target
+    sources = [(0, 5), (0, 5), ring[0]]
+    for target in (ring, ring + ring[:5]):
+        got = [(s.max_spread, s.witness) for s in max_spreads(sources, 5, target)]
+        assert got == [_spread_reference(v, 5, ring) for v in sources]
+        single = max_spread((0, 5), 5, target)
+        assert got[0] == (single.max_spread, single.witness)
+
+
+def test_max_spreads_rechecks_every_witness_of_a_shared_clique(monkeypatch):
+    # the radius-1 ball is far from ring 12 at 2p+1 = 9, so all four
+    # sources share one reuse set and one clique search; each still gets
+    # its own BFS recheck against every witness cell
+    import hexspan.reuse as reuse
+
+    searches = []
+    checked = set()
+    search, within = reuse._max_clique_bits, reuse.distance_within
+    monkeypatch.setattr(reuse, "_max_clique_bits", lambda m: searches.append(m) or search(m))
+    monkeypatch.setattr(reuse, "distance_within",
+                        lambda a, b, r: checked.add((a, b)) or within(a, b, r))
+    sources = [(0, 0), *build_ring((0, 0), 1).members]
+    spreads = max_spreads(sources, 4, build_ring((0, 0), 12).members)
+    assert len(searches) == 1
+    witness = spreads[0].witness
+    assert len(witness) > 1
+    for s in spreads:
+        assert s.witness == witness
+        assert {(s.source, w) for w in witness} <= checked
 
 
 # sha256 of the sorted-key JSON of run_checks(p): any change to a
@@ -104,6 +204,11 @@ BATTERY_DIGESTS = {
     5: "9f6286b2d5f566864acc5e5c09746c4c0c77bf2685ac632fbf020c1eae2d15b6",
     6: "13ab7f596d8715b39d59ae7274bdeb83e240c7762be5d6599408ea2156513830",
     7: "5cd64434224c159caf62c556715ad177b1770f945d05fbd286a76da807b569ad",
+    8: "1b9c4838ac21cf332d4f7f0442c1cad403d1e2a0fd734c6ae61c2d37af3eeff3",
+    9: "16e3d5cf158cc5acf931d633b1d7e2b375e0ddb8481145f1bf9515bd5b3a2cc7",
+    10: "eb4483f931414a36ff7bba256596ca5705b4d62d4c5ef4e8a86a1ed9d09da4a3",
+    11: "816e22e173bec1f43744ad13c4ad328d182cc8d5878ebe47f23ac80fc06eafba",
+    12: "ff033407dbc03463535f2259af0f81d405327c3bdd78166b9a40c846dc2514ee",
 }
 
 
