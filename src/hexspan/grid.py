@@ -135,12 +135,14 @@ def distance_closed_array(i1, j1, i2, j2):
     return out
 
 
-def pairwise_distances(cells: list[Vertex]) -> np.ndarray:
-    """Symmetric matrix of graph distances between the given cells."""
-    arr = np.asarray(cells, dtype=np.int64)
-    i = arr[:, 0]
-    j = arr[:, 1]
-    return distance_closed_array(i[:, None], j[:, None], i[None, :], j[None, :])
+def pairwise_distances(cells: list[Vertex], cols: list[Vertex] | None = None) -> np.ndarray:
+    """Matrix of graph distances from each of ``cells`` (rows) to each of
+    ``cols`` (columns), len(cells) x len(cols); ``cols`` defaults to
+    ``cells``, which gives the symmetric matrix.  Either may also be an
+    n x 2 integer array, which is not copied again."""
+    rows = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    cols = rows if cols is None else np.asarray(cols, dtype=np.int64).reshape(-1, 2)
+    return distance_closed_array(rows[:, :1], rows[:, 1:], cols[:, 0], cols[:, 1])
 
 
 def distance_bfs(u: Vertex, v: Vertex) -> int:

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError
-from .grid import Vertex, distance_bfs, distance_closed_array, distance_within, pairwise_distances
+from .grid import Vertex, _to_bits, distance_bfs, distance_within, pairwise_distances
 from .rings import (
     ball,
     build_clique,
@@ -43,8 +43,15 @@ class SpreadBound:
     witness: tuple[Vertex, ...]
 
 
-def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
-    """Maximum clique of a bitmask graph: (size, member bitset).
+def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[int, int]:
+    """Maximum clique of the bitmask graph ``masks`` inside the candidate
+    bitset ``cand``: (size, member bitset).  ``others[v]`` is
+    ``~(masks[v] | 1 << v)``, the cells v may share a colour class with;
+    a caller that searches one graph many times builds it once.
+
+    Every step stays inside ``cand``, so the result is the one the search
+    would return on the subgraph induced by ``cand``, renumbered in the
+    same order: same branching order, colour classes and bounds.
 
     Branches on candidates in increasing index order and keeps the first
     clique of each new best size.  Two bounds prune a node: the number of
@@ -55,7 +62,7 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
     would keep.
 
     A third bound ends the whole search: the class count of a greedy
-    colouring of the whole graph bounds the clique number, so once the
+    colouring of all of ``cand`` bounds the clique number, so once the
     incumbent reaches it no strictly larger clique exists.  The
     unpruned search would only replace the incumbent by a strictly
     larger clique, so stopping there returns the same (size, bitset).
@@ -63,8 +70,6 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
     """
     best_size = 0
     best_set = 0
-    # the cells each cell may share a colour class with: its non-neighbours
-    others = [~(m | 1 << v) for v, m in enumerate(masks)]
 
     def colour_classes(cand: int, cap: int) -> int:
         """Greedy colour classes of ``cand``, stopping once they exceed ``cap``."""
@@ -95,20 +100,34 @@ def _max_clique_bits(masks: list[int]) -> tuple[int, int]:
             v = bit.bit_length() - 1
             expand(cur | bit, cur_size + 1, cand & masks[v])
 
-    everything = (1 << len(masks)) - 1
-    bound = colour_classes(everything, len(masks))
-    expand(0, 0, everything)
+    bound = colour_classes(cand, cand.bit_count())
+    expand(0, 0, cand)
     # expand refers to itself; unbinding it breaks that cycle, so the
-    # masks are freed now rather than at the next cyclic collection
+    # closure and its hold on the tables go now, not at the next cyclic
+    # collection
     del expand
     return best_size, best_set
 
 
+# rows of the compatibility graph per distance matrix: the battery's
+# unions reach 594 cells, and three 594 x 594 int64 arrays (the whole
+# matrix) raised its peak resident memory by 12%
+_BLOCK = 64
+
+
 def compatibility_masks(cells: list[Vertex], separation: int) -> list[int]:
-    """Bitmask graph over ``cells`` joining pairs at distance >= separation."""
-    if not cells:
-        return []
-    return bitmask_graph(pairwise_distances(cells) >= separation)
+    """Bitmask graph over ``cells`` joining pairs at distance >= separation.
+
+    The rows are built in blocks of ``_BLOCK`` against all cells, so the
+    distance matrices live at one time hold at most _BLOCK x len(cells)
+    entries, not len(cells) squared.
+    """
+    arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    masks: list[int] = []
+    for first in range(0, len(arr), _BLOCK):
+        block = pairwise_distances(arr[first:first + _BLOCK], arr) >= separation
+        masks += bitmask_graph(block, first)
+    return masks
 
 
 def max_spreads(sources, p: int, target, label: str = "") -> list[SpreadBound]:
@@ -117,24 +136,33 @@ def max_spreads(sources, p: int, target, label: str = "") -> list[SpreadBound]:
 
     One closed-form distance matrix of sources x sorted target cells
     gives every source's sorted reuse set (``rings.reuse_set``) at once.
-    Sources with the same reuse set share one clique search.  Every
-    source's witness is still rechecked, together with the source, by
-    the independent BFS oracle.
+    One compatibility graph covers their union, the sorted target cells
+    reusable from at least one source, and each distinct reuse set is
+    searched inside it as a candidate bitset.  Union indices follow the
+    sorted target order, so each search returns what it would on the
+    reuse set's own graph.  Sources with the same reuse set share one
+    search.  Every source's witness is still rechecked, together with the
+    source, by the independent BFS oracle.
     """
     sources = list(sources)
     cells = sorted(frozenset(target))
     sep = 2 * p + 1
-    src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
-    tgt = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-    reusable = distance_closed_array(src[:, :1], src[:, 1:], tgt[:, 0], tgt[:, 1]) >= sep
+    reusable = pairwise_distances(sources, cells) >= sep
+    union = np.flatnonzero(reusable.any(axis=0))
+    members = [cells[i] for i in union]
+    masks = compatibility_masks(members, sep)
+    others = [~(m | 1 << v) for v, m in enumerate(masks)]
     solved: dict[bytes, tuple[int, tuple[Vertex, ...]]] = {}
     spreads = []
-    for source, row in zip(sources, reusable):
+    for source, row in zip(sources, reusable[:, union]):
         key = row.tobytes()
         if key not in solved:
-            members = [cells[i] for i in np.flatnonzero(row)]
-            size, chosen = _max_clique_bits(compatibility_masks(members, sep)) if members else (0, 0)
-            solved[key] = size, tuple(members[i] for i in range(len(members)) if chosen >> i & 1)
+            size, chosen = _max_clique_bits(masks, others, _to_bits(row))
+            witness = []
+            while chosen:
+                witness.append(members[(chosen & -chosen).bit_length() - 1])
+                chosen &= chosen - 1
+            solved[key] = size, tuple(witness)
         size, witness = solved[key]
         # recheck the witness with the independent BFS oracle (a raise,
         # not an assert, so that python -O keeps it)
@@ -221,14 +249,8 @@ def verify_path_bound(p: int) -> ObservationReport:
     report = ObservationReport("path-bound", p, {"outer_radius": 2 * p + 2})
     inner = ball(ORIGIN, p)
     outer = [v for k in range(p + 1, 2 * p + 3) for v in build_ring(ORIGIN, k).members]
-    inner_arr = np.asarray(inner)
-    outer_arr = np.asarray(outer)
-    d1 = distance_closed_array(inner_arr[:, 0], inner_arr[:, 1], 0, 0)
-    d2 = distance_closed_array(outer_arr[:, 0], outer_arr[:, 1], 0, 0)
-    cross = distance_closed_array(
-        inner_arr[:, 0][:, None], inner_arr[:, 1][:, None],
-        outer_arr[:, 0][None, :], outer_arr[:, 1][None, :],
-    )
+    (d1,), (d2,) = pairwise_distances([ORIGIN], inner), pairwise_distances([ORIGIN], outer)
+    cross = pairwise_distances(inner, outer)
     premise = d1[:, None] + d2[None, :] < 2 * p + 1
     breach = premise & (cross >= 2 * p + 1)
     for a, b in zip(*np.nonzero(breach)):
@@ -340,9 +362,13 @@ def double_reuse_pairs(corner: Vertex, p: int, target) -> list[tuple[Vertex, Ver
     members are mutually at distance >= 2p+1 (the ways to use the
     corner's color twice in ``target``)."""
     members = sorted(reuse_set(corner, p, target).members)
-    masks = compatibility_masks(members, 2 * p + 1)
-    return [(members[a], members[b])
-            for a, b in combinations(range(len(members)), 2) if masks[a] >> b & 1]
+    pairs = []
+    for a, mask in enumerate(compatibility_masks(members, 2 * p + 1)):
+        m = mask >> (a + 1)   # bit k: member a + 1 + k
+        while m:
+            pairs.append((members[a], members[a + (m & -m).bit_length()]))
+            m &= m - 1
+    return pairs
 
 
 def verify_corner_pair_exclusion(p: int) -> ObservationReport:

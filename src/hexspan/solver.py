@@ -36,11 +36,14 @@ import numpy as np
 from .errors import InputError, ResourceGuard
 
 
-def bitmask_graph(related: np.ndarray) -> list[int]:
-    """Bitmask adjacency of a square boolean relation: bit b of row a is
-    set iff ``related[a, b]`` and a != b."""
+def bitmask_graph(related: np.ndarray, first: int = 0) -> list[int]:
+    """Bitmask adjacency rows of a boolean relation whose row a is vertex
+    ``first + a``: bit b of row a is set iff ``related[a, b]`` and
+    b != first + a.  A square relation with ``first = 0`` is the whole
+    graph; a block of rows is part of it."""
     rows = np.array(related, dtype=bool)
-    np.fill_diagonal(rows, False)
+    # the diagonal of the columns from ``first`` on is each row's own vertex
+    np.fill_diagonal(rows[:, first:], False)
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

@@ -161,6 +161,14 @@ def test_pairwise_distances_matrix():
     assert (mat == mat.T).all() and (np.diag(mat) == 0).all()
 
 
+@given(st.lists(cells, max_size=6), st.lists(cells, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_pairwise_distances_rectangular(rows, cols):
+    mat = pairwise_distances(rows, cols)
+    assert mat.shape == (len(rows), len(cols)) and mat.dtype == np.int64
+    assert mat.tolist() == [[distance_closed(u, v) for v in cols] for u in rows]
+
+
 def test_distance_field_matches_bfs():
     src = (2, -1)
     field = distance_field(src, 12, 20)

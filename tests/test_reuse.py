@@ -1,12 +1,16 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hexspan.grid import distance_closed
 from hexspan.reuse import (
     _max_clique_bits,
     color_budget_certificate,
@@ -119,6 +123,15 @@ def _complete(n):
     return [((1 << n) - 1) & ~(1 << a) for a in range(n)]
 
 
+def _search(masks, cand=None):
+    """``_max_clique_bits`` with its non-neighbour table, by default over
+    the whole graph."""
+    others = [~(m | 1 << v) for v, m in enumerate(masks)]
+    if cand is None:
+        cand = (1 << len(masks)) - 1
+    return _max_clique_bits(masks, others, cand)
+
+
 @given(st.one_of(uniform_graphs(), battery_graphs()))
 @example([])
 @example([0] * 7)
@@ -126,7 +139,32 @@ def _complete(n):
 @example(_complete(30))
 @settings(max_examples=200, deadline=None)
 def test_max_clique_colour_bound_keeps_the_first_maximum_clique(masks):
-    assert _max_clique_bits(masks) == _max_clique_popcount_only(masks)
+    assert _search(masks) == _max_clique_popcount_only(masks)
+
+
+@st.composite
+def graphs_with_candidates(draw):
+    masks = draw(st.one_of(uniform_graphs(), battery_graphs()))
+    keep = draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+    return masks, [v for v, kept in enumerate(keep) if kept]
+
+
+@given(graphs_with_candidates())
+@example(([0b110, 0b101, 0b011, 0], []))                     # empty set
+@example((_complete(5), [3]))                                # one cell
+@example(([0b10, 0b01, 0b1000, 0b100, 0], list(range(5))))   # full set
+@example((_complete(12), list(range(12))))                   # complete graph
+@example((_complete(12), [0, 4, 5, 11]))
+@settings(max_examples=200, deadline=None)
+def test_max_clique_inside_a_candidate_set_is_the_induced_search(graph):
+    # the search inside the candidate set must be the search on the
+    # induced subgraph, renumbered in the same order and mapped back
+    masks, picked = graph
+    induced = [sum(1 << b for b, w in enumerate(picked) if masks[v] >> w & 1)
+               for v in picked]
+    size, chosen = _max_clique_popcount_only(induced)
+    expected = sum(1 << v for b, v in enumerate(picked) if chosen >> b & 1)
+    assert _search(masks, sum(1 << v for v in picked)) == (size, expected)
 
 
 def _spread_reference(source, p, target):
@@ -184,7 +222,8 @@ def test_max_spreads_rechecks_every_witness_of_a_shared_clique(monkeypatch):
     searches = []
     checked = set()
     search, within = reuse._max_clique_bits, reuse.distance_within
-    monkeypatch.setattr(reuse, "_max_clique_bits", lambda m: searches.append(m) or search(m))
+    monkeypatch.setattr(reuse, "_max_clique_bits",
+                        lambda m, o, cand: searches.append(cand) or search(m, o, cand))
     monkeypatch.setattr(reuse, "distance_within",
                         lambda a, b, r: checked.add((a, b)) or within(a, b, r))
     sources = [(0, 0), *build_ring((0, 0), 1).members]
@@ -195,6 +234,51 @@ def test_max_spreads_rechecks_every_witness_of_a_shared_clique(monkeypatch):
     for s in spreads:
         assert s.witness == witness
         assert {(s.source, w) for w in witness} <= checked
+
+
+def _plain_compatibility(cells, separation):
+    masks = [0] * len(cells)
+    for a, b in combinations(range(len(cells)), 2):
+        if distance_closed(cells[a], cells[b]) >= separation:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return masks
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 150])
+def test_compatibility_masks_blocks_match_plain_pair_scan(n):
+    # n = 63, 64 and 65 sit on either side of one row block, 150 spans three
+    annulus = [v for k in range(6, 12) for v in build_ring((0, 0), k).members]
+    cells = random.Random(n).sample(annulus, n)
+    assert compatibility_masks(cells, 9) == _plain_compatibility(cells, 9)
+
+
+def test_compatibility_masks_peak_memory_stays_blocked():
+    # rings 40..43 (498 cells): a full 498 x 498 distance matrix keeps
+    # three n x n int64 arrays live (about 6 MB); blocks of rows stay
+    # near 1 MB
+    cells = sorted(v for k in range(40, 44) for v in build_ring((0, 0), k).members)
+    assert len(cells) == 498
+    tracemalloc.start()
+    try:
+        compatibility_masks(cells, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_double_reuse_pairs_read_in_index_pair_order():
+    # the pairs from the set bits, in the order of a scan over all
+    # index pairs a < b
+    for p, q in ((4, 0), (5, 1), (7, 2)):
+        target = build_ring((0, 0), p + q + 1).members
+        for source in build_ring((0, 0), p - q).members[::3]:
+            members = sorted(reuse_set(source, p, target).members)
+            masks = _plain_compatibility(members, 2 * p + 1)
+            expected = [(members[a], members[b]) for a, b in
+                        combinations(range(len(members)), 2) if masks[a] >> b & 1]
+            assert double_reuse_pairs(source, p, target) == expected
 
 
 # sha256 of the sorted-key JSON of run_checks(p): any change to a
@@ -274,8 +358,6 @@ def test_shell_reuse_double_bound_fails_on_arc_midpoints():
     """The two-reuse bound genuinely fails for shell cells that sit at
     distance 2h from two corners at once; the verifier must surface
     them rather than hide them."""
-    from hexspan.grid import distance_closed
-
     rep = verify_shell_reuse(5, 0, 1)
     assert not rep.ok
     bad = {ce["source"] for ce in rep.counterexamples}
