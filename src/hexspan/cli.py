@@ -193,6 +193,8 @@ def _cmd_exact_window(args) -> int:
           f"{'feasible' if result.feasible else 'infeasible'} ({result.certificate})")
     if result.feasible and args.out:
         write_coloring_file(result.coloring, args.out)
+    elif args.out:
+        print("no coloring written: infeasible", file=sys.stderr)
     return 0
 
 

@@ -420,7 +420,8 @@ def exact_window_span(l: int, radius: int, budget: int,
                       guard: int = 200) -> WindowSearchResult:
     """Exact decision: can the radius window be colored with ``budget``
     colors under separation l?  Infeasibility at budget B is a proof
-    that the whole grid needs at least B+1 colors.
+    that the whole grid needs at least B+1 colors.  A coloring found is
+    rechecked (cover, budget, ``verify_window``) before it is returned.
 
     Windows larger than ``guard`` cells are refused outright; a refusal
     is never silently turned into an answer.
@@ -444,9 +445,13 @@ def exact_window_span(l: int, radius: int, budget: int,
     if solution is None:
         return WindowSearchResult(l, radius, budget, False, None,
                                   "exhaustive branch and bound")
-    assignment = {cell: c + 1 for cell, c in zip(cells, solution)}
-    return WindowSearchResult(l, radius, budget, True,
-                              WindowColoring(l, assignment), "explicit coloring")
+    if len(solution) != len(cells) or not set(solution) <= set(range(budget)):
+        raise AssertionError(f"solver answer is no {budget}-coloring of the {len(cells)} cells")
+    coloring = WindowColoring(l, {cell: c + 1 for cell, c in zip(cells, solution)})
+    check = verify_window(coloring)
+    if not check.valid:
+        raise AssertionError(f"solver produced an invalid window coloring: {check.violations[:3]}")
+    return WindowSearchResult(l, radius, budget, True, coloring, "explicit coloring")
 
 
 def export_dimacs(l: int, radius: int, guard: int = 200) -> str:

@@ -91,6 +91,25 @@ def test_exact_window_command(capsys):
     assert json.loads(capsys.readouterr().out)["feasible"] is False
 
 
+def test_exact_window_infeasible_out_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "window.col"
+    assert run(["exact-window", "2", "--radius", "1", "--budget", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "no coloring written: infeasible\n"
+    assert not out.exists()
+    assert run(["exact-window", "2", "--radius", "1", "--budget", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
+def test_exact_window_invalid_solver_answer_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr("hexspan.coloring.solve_coloring",
+                        lambda adj, budget: [0] * len(adj))
+    assert run(["exact-window", "4", "--radius", "3", "--budget", "19"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: ")
+    assert "invalid window coloring" in err
+
+
 def test_exact_window_guard_exit_code(capsys):
     assert run(["exact-window", "4", "--radius", "12", "--budget", "50"]) == 3
     assert "refused" in capsys.readouterr().err

@@ -415,6 +415,34 @@ def test_exact_window_feasibility_boundary():
     assert not res_no.feasible
 
 
+@pytest.mark.parametrize("fake, message", [
+    (lambda adj, budget: [0] * len(adj), "invalid window coloring"),
+    (lambda adj, budget: list(range(len(adj)))[:-1], "no 19-coloring of the 19 cells"),
+    (lambda adj, budget: list(range(1, len(adj) + 1)), "no 19-coloring of the 19 cells"),
+])
+def test_exact_window_rechecks_its_coloring(monkeypatch, fake, message):
+    # the solver's feasible answer is verified before it is returned
+    monkeypatch.setattr("hexspan.coloring.solve_coloring", fake)
+    with pytest.raises(AssertionError, match=message):
+        exact_window_span(4, 3, 19)
+
+
+def test_exact_window_recheck_survives_optimize_flag():
+    code = (
+        "import hexspan.coloring as c\n"
+        "c.solve_coloring = lambda adj, budget: [0] * len(adj)\n"
+        "try:\n"
+        "    c.exact_window_span(4, 3, 19)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('an invalid coloring was returned')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "invalid window coloring" in proc.stdout
+
+
 def test_exact_window_clique_lower_bounds():
     for p in (1, 2, 3):
         size = 1 + 3 * p * (p + 1) // 2

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
@@ -145,6 +145,8 @@ def test_node_counts_pinned(radius, budget, feasible, nodes):
     (8, 5, 31, False, 723),
     (4, 7, 11, True, 4204),
     (6, 6, 20, True, 8573),
+    (6, 8, 20, True, 9211),
+    (8, 7, 33, True, 20958),
 ])
 def test_window_node_counts_pinned(l, radius, budget, feasible, nodes):
     # window-sized instances of the exact window decisions
@@ -282,3 +284,46 @@ def test_same_search_as_the_reference_solver(adj, budget):
     if nodes:
         with pytest.raises(ResourceGuard):
             solve_coloring(adj, budget, max_nodes=nodes - 1)
+
+
+def test_largest_pinned_window_colors_as_the_reference_solver():
+    adj = window_conflicts(ball((0, 0), 7), 8)
+    expected, nodes = _reference_solve_coloring(adj, 33, 20958)
+    assert nodes == 20958
+    assert solve_coloring(adj, 33) == expected
+
+
+def _star(n):
+    return [(1 << n) - 2] + [1] * (n - 1)
+
+
+@st.composite
+def window_like_graphs(draw):
+    """A random subset of a ball, up to 60 cells, joined at distance <= l
+    for l in 2..8, with a budget near its greedy clique: dense graphs
+    whose search backtracks with small tie sets, like the window
+    decisions'."""
+    l = draw(st.integers(2, 8))
+    cells = draw(st.lists(st.sampled_from(ball((0, 0), 6)), min_size=1, max_size=60,
+                          unique=True))
+    adj = window_conflicts(cells, l)
+    return adj, max(1, len(greedy_clique(adj)) + draw(st.integers(-1, 2)))
+
+
+@given(window_like_graphs())
+@example(([0] * 300, 1))
+@example((_star(300), 1))
+@example((_star(300), 2))
+@settings(max_examples=60, deadline=None)
+def test_same_search_as_the_reference_solver_on_window_like_graphs(graph):
+    adj, budget = graph
+    cap = 5000
+    try:
+        expected, nodes = _reference_solve_coloring(adj, budget, cap)
+    except ResourceGuard:
+        with pytest.raises(ResourceGuard):
+            solve_coloring(adj, budget, max_nodes=cap)
+        return
+    assert solve_coloring(adj, budget, max_nodes=nodes) == expected
+    with pytest.raises(ResourceGuard):
+        solve_coloring(adj, budget, max_nodes=nodes - 1)
