@@ -41,7 +41,7 @@ from .grid import (
     parity,
 )
 from .rings import ball
-from .solver import bitmask_graph, greedy_clique, solve_coloring
+from .solver import bitmask_edges, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
 
 
@@ -337,20 +337,21 @@ class PeriodicSearchResult:
 def search_periodic(l: int, colors: int | None = None,
                     max_det: int | None = None) -> PeriodicSearchResult:
     """Verified periodic coloring with at most ``colors`` colors (default:
-    the span of even l).
+    the span of even l): for each admissible period lattice of
+    determinant ``colors`` to ``max_det``, in ``even_sublattices`` order,
+    solve the quotient coloring exactly with the color budget, giving up
+    on a lattice after 5,000,000 search nodes.  The first success wins,
+    which keeps the search deterministic.
 
-    Tries the single-coset mode first; if no sublattice of determinant
-    ``colors`` works (for even l none can, since even translations move
-    cells even distances), falls back to the multi-domain mode: for
-    each admissible period lattice of determinant at least ``colors``,
-    in determinant order, solve the quotient coloring exactly with the
-    color budget, giving up on a lattice after 5,000,000 search nodes.
-    The first success wins, which keeps the search deterministic.
+    If ``colors`` is the smallest admissible determinant, the first
+    lattice is ``search_lattice``'s, and its quotient graph is complete
+    (checked for l = 1..30, not proved): every orbit comes within l of
+    every cell.  DSATUR, all saturations and degrees tied, then gives the
+    cells new colors in domain order, as ``single_coset_coloring`` does.
     """
     target = span_even(l).span if colors is None else colors
-    single = search_lattice(l, max_index=target)
-    if single is not None and single.det == target:
-        return PeriodicSearchResult(l, target, single, "single-coset", 1)
+    if l < 1:
+        raise InputError(f"l must be >= 1, got {l}")
     result = PeriodicSearchResult(l, target, None, "none")
     if max_det is None:
         max_det = 2 * target + 24
@@ -397,9 +398,21 @@ def materialize_window(coloring: LatticeColoring, radius: int) -> WindowColoring
     return WindowColoring(coloring.l, {v: coloring.color_of(v) for v in cells})
 
 
+# rows of a distance graph per distance matrix: the reuse battery's
+# unions reach 594 cells, and three 594 x 594 int64 arrays (the whole
+# matrix) raised its peak resident memory by 12%
+_BLOCK = 64
+
+
 def window_conflicts(cells: list[Vertex], l: int) -> list[int]:
-    """Bitmask graph over ``cells`` joining pairs at distance <= l."""
-    return bitmask_graph(pairwise_distances(cells) <= l)
+    """Bitmask graph over ``cells`` joining pairs at distance <= l, built
+    ``_BLOCK`` rows at a time, so that no distance matrix holds more than
+    _BLOCK x len(cells) entries."""
+    arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    adj: list[int] = []
+    for first in range(0, len(arr), _BLOCK):
+        adj += bitmask_graph(pairwise_distances(arr[first:first + _BLOCK], arr) <= l, first)
+    return adj
 
 
 @dataclass
@@ -457,24 +470,19 @@ def exact_window_span(l: int, radius: int, budget: int,
 def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
     """DIMACS edge-format text of the l-th power graph of the radius
     window: all window cells, one edge per pair at distance <= l."""
+    if l < 1:
+        raise InputError(f"l must be >= 1, got {l}")
     cells = sorted(ball((0, 0), radius))
     if len(cells) > guard:
         raise ResourceGuard(
             f"window of {len(cells)} cells exceeds the guard of {guard}"
         )
-    adj = window_conflicts(cells, l)
-    n = len(cells)
-    edges = []
-    for a in range(n):
-        m = adj[a] >> (a + 1)   # bit k: vertex a + 1 + k
-        while m:
-            edges.append((a + 1, a + 1 + (m & -m).bit_length()))
-            m &= m - 1
+    edges = bitmask_edges(window_conflicts(cells, l))
     lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
              "c vertex ids map to cells as:"]
     lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
-    lines.append(f"p edge {n} {len(edges)}")
-    lines += [f"e {a} {b}" for a, b in edges]
+    lines.append(f"p edge {len(cells)} {len(edges)}")
+    lines += [f"e {a + 1} {b + 1}" for a, b in edges]
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .coloring import window_conflicts
 from .errors import InputError
 from .grid import Vertex, _to_bits, distance_bfs, distance_within, pairwise_distances
 from .rings import (
@@ -25,7 +26,7 @@ from .rings import (
     shell_union,
     _shell_members,
 )
-from .solver import bitmask_graph
+from .solver import _max_clique_bits, bitmask_edges
 from .spans import span_even
 
 ORIGIN: Vertex = (0, 0)
@@ -43,91 +44,12 @@ class SpreadBound:
     witness: tuple[Vertex, ...]
 
 
-def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[int, int]:
-    """Maximum clique of the bitmask graph ``masks`` inside the candidate
-    bitset ``cand``: (size, member bitset).  ``others[v]`` is
-    ``~(masks[v] | 1 << v)``, the cells v may share a colour class with;
-    a caller that searches one graph many times builds it once.
-
-    Every step stays inside ``cand``, so the result is the one the search
-    would return on the subgraph induced by ``cand``, renumbered in the
-    same order: same branching order, colour classes and bounds.
-
-    Branches on candidates in increasing index order and keeps the first
-    clique of each new best size.  Two bounds prune a node: the number of
-    candidates, and the number of classes of a greedy colouring of the
-    candidates (a clique takes at most one cell per class; San Segundo
-    et al.).  Both cut only subtrees that cannot beat the incumbent
-    strictly, so the clique returned is the one the unpruned search
-    would keep.
-
-    A third bound ends the whole search: the class count of a greedy
-    colouring of all of ``cand`` bounds the clique number, so once the
-    incumbent reaches it no strictly larger clique exists.  The
-    unpruned search would only replace the incumbent by a strictly
-    larger clique, so stopping there returns the same (size, bitset).
-    On the battery's compatibility graphs the bound is usually tight.
-    """
-    best_size = 0
-    best_set = 0
-
-    def colour_classes(cand: int, cap: int) -> int:
-        """Greedy colour classes of ``cand``, stopping once they exceed ``cap``."""
-        uncoloured = cand
-        classes = 0
-        while uncoloured and classes <= cap:
-            classes += 1
-            free = uncoloured
-            while free:
-                bit = free & -free
-                uncoloured ^= bit
-                free &= others[bit.bit_length() - 1]
-        return classes if not uncoloured else cap + 1
-
-    def expand(cur: int, cur_size: int, cand: int) -> None:
-        nonlocal best_size, best_set
-        if cur_size > best_size:
-            best_size, best_set = cur_size, cur
-        # a clique within cand takes one cell per class, so it cannot beat
-        # the incumbent if the classes fit in the slack best_size - cur_size
-        if colour_classes(cand, best_size - cur_size) <= best_size - cur_size:
-            return
-        while cand and best_size < bound:
-            if cur_size + cand.bit_count() <= best_size:
-                return
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            expand(cur | bit, cur_size + 1, cand & masks[v])
-
-    bound = colour_classes(cand, cand.bit_count())
-    expand(0, 0, cand)
-    # expand refers to itself; unbinding it breaks that cycle, so the
-    # closure and its hold on the tables go now, not at the next cyclic
-    # collection
-    del expand
-    return best_size, best_set
-
-
-# rows of the compatibility graph per distance matrix: the battery's
-# unions reach 594 cells, and three 594 x 594 int64 arrays (the whole
-# matrix) raised its peak resident memory by 12%
-_BLOCK = 64
-
-
 def compatibility_masks(cells: list[Vertex], separation: int) -> list[int]:
-    """Bitmask graph over ``cells`` joining pairs at distance >= separation.
-
-    The rows are built in blocks of ``_BLOCK`` against all cells, so the
-    distance matrices live at one time hold at most _BLOCK x len(cells)
-    entries, not len(cells) squared.
-    """
-    arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-    masks: list[int] = []
-    for first in range(0, len(arr), _BLOCK):
-        block = pairwise_distances(arr[first:first + _BLOCK], arr) >= separation
-        masks += bitmask_graph(block, first)
-    return masks
+    """Bitmask graph over ``cells`` joining pairs at distance >= separation:
+    the complement of ``window_conflicts`` at separation - 1."""
+    full = (1 << len(cells)) - 1
+    return [full ^ row ^ (1 << v)
+            for v, row in enumerate(window_conflicts(cells, separation - 1))]
 
 
 def max_spreads(sources, p: int, target, label: str = "") -> list[SpreadBound]:
@@ -270,36 +192,32 @@ def _check_spreads(report: ObservationReport, sources, p: int, target, label: st
                         witness=spread.witness)
 
 
+def _verify_ring_reuse(check: str, p: int, qs, last: int, bound: int,
+                       sources) -> ObservationReport:
+    """Spread of ``sources(ring p-q)`` into the radius p+q+1 ring is at
+    most ``bound``, for each q in ``qs`` (default 0..last)."""
+    qs = list(range(0, last + 1) if qs is None else qs)
+    for q in qs:
+        if not 0 <= q <= last:
+            raise InputError(f"q must be in 0..p-{p - last} = 0..{last}, got {q}")
+    report = ObservationReport(check, p, {"q": qs, "bound": bound})
+    for q in qs:
+        _check_spreads(report, sources(build_ring(ORIGIN, p - q)), p,
+                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", bound, q=q)
+    return report
+
+
 def verify_corner_reuse(p: int, qs=None) -> ObservationReport:
     """Corners of the radius p-q ring have spread at most 2 into the
     radius p+q+1 ring, for q = 0..p-2."""
-    if qs is None:
-        qs = range(0, p - 1)
-    qs = list(qs)
-    for q in qs:
-        if not 0 <= q <= p - 2:
-            raise InputError(f"q must be in 0..p-2 = 0..{p - 2}, got {q}")
-    report = ObservationReport("corner-reuse", p, {"q": qs, "bound": 2})
-    for q in qs:
-        _check_spreads(report, build_ring(ORIGIN, p - q).corners, p,
-                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", 2, q=q)
-    return report
+    return _verify_ring_reuse("corner-reuse", p, qs, p - 2, 2, lambda ring: ring.corners)
 
 
 def verify_noncorner_reuse(p: int, qs=None) -> ObservationReport:
     """Non-corner cells of the radius p-q ring have spread at most 1
     into the radius p+q+1 ring, for q = 0..p-3."""
-    if qs is None:
-        qs = range(0, p - 2)
-    qs = list(qs)
-    for q in qs:
-        if not 0 <= q <= p - 3:
-            raise InputError(f"q must be in 0..p-3 = 0..{p - 3}, got {q}")
-    report = ObservationReport("noncorner-reuse", p, {"q": qs, "bound": 1})
-    for q in qs:
-        _check_spreads(report, build_ring(ORIGIN, p - q).non_corners, p,
-                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", 1, q=q)
-    return report
+    return _verify_ring_reuse("noncorner-reuse", p, qs, p - 3, 1,
+                              lambda ring: ring.non_corners)
 
 
 def shell_reuse_ranges(p: int) -> list[tuple[int, int]]:
@@ -362,13 +280,8 @@ def double_reuse_pairs(corner: Vertex, p: int, target) -> list[tuple[Vertex, Ver
     members are mutually at distance >= 2p+1 (the ways to use the
     corner's color twice in ``target``)."""
     members = sorted(reuse_set(corner, p, target).members)
-    pairs = []
-    for a, mask in enumerate(compatibility_masks(members, 2 * p + 1)):
-        m = mask >> (a + 1)   # bit k: member a + 1 + k
-        while m:
-            pairs.append((members[a], members[a + (m & -m).bit_length()]))
-            m &= m - 1
-    return pairs
+    return [(members[a], members[b])
+            for a, b in bitmask_edges(compatibility_masks(members, 2 * p + 1))]
 
 
 def verify_corner_pair_exclusion(p: int) -> ObservationReport:

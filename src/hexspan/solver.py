@@ -1,4 +1,7 @@
-"""Exact bounded-palette graph coloring by DSATUR branch and bound.
+"""Bitmask graphs: exact bounded-palette coloring by DSATUR branch and
+bound, and the two clique routines: ``greedy_clique``, the lower bound
+the window and periodic searches test first, and ``_max_clique_bits``,
+the exact maximum clique under the reuse battery's spreads.
 
 The solver answers "is this graph colorable with at most B colors" and,
 when feasible, returns one assignment.  Vertex selection is greatest
@@ -44,6 +47,17 @@ def bitmask_graph(related: np.ndarray, first: int = 0) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def bitmask_edges(adj: list[int]) -> list[tuple[int, int]]:
+    """The edges (a, b), a < b, of the bitmask graph ``adj``, ascending."""
+    edges = []
+    for a, row in enumerate(adj):
+        m = row >> (a + 1)   # bit k: vertex a + 1 + k
+        while m:
+            edges.append((a, a + (m & -m).bit_length()))
+            m &= m - 1
+    return edges
+
+
 def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
     """The largest of the maximal cliques grown greedily from the 24
     highest-degree starts (largest degree first).  Its size is a valid
@@ -77,6 +91,73 @@ def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
             if exceed is not None and len(best) > exceed:
                 break
     return sorted(best)
+
+
+def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[int, int]:
+    """Maximum clique of the bitmask graph ``masks`` inside the candidate
+    bitset ``cand``: (size, member bitset).  ``others[v]`` is
+    ``~(masks[v] | 1 << v)``, the vertices v may share a colour class with;
+    a caller that searches one graph many times builds it once.
+
+    Every step stays inside ``cand``, so the result is the one the search
+    would return on the subgraph induced by ``cand``, renumbered in the
+    same order: same branching order, colour classes and bounds.
+
+    Branches on candidates in increasing index order and keeps the first
+    clique of each new best size.  Two bounds prune a node: the number of
+    candidates, and the number of classes of a greedy colouring of the
+    candidates (a clique takes at most one cell per class; San Segundo
+    et al.).  Both cut only subtrees that cannot beat the incumbent
+    strictly, so the clique returned is the one the unpruned search
+    would keep.
+
+    A third bound ends the whole search: the class count of a greedy
+    colouring of all of ``cand`` bounds the clique number, so once the
+    incumbent reaches it no strictly larger clique exists.  The
+    unpruned search would only replace the incumbent by a strictly
+    larger clique, so stopping there returns the same (size, bitset).
+    On the reuse battery's compatibility graphs the bound is usually
+    tight.
+    """
+    best_size = 0
+    best_set = 0
+
+    def colour_classes(cand: int, cap: int) -> int:
+        """Greedy colour classes of ``cand``, stopping once they exceed ``cap``."""
+        uncoloured = cand
+        classes = 0
+        while uncoloured and classes <= cap:
+            classes += 1
+            free = uncoloured
+            while free:
+                bit = free & -free
+                uncoloured ^= bit
+                free &= others[bit.bit_length() - 1]
+        return classes if not uncoloured else cap + 1
+
+    def expand(cur: int, cur_size: int, cand: int) -> None:
+        nonlocal best_size, best_set
+        if cur_size > best_size:
+            best_size, best_set = cur_size, cur
+        # a clique within cand takes one cell per class, so it cannot beat
+        # the incumbent if the classes fit in the slack best_size - cur_size
+        if colour_classes(cand, best_size - cur_size) <= best_size - cur_size:
+            return
+        while cand and best_size < bound:
+            if cur_size + cand.bit_count() <= best_size:
+                return
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            expand(cur | bit, cur_size + 1, cand & masks[v])
+
+    bound = colour_classes(cand, cand.bit_count())
+    expand(0, 0, cand)
+    # expand refers to itself; unbinding it breaks that cycle, so the
+    # closure and its hold on the tables go now, not at the next cyclic
+    # collection
+    del expand
+    return best_size, best_set
 
 
 def solve_coloring(adj: list[int], budget: int,
@@ -185,15 +266,8 @@ def brute_force_chromatic(adj: list[int]) -> int:
                 return True
             used = max(colors[:v], default=-1) + 1
             for c in range(min(used + 1, budget)):
-                ok = True
-                m = adj[v]
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if u < v and colors[u] == c:
-                        ok = False
-                        break
-                if ok:
+                # no earlier neighbor of v holds c
+                if all(colors[u] != c for u in range(v) if adj[v] >> u & 1):
                     colors[v] = c
                     if rec(v + 1):
                         return True

@@ -282,12 +282,16 @@ def test_exit_code_by_exception_type(monkeypatch, capsys, exc, code, prefix):
     assert capsys.readouterr().err.startswith(prefix)
 
 
-def test_argument_checks_exit_2(capsys):
+def test_argument_checks_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.dimacs"
     for argv in (["ring", "0"], ["clique", "0"], ["check-observations", "--p", "3"],
                  ["search-lattice", "0"], ["exact-window", "0", "--radius", "1",
-                                           "--budget", "3"]):
+                                           "--budget", "3"],
+                 ["search-lattice", "0", "--multi-domain", "--colors", "4"],
+                 ["export-dimacs", "-3", "--radius", "2", "--out", str(out)]):
         assert run(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_search_lattice_command(tmp_path, capsys):

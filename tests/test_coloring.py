@@ -406,6 +406,19 @@ def test_search_periodic_mode_follows_the_coloring():
     assert res.mode == res.coloring.mode == "single-coset"
 
 
+def test_search_periodic_at_the_smallest_admissible_det_is_single_coset():
+    # at the smallest det whose lattice passes the separation filter, the
+    # multi-domain loop gives the single-coset search's coloring
+    for l in range(1, 17):
+        single = search_lattice(l, 400)
+        res = search_periodic(l, colors=single.det)
+        assert res.mode == "single-coset" and res.lattices_tried == 1, l
+        assert res.coloring.basis == single.basis, l
+        assert res.coloring.assignment == single.assignment, l
+    # no lattice above max_det is tried, there either
+    assert search_periodic(4, colors=14, max_det=10).coloring is None
+
+
 def test_exact_window_feasibility_boundary():
     # radius-1 ball: 4 cells, all within distance 2 of each other
     res_ok = exact_window_span(2, 1, 4)
