@@ -15,8 +15,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .coloring import (
+    _BLOCK,
     ColoringFormatError,
     LatticeColoring,
     exact_window_span,
@@ -75,8 +78,10 @@ def _cmd_ring(args) -> int:
 
 def _cmd_clique(args) -> int:
     clique = build_clique((args.center[0], args.center[1]), args.p)
-    dmat = pairwise_distances(list(clique.members))
-    widest = int(dmat.max())
+    # _BLOCK rows at a time: the whole matrix grows as p**4
+    members = np.asarray(clique.members, dtype=np.int64)
+    widest = max(int(pairwise_distances(members[first:first + _BLOCK], members).max())
+                 for first in range(0, len(members), _BLOCK))
     _emit(args, {
         "command": "clique", "p": args.p, "center": list(clique.center),
         "size": len(clique.members), "max_pairwise_distance": widest,

@@ -19,8 +19,9 @@ the handedness-preserving automorphisms):
 
 Periodic checks read one orbit table: the search with the ring-formula
 ball, ``verify_lattice`` with the BFS ball.  ``verify_window`` stays on
-the closed form, so the two verifiers share no distance code: it takes
-one numpy pass per offset of the candidate box, over all cells at once.
+the closed form, so the two verifiers share no distance code: it reads
+each cell's candidates as runs of sorted keys, and measures only the
+pairs of one color.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .grid import (
     DISTANCE_BFS_LIMIT,
     Vertex,
     _handed_fields,
-    distance_closed,
     distance_closed_array,
     pairwise_distances,
     parity,
@@ -186,7 +186,8 @@ def _orbit_index(geo: LatticeGeometry, rows: np.ndarray, offsets: np.ndarray) ->
     return cx * geo.d + cy
 
 
-# lookups per verify_lattice block: 128 KiB temporaries, at l = 40 twice as fast as 2**16
+# lookups per verify_lattice block, and pairs per verify_window chunk:
+# 128 KiB temporaries, at l = 40 twice as fast as 2**16
 _BLOCK_LOOKUPS = 1 << 14
 
 
@@ -274,10 +275,14 @@ def search_lattice(l: int, max_index: int) -> LatticeColoring | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _ball_offsets(l: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of the radius-l ball around a right-handed cell and around
-    a left-handed cell, as (2, m) arrays indexed by ``parity``."""
+    a left-handed cell, as (2, m) arrays indexed by ``parity``;
+    ``ResourceGuard`` above the BFS oracle's limit, as for ``_bfs_ball``."""
+    if l > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"l {l} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}, "
+                            "which bounds the periodic searches too")
     out = []
     for rep in ((0, 0), (1, 0)):
         offsets = np.array([(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]).T
@@ -352,6 +357,8 @@ def search_periodic(l: int, colors: int | None = None,
     target = span_even(l).span if colors is None else colors
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
+    if target < 1:
+        raise InputError(f"colors must be >= 1, got {target}")
     result = PeriodicSearchResult(l, target, None, "none")
     if max_det is None:
         max_det = 2 * target + 24
@@ -504,19 +511,6 @@ def _squeeze(coords: list[int], cap: int) -> tuple[np.ndarray, np.ndarray]:
             np.array(list(small.values()), dtype=np.int64))
 
 
-def _gaps(values: np.ndarray, reach: int) -> np.ndarray:
-    """The differences 0..reach between two of the ascending distinct
-    ``values``, ascending."""
-    seen = np.zeros(max(reach, 0) + 1, dtype=bool)
-    seen[0] = True
-    for r in range(1, values.size):
-        gaps = values[r:] - values[:-r]  # grows with r
-        if gaps.min() > reach:
-            break
-        seen[gaps[gaps <= reach]] = True
-    return np.flatnonzero(seen)
-
-
 def verify_window(coloring: WindowColoring) -> VerifyResult:
     """Check every pair of window cells at distance <= l for a color clash,
     on the closed form, stopping at the first 1000 clashes.
@@ -524,10 +518,11 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     Every pair u < v whose offset v - u lies in the box |di| <= l//2 + 1,
     |dj| <= l (which holds every cell within distance l) is a candidate;
     ``checked`` counts the candidates, and violations come in (u, v) order.
-    Cells are keyed in a compressed layout.  The positive box offsets
-    whose di and dj occur between window cells are taken one at a time,
-    each in one numpy pass over all cells; one ``searchsorted`` per di
-    finds the partners, which the passes then step along.  When the cap is
+    Cells are keyed in a compressed layout and sorted, so that u's
+    candidates in each row of its box are one run of keys, found by
+    ``searchsorted``.  The same run of a color-major index lists the
+    candidates of u's color, and only those pairs are measured, ``_BLOCK``
+    cells and at most ``_BLOCK_LOOKUPS`` pairs at a time.  When the cap is
     hit, ``checked`` counts the candidates up to the 1000th clash.
     ``ResourceGuard`` if l is above the BFS oracle's limit, the bound that
     lattice files have too."""
@@ -539,56 +534,52 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     if not cells:
         return VerifyResult(True, [], 0)
     n = len(cells)
-    reach_i, reach_j = l // 2 + 1, l
+    reach_i = l // 2 + 1
     # gaps capped just past the box keep the key order and every in-box
-    # offset, and the key width leaves room for any dj, so no shift wraps
-    ii, i_values = _squeeze([i for i, _ in cells], reach_i + 1)
-    jj, j_values = _squeeze([j for _, j in cells], reach_j + 1)
+    # offset, and the key width keeps each row's run of keys in that row
+    ii, rows = _squeeze([i for i, _ in cells], reach_i + 1)
+    jj, _ = _squeeze([j for _, j in cells], l + 1)
     width = int(jj.max()) + l + 1
     keys = ii * width + jj
     palette: dict[int, int] = {}
     code = np.array([palette.setdefault(coloring.assignment[c], len(palette)) for c in cells])
-    hand = (ii + jj) & 1
-    rows, cols = _gaps(i_values, reach_i), _gaps(j_values, reach_j)
-    cols = np.concatenate([-cols[:0:-1], cols])
-    ext = np.append(keys, np.iinfo(np.int64).max)  # a sentinel past the last key
-    rep = np.array([[0], [1]])
-    counts = np.zeros(n, dtype=np.int64)
-    first = np.empty(0, dtype=np.int64)  # u * n + v of the earliest clashes, sorted
-    step_rows = []
-    for di in rows.tolist():
-        dj = cols if di else cols[cols > 0]  # the lexicographically positive half
-        if not dj.size:
-            continue
-        near = (distance_closed_array(rep, 0, rep + di, dj) <= l).T
-        steps = di * width + dj
-        step_rows.append(steps)
-        # v[u] is the first key at or past u's target.  A key between two
-        # consecutive targets would be a partner at a dj missing from cols,
-        # so stepping past each partner found keeps v exact
-        v = np.searchsorted(ext, keys + int(steps[0]))
-        for step, close in zip(steps.tolist(), near):
-            found = ext[v] == keys + step
-            counts += found
-            if close.any():
-                u = np.flatnonzero(found)
-                u = u[(code[v[u]] == code[u]) & close[hand[u]]]
-                pairs = u * n + v[u]
-                if first.size == 1000:
-                    pairs = pairs[pairs < first[-1]]
-                if pairs.size:
-                    first = np.sort(np.concatenate([first, pairs]))[:1000]
-            v += found
-    violations = []
-    for pair in first.tolist():
-        u, v = cells[pair // n], cells[pair % n]
-        violations.append(Violation(u, v, distance_closed(u, v), coloring.assignment[u]))
-    if len(violations) < 1000:
-        return VerifyResult(not violations, violations, int(counts.sum()))
-    u, v = divmod(int(first[-1]), n)
-    steps = np.concatenate(step_rows)
-    tail = np.isin(keys[u] + steps[steps <= keys[v] - keys[u]], keys)
-    return VerifyResult(False, violations, int(counts[:u].sum()) + np.count_nonzero(tail))
+    # the cells of color c with index in [lo, hi) are the run of
+    # [base + lo, base + hi) in by_color, base = c(n+1)
+    base = code * (n + 1)
+    by_color = np.sort(base + np.arange(n))
+    # the rows r within reach_i of u's own: own[u] <= r < top[u]
+    own = np.searchsorted(rows, ii)
+    top = np.searchsorted(rows, ii + reach_i, "right")
+    ahead = np.arange(int((top - own).max()))
+    violations: list[Violation] = []
+    checked = 0
+    for first in range(0, n, _BLOCK):
+        u = slice(first, first + _BLOCK)
+        r = own[u, None] + ahead
+        # a row past top gets a centre below every key: an empty run
+        centre = np.where(r < top[u, None], np.take(rows, r, mode="clip") * width + jj[u, None],
+                          -width)
+        # runs [lo, hi) of keys, and of by_color, stacked on the last axis
+        runs = np.searchsorted(keys, centre[:, :, None] + (-l, l + 1))
+        runs[:, 0, 0] = np.arange(first + 1, first + 1 + len(runs))  # own row: the cells after u
+        start, stop = np.searchsorted(by_color, base[u, None, None] + runs).reshape(-1, 2).T
+        # the runs, in (u, row) order, hold their pairs in (u, v) order;
+        # pair p lies in run k = the first with ends[k] > p
+        ends = np.cumsum(stop - start)
+        for p0 in range(0, int(ends[-1]), _BLOCK_LOOKUPS):
+            p = np.arange(p0, min(p0 + _BLOCK_LOOKUPS, int(ends[-1])))
+            k = np.searchsorted(ends, p, "right")
+            a, b = first + k // ahead.size, by_color[stop[k] - ends[k] + p] % (n + 1)
+            dist = distance_closed_array(ii[a], jj[a], ii[b], jj[b])
+            clash = dist <= l
+            for x, y, d in zip(a[clash].tolist(), b[clash].tolist(), dist[clash].tolist()):
+                violations.append(Violation(cells[x], cells[y], d, coloring.assignment[cells[x]]))
+                if len(violations) == 1000:
+                    x -= first  # the cells before u, and u's runs cut at v
+                    return VerifyResult(False, violations, checked + int(
+                        np.diff(runs[:x]).sum() + np.diff(np.minimum(runs[x], y + 1)).sum()))
+        checked += int(np.diff(runs).sum())
+    return VerifyResult(not violations, violations, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -288,10 +290,41 @@ def test_argument_checks_exit_2(tmp_path, capsys):
                  ["search-lattice", "0"], ["exact-window", "0", "--radius", "1",
                                            "--budget", "3"],
                  ["search-lattice", "0", "--multi-domain", "--colors", "4"],
+                 ["search-lattice", "8", "--multi-domain", "--colors", "0"],
+                 ["search-lattice", "8", "--multi-domain", "--colors", "-5"],
                  ["export-dimacs", "-3", "--radius", "2", "--out", str(out)]):
         assert run(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_search_lattice_refuses_l_past_the_bfs_limit(capsys):
+    # the ball offsets of the lattice searches grow as l**2
+    for argv in (["search-lattice", "1001", "--max-index", "2"],
+                 ["search-lattice", "1001", "--multi-domain", "--colors", "5"]):
+        start = time.perf_counter()
+        assert run(argv) == 3, argv
+        assert time.perf_counter() - start < 1.0
+        assert "BFS oracle limit of 1000" in capsys.readouterr().err
+
+
+def test_clique_command(capsys):
+    # README's example
+    assert run(["clique", "5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["size"] == 46 and payload["max_pairwise_distance"] == 10
+
+
+def test_clique_command_in_bounded_memory(capsys):
+    # the whole 2461 x 2461 distance matrix and its temporaries took 150 MB
+    tracemalloc.start()
+    try:
+        assert run(["clique", "40"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "max pairwise distance 80" in capsys.readouterr().out
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_search_lattice_command(tmp_path, capsys):

@@ -555,8 +555,8 @@ def test_verify_window_matches_the_pairwise_loop(window):
 
 def test_verify_window_at_the_bfs_limit():
     # three cells 1000 apart that span the l = 1000 box, and one far away:
-    # only offsets that occur between window cells are tried, not the
-    # million of the box
+    # the work follows the rows and runs of keys the cells occupy, not the
+    # million offsets of the box
     cells = [(0, 0), (0, 1000), (500, 500), (10 ** 30, 1)]
     start = time.perf_counter()
     result = verify_window(WindowColoring(1000, dict.fromkeys(cells, 1)))
@@ -566,6 +566,23 @@ def test_verify_window_at_the_bfs_limit():
         ((0, 0), (0, 1000), 1000), ((0, 0), (500, 500), 1000), ((0, 1000), (500, 500), 1000)]
     with pytest.raises(ResourceGuard, match="BFS oracle limit of 1000"):
         verify_window(WindowColoring(1001, {(0, 0): 1}))
+
+
+def test_verify_window_past_the_cap_on_a_wide_box():
+    # a monochrome ball at l = 200: the first cell alone has at least
+    # 1000 clashing candidates, and the check stops within its runs
+    window = WindowColoring(200, dict.fromkeys(ball((0, 0), 100), 1))
+    start = time.perf_counter()
+    result = verify_window(window)
+    assert time.perf_counter() - start < 5.0
+    assert result.checked == 1000 and len(result.violations) == 1000
+    tracemalloc.start()
+    try:
+        verify_window(window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_coloring_file_round_trip_lattice():
