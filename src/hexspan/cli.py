@@ -76,12 +76,22 @@ def _cmd_ring(args) -> int:
     return 0
 
 
+def _widest(cells) -> int:
+    """Largest distance between two of ``cells``, _BLOCK rows at a time:
+    the whole matrix grows as len(cells)**2."""
+    cells = np.asarray(cells, dtype=np.int64)
+    return max(int(pairwise_distances(cells[first:first + _BLOCK], cells).max())
+               for first in range(0, len(cells), _BLOCK))
+
+
 def _cmd_clique(args) -> int:
     clique = build_clique((args.center[0], args.center[1]), args.p)
-    # _BLOCK rows at a time: the whole matrix grows as p**4
-    members = np.asarray(clique.members, dtype=np.int64)
-    widest = max(int(pairwise_distances(members[first:first + _BLOCK], members).max())
-                 for first in range(0, len(members), _BLOCK))
+    # no pair is farther apart than 2p (both lie within p of the centre),
+    # and a pair at 2p has both cells on ring p: the ring's widest pair
+    # decides when it reaches 2p, and only below that is the ball scanned
+    widest = _widest(build_ring(clique.center, args.p).members)
+    if widest < 2 * args.p:
+        widest = _widest(clique.members)
     _emit(args, {
         "command": "clique", "p": args.p, "center": list(clique.center),
         "size": len(clique.members), "max_pairwise_distance": widest,

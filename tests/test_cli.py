@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from hexspan import cli
 from hexspan.cli import export_dimacs, run
 from hexspan.coloring import (
     WindowColoring,
@@ -17,7 +18,8 @@ from hexspan.coloring import (
 )
 from hexspan.errors import InputError
 from hexspan.render import render_svg
-from hexspan.rings import ball
+from hexspan.grid import pairwise_distances
+from hexspan.rings import ball, build_ring
 from hexspan.solver import ResourceGuard
 
 
@@ -325,6 +327,36 @@ def test_clique_command_in_bounded_memory(capsys):
         tracemalloc.stop()
     assert "max pairwise distance 80" in capsys.readouterr().out
     assert peak < 16 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_clique_command_matches_the_all_pairs_scan(p, capsys):
+    assert run(["clique", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_pairwise_distance"] == pairwise_distances(ball((0, 0), p)).max() == 2 * p
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 40])
+def test_clique_command_scans_the_ball_below_2p_on_the_ring(p, monkeypatch, capsys):
+    # a ring that misses the widest pair sends the command to the whole
+    # ball, which is still scanned in bounded memory
+    monkeypatch.setattr(cli, "build_ring", lambda center, k: build_ring(center, k - 1))
+    tracemalloc.start()
+    try:
+        assert run(["clique", str(p), "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["max_pairwise_distance"] == 2 * p
+    assert peak < 16 * 2 ** 20, peak
+
+
+def test_clique_command_at_p_300(capsys):
+    start = time.perf_counter()
+    assert run(["clique", "300", "--json"]) == 0
+    assert time.perf_counter() - start < 5.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["size"] == 135451 and payload["max_pairwise_distance"] == 600
 
 
 def test_search_lattice_command(tmp_path, capsys):

@@ -218,12 +218,15 @@ def _searched(l):
     (8, 163, ((7, -5), (33, -33)), 66, 33),
     (10, 317, ((18, -16), (48, -48)), 96, 48),
     (12, 653, ((10, -8), (67, -67)), 134, 67),
+    # 88 = span_even(14).span; t1 = (1 + c, 1 - c) with c = 3l/2 + 2 = 23
+    (14, 1073, ((24, -22), (88, -88)), 176, 88),
 ])
 def test_search_periodic_results_pinned(l, tried, basis, det, colors):
     res = _searched(l)
     assert res.lattices_tried == tried
     assert res.coloring.basis == basis
     assert res.coloring.det == det and res.coloring.color_count == colors
+    assert verify_lattice(res.coloring).valid
 
 
 def _clashing_pairs(coloring, result):

@@ -1,9 +1,11 @@
+import random
 import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hexspan import coloring
 from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
 from hexspan.rings import ball
 from hexspan.solver import (
@@ -327,3 +329,85 @@ def test_same_search_as_the_reference_solver_on_window_like_graphs(graph):
     assert solve_coloring(adj, budget, max_nodes=nodes) == expected
     with pytest.raises(ResourceGuard):
         solve_coloring(adj, budget, max_nodes=nodes - 1)
+
+
+def _reference_greedy_clique(adj, *, exceed=None):
+    """The greedy clique that recounts every candidate's in-candidate
+    degree at every step, kept as the reference for the bit-sliced one."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    best = []
+    for start in order[: min(n, 24)]:
+        clique = [start]
+        cand = adj[start]
+        while cand:
+            # highest-degree candidate inside the running intersection
+            pick = -1
+            pick_deg = -1
+            c = cand
+            while c:
+                v = (c & -c).bit_length() - 1
+                c &= c - 1
+                deg = (adj[v] & cand).bit_count()
+                if deg > pick_deg:
+                    pick, pick_deg = v, deg
+            clique.append(pick)
+            cand &= adj[pick]
+        if len(clique) > len(best):
+            best = clique
+            if exceed is not None and len(best) > exceed:
+                break
+    return sorted(best)
+
+
+@st.composite
+def graphs_with_ties(draw):
+    """Up to 60 vertices of any density; half the time each vertex is a
+    copy of one of a few base vertices (joined as its base is, and to its
+    fellow copies or not), so many degrees and picks tie."""
+    n = draw(st.integers(0, 60))
+    density = draw(st.floats(0, 1))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        base = [rnd.randrange(k) for _ in range(n)]
+        joined = {(a, b): rnd.random() < density for a in range(6) for b in range(a, 6)}
+        related = lambda u, v: joined[min(base[u], base[v]), max(base[u], base[v])]
+    else:
+        related = lambda u, v: rnd.random() < density
+    adj = [0] * n
+    for v in range(n):
+        for u in range(v + 1, n):
+            if related(u, v):
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
+    return adj
+
+
+@given(graphs_with_ties(), st.one_of(st.none(), st.integers(0, 20)))
+@example([], None)
+@example([0] * 30, None)
+@example([0] * 30, 0)
+@example(_complete(40), None)
+@example(_complete(40), 5)
+@example(_star(60), None)
+@example(_star(60), 1)
+@example(_star(60), 2)
+@settings(max_examples=500, deadline=None)
+def test_greedy_clique_matches_the_reference(adj, exceed):
+    assert greedy_clique(adj, exceed=exceed) == _reference_greedy_clique(adj, exceed=exceed)
+
+
+def test_greedy_clique_matches_the_reference_on_the_l8_search(monkeypatch):
+    calls = []
+
+    def spy(adj, *, exceed=None):
+        calls.append((adj, exceed))
+        return greedy_clique(adj, exceed=exceed)
+
+    monkeypatch.setattr(coloring, "greedy_clique", spy)
+    result = coloring.search_periodic(8)
+    assert len(calls) == result.lattices_tried == 163
+    for adj, exceed in calls:
+        assert exceed == 33
+        assert greedy_clique(adj, exceed=exceed) == _reference_greedy_clique(adj, exceed=exceed)
