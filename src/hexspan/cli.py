@@ -85,6 +85,10 @@ def _widest(cells) -> int:
 
 
 def _cmd_clique(args) -> int:
+    # refuse, as `distance` does, a ball whose diameter 2p passes the BFS limit
+    if 2 * args.p > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"clique diameter {2 * args.p} exceeds the BFS oracle limit of "
+                            f"{DISTANCE_BFS_LIMIT}")
     clique = build_clique((args.center[0], args.center[1]), args.p)
     # no pair is farther apart than 2p (both lie within p of the centre),
     # and a pair at 2p has both cells on ring p: the ring's widest pair

@@ -406,8 +406,8 @@ def materialize_window(coloring: LatticeColoring, radius: int) -> WindowColoring
 
 
 # rows of a distance graph per distance matrix: the reuse battery's
-# unions reach 594 cells, and three 594 x 594 int64 arrays (the whole
-# matrix) raised its peak resident memory by 12%
+# largest graph, its p = 12 annulus, has 594 cells, and three 594 x 594
+# int64 arrays (the whole matrix) raised its peak resident memory by 12%
 _BLOCK = 64
 
 

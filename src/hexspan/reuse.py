@@ -2,10 +2,11 @@
 
 "The color of v can be reused at most N times in T" is formalized as a
 spread bound: the largest subset of the reuse set R_v^T whose members
-are pairwise at distance >= 2p+1 has size <= N.  Spreads are computed
-exactly (the targets are small), and every verifier below reports the
-full histogram of maxima plus explicit counterexamples when a bound is
-breached, so a run doubles as a machine-checkable certificate.
+are pairwise at distance >= 2p+1 has size <= N.  Spreads are exact
+clique searches inside one compatibility graph per p, over the rings
+p+1..2p-1 that hold every target of ``run_checks(p)``; the reports
+carry histograms of maxima and explicit counterexamples, so a run
+doubles as a machine-checkable certificate.
 """
 
 from __future__ import annotations
@@ -52,31 +53,38 @@ def compatibility_masks(cells: list[Vertex], separation: int) -> list[int]:
             for v, row in enumerate(window_conflicts(cells, separation - 1))]
 
 
-def max_spreads(sources, p: int, target, label: str = "") -> list[SpreadBound]:
+def spread_graph(cells, p: int) -> tuple[dict[Vertex, int], list[int], list[int]]:
+    """``max_spreads``'s graph over the sorted ``cells``: the position of
+    each cell, the compatibility masks at 2p+1, the non-neighbour table."""
+    cells = sorted(frozenset(cells))
+    masks = compatibility_masks(cells, 2 * p + 1)
+    return ({v: i for i, v in enumerate(cells)}, masks,
+            [~(m | 1 << v) for v, m in enumerate(masks)])
+
+
+def max_spreads(sources, p: int, target, label: str = "", graph=None) -> list[SpreadBound]:
     """Exact spread of each of ``sources`` into ``target`` for 2p distance
     coloring, in the order of ``sources``.
 
-    One closed-form distance matrix of sources x sorted target cells
-    gives every source's sorted reuse set (``rings.reuse_set``) at once.
-    One compatibility graph covers their union, the sorted target cells
-    reusable from at least one source, and each distinct reuse set is
-    searched inside it as a candidate bitset.  Union indices follow the
-    sorted target order, so each search returns what it would on the
-    reuse set's own graph.  Sources with the same reuse set share one
-    search.  Every source's witness is still rechecked, together with the
-    source, by the independent BFS oracle.
+    ``graph``, a ``spread_graph`` holding every target cell (by default
+    one over the target; ``run_checks`` shares one per p), is searched
+    once per distinct reuse set, as a candidate bitset.  Both cell lists
+    are sorted, so each search returns what it would on the reuse set's
+    own graph.  Every witness is rechecked, with its source, by BFS.
     """
     sources = list(sources)
     cells = sorted(frozenset(target))
     sep = 2 * p + 1
-    reusable = pairwise_distances(sources, cells) >= sep
-    union = np.flatnonzero(reusable.any(axis=0))
-    members = [cells[i] for i in union]
-    masks = compatibility_masks(members, sep)
-    others = [~(m | 1 << v) for v, m in enumerate(masks)]
+    index, masks, others = graph or spread_graph(cells, p)
+    at = [index.get(v, -1) for v in cells]
+    if -1 in at:
+        raise InputError(f"target cell {cells[at.index(-1)]} is not in the compatibility graph")
+    members = list(index)
+    reusable = np.zeros((len(sources), len(members)), dtype=bool)
+    reusable[:, at] = pairwise_distances(sources, cells) >= sep
     solved: dict[bytes, tuple[int, tuple[Vertex, ...]]] = {}
     spreads = []
-    for source, row in zip(sources, reusable[:, union]):
+    for source, row in zip(sources, reusable):
         key = row.tobytes()
         if key not in solved:
             size, chosen = _max_clique_bits(masks, others, _to_bits(row))
@@ -159,6 +167,11 @@ class ObservationReport:
         }
 
 
+def _rings(first: int, last: int) -> list[Vertex]:
+    """The cells of rings first..last around the origin, ring by ring."""
+    return [v for k in range(first, last + 1) for v in build_ring(ORIGIN, k).members]
+
+
 def verify_path_bound(p: int) -> ObservationReport:
     """Any cell of the radius-p ball and any outside cell whose center
     distances sum below 2p+1 are themselves closer than 2p+1.
@@ -170,7 +183,7 @@ def verify_path_bound(p: int) -> ObservationReport:
         raise InputError(f"p must be >= 2, got {p}")
     report = ObservationReport("path-bound", p, {"outer_radius": 2 * p + 2})
     inner = ball(ORIGIN, p)
-    outer = [v for k in range(p + 1, 2 * p + 3) for v in build_ring(ORIGIN, k).members]
+    outer = _rings(p + 1, 2 * p + 2)
     (d1,), (d2,) = pairwise_distances([ORIGIN], inner), pairwise_distances([ORIGIN], outer)
     cross = pairwise_distances(inner, outer)
     premise = d1[:, None] + d2[None, :] < 2 * p + 1
@@ -182,10 +195,10 @@ def verify_path_bound(p: int) -> ObservationReport:
 
 
 def _check_spreads(report: ObservationReport, sources, p: int, target, label: str,
-                   bound: int, **fields) -> None:
+                   bound: int, graph, **fields) -> None:
     """Tally the spread of each source into ``target`` and record every
     spread above ``bound`` as a counterexample (``fields`` first)."""
-    for spread in max_spreads(sources, p, target, label):
+    for spread in max_spreads(sources, p, target, label, graph):
         report.tally(spread.max_spread)
         if spread.max_spread > bound:
             report.fail(**fields, source=spread.source, spread=spread.max_spread,
@@ -193,7 +206,7 @@ def _check_spreads(report: ObservationReport, sources, p: int, target, label: st
 
 
 def _verify_ring_reuse(check: str, p: int, qs, last: int, bound: int,
-                       sources) -> ObservationReport:
+                       sources, graph) -> ObservationReport:
     """Spread of ``sources(ring p-q)`` into the radius p+q+1 ring is at
     most ``bound``, for each q in ``qs`` (default 0..last)."""
     qs = list(range(0, last + 1) if qs is None else qs)
@@ -203,37 +216,34 @@ def _verify_ring_reuse(check: str, p: int, qs, last: int, bound: int,
     report = ObservationReport(check, p, {"q": qs, "bound": bound})
     for q in qs:
         _check_spreads(report, sources(build_ring(ORIGIN, p - q)), p,
-                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", bound, q=q)
+                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", bound,
+                       graph, q=q)
     return report
 
 
-def verify_corner_reuse(p: int, qs=None) -> ObservationReport:
+def verify_corner_reuse(p: int, qs=None, graph=None) -> ObservationReport:
     """Corners of the radius p-q ring have spread at most 2 into the
     radius p+q+1 ring, for q = 0..p-2."""
-    return _verify_ring_reuse("corner-reuse", p, qs, p - 2, 2, lambda ring: ring.corners)
+    return _verify_ring_reuse("corner-reuse", p, qs, p - 2, 2, lambda ring: ring.corners, graph)
 
 
-def verify_noncorner_reuse(p: int, qs=None) -> ObservationReport:
+def verify_noncorner_reuse(p: int, qs=None, graph=None) -> ObservationReport:
     """Non-corner cells of the radius p-q ring have spread at most 1
     into the radius p+q+1 ring, for q = 0..p-3."""
     return _verify_ring_reuse("noncorner-reuse", p, qs, p - 3, 1,
-                              lambda ring: ring.non_corners)
+                              lambda ring: ring.non_corners, graph)
 
 
 def shell_reuse_ranges(p: int) -> list[tuple[int, int]]:
     """All (q, r) combinations covered by the shell reuse bounds."""
-    out = []
-    for q in range(0, max(p - 3, 0)):
-        k = p - q
-        for r in range(1, k // 2):
-            out.append((q, r))
-    return out
+    return [(q, r) for q in range(0, max(p - 3, 0)) for r in range(1, (p - q) // 2)]
 
 
-def verify_shell_reuse(p: int, q: int, r: int) -> ObservationReport:
+def verify_shell_reuse(p: int, q: int, r: int, graph=None) -> ObservationReport:
     """Check the claimed deep-union bounds: shell cells reuse at most
     twice, and the remaining non-corner cells at most once, into the
-    union of rings p+q+1 .. p+q+2r+1.
+    union of rings p+q+1 .. p+q+2r+1.  Both searches run inside
+    ``graph``, by default one built over that union.
 
     The double claim is checked for q = 0..p-4, the single claim for
     q = 0..p-5; outside the single range only the double claim is
@@ -254,25 +264,24 @@ def verify_shell_reuse(p: int, q: int, r: int) -> ObservationReport:
     if not 1 <= r <= k // 2 - 1:
         raise InputError(f"r must be in 1..floor((p-q)/2)-1 = 1..{k // 2 - 1}, got {r}")
     check_single = q <= p - 5
-    report = ObservationReport(
-        "shell-reuse", p,
-        {"q": q, "r": r, "double_bound": 2, "single_bound": 1 if check_single else None},
-    )
+    report = ObservationReport("shell-reuse", p, {"q": q, "r": r, "double_bound": 2,
+                                                  "single_bound": 1 if check_single else None})
     shell = _shell_members(ORIGIN, k, r)
     ring = build_ring(ORIGIN, k)
-    target = [v for h in range(1, 2 * r + 2) for v in build_ring(ORIGIN, p + q + h).members]
+    target = _rings(p + q + 1, p + q + 2 * r + 1)
+    graph = graph or spread_graph(target, p)
     label = f"rings {p + q + 1}..{p + q + 2 * r + 1}"
-    _check_spreads(report, shell, p, target, label, 2, kind="shell")
+    _check_spreads(report, shell, p, target, label, 2, graph, kind="shell")
     if check_single:
         rest = [v for v in ring.non_corners if v not in shell]
-        _check_spreads(report, rest, p, target, label, 1, kind="non-shell")
+        _check_spreads(report, rest, p, target, label, 1, graph, kind="non-shell")
     else:
         report.notes.append("single-reuse bound skipped: q beyond its p-5 range")
     return report
 
 
-def verify_shell_reuse_all(p: int) -> list[ObservationReport]:
-    return [verify_shell_reuse(p, q, r) for q, r in shell_reuse_ranges(p)]
+def verify_shell_reuse_all(p: int, graph=None) -> list[ObservationReport]:
+    return [verify_shell_reuse(p, q, r, graph) for q, r in shell_reuse_ranges(p)]
 
 
 def double_reuse_pairs(corner: Vertex, p: int, target) -> list[tuple[Vertex, Vertex]]:
@@ -297,22 +306,15 @@ def verify_corner_pair_exclusion(p: int) -> ObservationReport:
     pair_options = [double_reuse_pairs(c, p, target) for c in corners]
     compat = {}
     for a, b in combinations(range(6), 2):
-        joint = any(
-            not set(pa) & set(pb)
-            for pa in pair_options[a]
-            for pb in pair_options[b]
-        )
-        compat[(a, b)] = joint
-        same_triple = a % 2 == b % 2
-        if same_triple and joint:
+        compat[(a, b)] = joint = any(not set(pa) & set(pb) for pa in pair_options[a]
+                                     for pb in pair_options[b])
+        if a % 2 == b % 2 and joint:  # the same triple
             report.fail(corner_a=corners[a], corner_b=corners[b],
                         note="simultaneous double reuse should be impossible")
     report.params["double_pair_counts"] = [len(opts) for opts in pair_options]
-    report.notes.append(
-        "cross-triple compatibility: "
-        + ", ".join(f"c{a + 1}/c{b + 1}={'yes' if compat[(a, b)] else 'no'}"
-                    for a, b in sorted(compat) if a % 2 != b % 2)
-    )
+    report.notes.append("cross-triple compatibility: " + ", ".join(
+        f"c{a + 1}/c{b + 1}={'yes' if compat[(a, b)] else 'no'}"
+        for a, b in sorted(compat) if a % 2 != b % 2))
     return report
 
 
@@ -392,13 +394,11 @@ def color_budget_certificate(p: int) -> ObservationReport:
 
 
 def run_checks(p: int) -> list[ObservationReport]:
-    """The full battery for one p, in a stable order."""
-    reports = [
-        verify_path_bound(p),
-        verify_corner_reuse(p),
-        verify_noncorner_reuse(p),
-    ]
-    reports.extend(verify_shell_reuse_all(p))
-    reports.append(verify_corner_pair_exclusion(p))
-    reports.append(color_budget_certificate(p))
-    return reports
+    """The full battery for one p, in a stable order.  Every spread
+    target lies in rings p+1..2p-1, so one graph over that annulus
+    (4.5p(p-1) cells) serves every spread check and dies with this call."""
+    path_bound = verify_path_bound(p)  # first: its matrices are the memory peak
+    graph = spread_graph(_rings(p + 1, 2 * p - 1), p)
+    return [path_bound, verify_corner_reuse(p, graph=graph),
+            verify_noncorner_reuse(p, graph=graph), *verify_shell_reuse_all(p, graph),
+            verify_corner_pair_exclusion(p), color_budget_certificate(p)]

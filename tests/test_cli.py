@@ -351,6 +351,16 @@ def test_clique_command_scans_the_ball_below_2p_on_the_ring(p, monkeypatch, caps
     assert peak < 16 * 2 ** 20, peak
 
 
+def test_clique_command_refuses_a_diameter_past_the_bfs_limit(monkeypatch, capsys):
+    # clique 501 has diameter 1002; its 377,254-cell ball is never built
+    def fail(center, p):
+        raise AssertionError("ball built")
+
+    monkeypatch.setattr(cli, "build_clique", fail)
+    assert run(["clique", "501"]) == 3
+    assert "BFS oracle limit of 1000" in capsys.readouterr().err
+
+
 def test_clique_command_at_p_300(capsys):
     start = time.perf_counter()
     assert run(["clique", "300", "--json"]) == 0

@@ -21,6 +21,7 @@ from hexspan.reuse import (
     run_checks,
     shell_reuse_ranges,
     spread_by_powerset,
+    spread_graph,
     verify_corner_pair_exclusion,
     verify_corner_reuse,
     verify_noncorner_reuse,
@@ -198,6 +199,61 @@ def test_max_spreads_matches_per_source_reference(p, data):
     for s in spreads:
         assert (s.p, s.target_label) == (p, "t")
         assert (s.max_spread, s.witness) == _spread_reference(s.source, p, target)
+
+
+def _annulus(p):
+    """Rings p+1..2p-1, which hold every spread target of run_checks(p)."""
+    return [v for k in range(p + 1, 2 * p) for v in build_ring((0, 0), k).members]
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_spreads_inside_the_annulus_graph_match_per_source_reference(p, data):
+    annulus = _annulus(p)
+    target = data.draw(st.lists(st.sampled_from(annulus), max_size=60), label="target")
+    cell = ring_cells(2 * p)
+    sources = data.draw(st.lists(cell, max_size=6), label="sources")
+    spreads = max_spreads(sources, p, target, "t", spread_graph(annulus, p))
+    assert [s.source for s in spreads] == sources
+    for s in spreads:
+        assert (s.max_spread, s.witness) == _spread_reference(s.source, p, target)
+
+
+@pytest.mark.parametrize("p", [4, 5, 6])
+def test_run_checks_builds_one_spread_graph(p, monkeypatch):
+    # double_reuse_pairs, left on its own graphs, builds one per corner;
+    # every other compatibility graph of the battery is the annulus's
+    import hexspan.reuse as reuse
+
+    graphs, pairs = [], []
+    masks, double = reuse.compatibility_masks, reuse.double_reuse_pairs
+    monkeypatch.setattr(reuse, "compatibility_masks",
+                        lambda cells, sep: graphs.append(cells) or masks(cells, sep))
+    monkeypatch.setattr(reuse, "double_reuse_pairs",
+                        lambda *args: pairs.append(args) or double(*args))
+    run_checks(p)
+    assert len(pairs) == 6
+    assert len(graphs) - len(pairs) == 1
+    assert sorted(_annulus(p)) in graphs
+
+
+def test_max_spreads_refuses_a_target_outside_the_graph():
+    # python -O strips assert statements; the refusal must be a real raise
+    code = (
+        "from hexspan.reuse import max_spreads, spread_graph\n"
+        "from hexspan.rings import build_ring\n"
+        "graph = spread_graph(build_ring((0, 0), 6).members, 5)\n"
+        "try:\n"
+        "    max_spreads([(0, 5)], 5, build_ring((0, 0), 7).members[:1], graph=graph)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('target outside the graph accepted')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"target cell {build_ring((0, 0), 7).members[0]} " \
+        "is not in the compatibility graph"
 
 
 def test_max_spreads_edge_cases():
