@@ -406,8 +406,9 @@ def materialize_window(coloring: LatticeColoring, radius: int) -> WindowColoring
 
 
 # rows of a distance graph per distance matrix: the reuse battery's
-# largest graph, its p = 12 annulus, has 594 cells, and three 594 x 594
-# int64 arrays (the whole matrix) raised its peak resident memory by 12%
+# largest graph, its p = 12 annulus, has 594 cells; its whole 594 x 594
+# int64 matrix and the bool matrix read off it (3.2 MB) would outweigh
+# the finished bitmask graph (67 KB) more than forty times
 _BLOCK = 64
 
 

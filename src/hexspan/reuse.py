@@ -4,7 +4,8 @@
 spread bound: the largest subset of the reuse set R_v^T whose members
 are pairwise at distance >= 2p+1 has size <= N.  Spreads are exact
 clique searches inside one compatibility graph per p, over the rings
-p+1..2p-1 that hold every target of ``run_checks(p)``; the reports
+p+1..2p-1 that hold every target of ``run_checks(p)``, and the corner
+pair check reads its double placements off the same graph; the reports
 carry histograms of maxima and explicit counterexamples, so a run
 doubles as a machine-checkable certificate.
 """
@@ -18,7 +19,8 @@ import numpy as np
 
 from .coloring import window_conflicts
 from .errors import InputError
-from .grid import Vertex, _to_bits, distance_bfs, distance_within, pairwise_distances
+from .grid import (Vertex, _to_bits, distance_bfs, distance_closed_array, distance_within,
+                   pairwise_distances)
 from .rings import (
     ball,
     build_clique,
@@ -27,7 +29,7 @@ from .rings import (
     shell_union,
     _shell_members,
 )
-from .solver import _max_clique_bits, bitmask_edges
+from .solver import _max_clique_bits
 from .spans import span_even
 
 ORIGIN: Vertex = (0, 0)
@@ -62,6 +64,14 @@ def spread_graph(cells, p: int) -> tuple[dict[Vertex, int], list[int], list[int]
             [~(m | 1 << v) for v, m in enumerate(masks)])
 
 
+def _positions(index: dict[Vertex, int], cells) -> list[int]:
+    """Each cell's position in a ``spread_graph``, refusing a cell outside it."""
+    at = [index.get(v, -1) for v in cells]
+    if -1 in at:
+        raise InputError(f"target cell {cells[at.index(-1)]} is not in the compatibility graph")
+    return at
+
+
 def max_spreads(sources, p: int, target, label: str = "", graph=None) -> list[SpreadBound]:
     """Exact spread of each of ``sources`` into ``target`` for 2p distance
     coloring, in the order of ``sources``.
@@ -76,9 +86,7 @@ def max_spreads(sources, p: int, target, label: str = "", graph=None) -> list[Sp
     cells = sorted(frozenset(target))
     sep = 2 * p + 1
     index, masks, others = graph or spread_graph(cells, p)
-    at = [index.get(v, -1) for v in cells]
-    if -1 in at:
-        raise InputError(f"target cell {cells[at.index(-1)]} is not in the compatibility graph")
+    at = _positions(index, cells)
     members = list(index)
     reusable = np.zeros((len(sources), len(members)), dtype=bool)
     reusable[:, at] = pairwise_distances(sources, cells) >= sep
@@ -177,7 +185,8 @@ def verify_path_bound(p: int) -> ObservationReport:
     distances sum below 2p+1 are themselves closer than 2p+1.
 
     Exhaustive for all outside cells within radius 2p+2 (farther cells
-    cannot satisfy the premise).
+    cannot satisfy the premise).  Only the pairs that meet the premise
+    are measured.
     """
     if p < 2:
         raise InputError(f"p must be >= 2, got {p}")
@@ -185,12 +194,13 @@ def verify_path_bound(p: int) -> ObservationReport:
     inner = ball(ORIGIN, p)
     outer = _rings(p + 1, 2 * p + 2)
     (d1,), (d2,) = pairwise_distances([ORIGIN], inner), pairwise_distances([ORIGIN], outer)
-    cross = pairwise_distances(inner, outer)
-    premise = d1[:, None] + d2[None, :] < 2 * p + 1
-    breach = premise & (cross >= 2 * p + 1)
-    for a, b in zip(*np.nonzero(breach)):
-        report.fail(v1=inner[a], v2=outer[b], d=int(cross[a, b]))
-    report.params["pairs_checked"] = int(premise.sum())
+    # the premise pairs, in row-major order
+    a, b = np.nonzero(d1[:, None] < 2 * p + 1 - d2)
+    u, v = np.asarray(inner)[a], np.asarray(outer)[b]
+    cross = distance_closed_array(u[:, 0], u[:, 1], v[:, 0], v[:, 1])
+    for k in np.flatnonzero(cross >= 2 * p + 1):
+        report.fail(v1=inner[a[k]], v2=outer[b[k]], d=int(cross[k]))
+    report.params["pairs_checked"] = len(a)
     return report
 
 
@@ -284,26 +294,30 @@ def verify_shell_reuse_all(p: int, graph=None) -> list[ObservationReport]:
     return [verify_shell_reuse(p, q, r, graph) for q, r in shell_reuse_ranges(p)]
 
 
-def double_reuse_pairs(corner: Vertex, p: int, target) -> list[tuple[Vertex, Vertex]]:
+def double_reuse_pairs(corner: Vertex, p: int, target, graph=None) -> list[tuple[Vertex, Vertex]]:
     """All two-element subsets of the reuse set of ``corner`` whose
     members are mutually at distance >= 2p+1 (the ways to use the
-    corner's color twice in ``target``)."""
+    corner's color twice in ``target``), read off ``graph``, a
+    ``spread_graph`` holding the reuse set (by default one over it)."""
     members = sorted(reuse_set(corner, p, target).members)
-    return [(members[a], members[b])
-            for a, b in bitmask_edges(compatibility_masks(members, 2 * p + 1))]
+    index, masks, _ = graph or spread_graph(members, p)
+    at = _positions(index, members)
+    return [(members[a], members[b]) for a, b in combinations(range(len(members)), 2)
+            if masks[at[a]] >> at[b] & 1]
 
 
-def verify_corner_pair_exclusion(p: int) -> ObservationReport:
+def verify_corner_pair_exclusion(p: int, graph=None) -> ObservationReport:
     """No two corners of the radius-p ring taken from the same
     alternating triple (arcs 1/3/5 or arcs 2/4/6) can both be doubly
     reused into the radius p+1 ring: any double placements collide in a
-    shared cell.  Corners from opposite triples stay compatible."""
+    shared cell.  Corners from opposite triples stay compatible.  The
+    pairs are read off ``graph``, by default one per corner."""
     if p < 2:
         raise InputError(f"p must be >= 2, got {p}")
     report = ObservationReport("corner-pair-exclusion", p, {"target_ring": p + 1})
     corners = build_ring(ORIGIN, p).corners
     target = build_ring(ORIGIN, p + 1).members
-    pair_options = [double_reuse_pairs(c, p, target) for c in corners]
+    pair_options = [double_reuse_pairs(c, p, target, graph) for c in corners]
     compat = {}
     for a, b in combinations(range(6), 2):
         compat[(a, b)] = joint = any(not set(pa) & set(pb) for pa in pair_options[a]
@@ -394,11 +408,12 @@ def color_budget_certificate(p: int) -> ObservationReport:
 
 
 def run_checks(p: int) -> list[ObservationReport]:
-    """The full battery for one p, in a stable order.  Every spread
-    target lies in rings p+1..2p-1, so one graph over that annulus
-    (4.5p(p-1) cells) serves every spread check and dies with this call."""
-    path_bound = verify_path_bound(p)  # first: its matrices are the memory peak
+    """The full battery for one p, in a stable order.  Every spread and
+    corner-pair target lies in rings p+1..2p-1, so one graph over that
+    annulus (4.5p(p-1) cells) serves all of those checks and dies with
+    this call."""
+    path_bound = verify_path_bound(p)  # first: its premise pairs are the memory peak
     graph = spread_graph(_rings(p + 1, 2 * p - 1), p)
     return [path_bound, verify_corner_reuse(p, graph=graph),
             verify_noncorner_reuse(p, graph=graph), *verify_shell_reuse_all(p, graph),
-            verify_corner_pair_exclusion(p), color_budget_certificate(p)]
+            verify_corner_pair_exclusion(p, graph), color_budget_certificate(p)]

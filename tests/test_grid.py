@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,52 @@ def test_array_takes_python_ints():
     assert out.dtype == np.int64 and out.tolist() == [0, 3, 5]
     scalar = distance_closed_array(0, 0, -3, 0)
     assert scalar.shape == () and scalar.dtype == np.int64 and scalar == 7
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, 64])
+@pytest.mark.parametrize("shapes,dtypes", [
+    (((23, 1), (11,)), (np.int64,) * 4),   # the pairwise_distances layout
+    (((40,), ()), (np.int64,) * 4),        # many cells against one 0-d cell
+    (((0, 9), (9,)), (np.int64,) * 4),     # an empty first axis
+    (((1, 30), (30,)), (np.int64,) * 4),   # one row wider than a block
+    (((6, 4, 3), (4, 1)), (np.int64,) * 4),
+    (((5, 1, 4), (1, 3, 1)), (np.int32,) * 4),
+    (((17, 1), (1, 13)), (np.int32,) * 4),
+    (((17, 1), (13,)), (np.int32, np.int64, np.int16, np.int32)),
+    (((9, 2), (2,)), (np.int8, np.int8, np.int64, np.int8)),
+])
+def test_blocked_kernel_equals_one_block(block, shapes, dtypes, monkeypatch):
+    import hexspan.grid as grid
+
+    rng = np.random.default_rng(block)
+    first, second = shapes
+    inputs = [rng.integers(-40, 41, shape).astype(dtype)
+              for shape, dtype in zip((first, first, second, second), dtypes)]
+    before = [a.copy() for a in inputs]
+    reference = grid.distance_closed_array(*inputs)  # every case fits one block
+    monkeypatch.setattr(grid, "_BLOCK_ENTRIES", block)
+    out = grid.distance_closed_array(*inputs)
+    assert out.dtype == reference.dtype and out.shape == reference.shape
+    assert np.array_equal(out, reference)
+    for a, b in zip(inputs, before):
+        assert a.dtype == b.dtype and np.array_equal(a, b)  # never written
+
+
+def test_closed_form_on_the_oracle_window_in_bounded_memory():
+    # one full-size array, the result: the unblocked steps kept two more
+    # 1396 x 1396 int64 arrays live, a peak of about 47 MB
+    arr = np.asarray(ball((0, 0), 30), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = distance_closed_array(arr[:, :1], arr[:, 1:], arr[:, 0], arr[:, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1396, 1396) and out.dtype == np.int64
+    assert peak < out.nbytes + 4 * 2 ** 20, peak
+    assert np.array_equal(out, out.T) and (np.diag(out) == 0).all()
+    corner = arr[:40]
+    assert np.array_equal(out[:40, :40], pairwise_distances(corner))
 
 
 def test_pairwise_distances_matrix():

@@ -6,11 +6,12 @@ import sys
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexspan.grid import distance_closed
+from hexspan.grid import distance_closed, pairwise_distances
 from hexspan.reuse import (
     _max_clique_bits,
     color_budget_certificate,
@@ -28,7 +29,7 @@ from hexspan.reuse import (
     verify_path_bound,
     verify_shell_reuse,
 )
-from hexspan.rings import build_ring, reuse_set, _shell_members
+from hexspan.rings import ball, build_ring, reuse_set, _shell_members
 
 
 def test_max_spread_corner_example():
@@ -221,8 +222,8 @@ def test_spreads_inside_the_annulus_graph_match_per_source_reference(p, data):
 
 @pytest.mark.parametrize("p", [4, 5, 6])
 def test_run_checks_builds_one_spread_graph(p, monkeypatch):
-    # double_reuse_pairs, left on its own graphs, builds one per corner;
-    # every other compatibility graph of the battery is the annulus's
+    # the annulus's graph is the battery's only compatibility graph:
+    # double_reuse_pairs reads its six corners' pairs off it too
     import hexspan.reuse as reuse
 
     graphs, pairs = [], []
@@ -233,8 +234,7 @@ def test_run_checks_builds_one_spread_graph(p, monkeypatch):
                         lambda *args: pairs.append(args) or double(*args))
     run_checks(p)
     assert len(pairs) == 6
-    assert len(graphs) - len(pairs) == 1
-    assert sorted(_annulus(p)) in graphs
+    assert graphs == [sorted(_annulus(p))]
 
 
 def test_max_spreads_refuses_a_target_outside_the_graph():
@@ -337,6 +337,18 @@ def test_double_reuse_pairs_read_in_index_pair_order():
             assert double_reuse_pairs(source, p, target) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 6])
+def test_double_reuse_pairs_read_off_the_annulus_graph(p):
+    graph = spread_graph(_annulus(p), p)
+    ring = build_ring((0, 0), p)
+    target = build_ring((0, 0), p + 1).members
+    for source in ring.corners + ring.members[1::4]:
+        assert double_reuse_pairs(source, p, target, graph) == double_reuse_pairs(
+            source, p, target)
+    with pytest.raises(ValueError, match="not in the compatibility graph"):
+        double_reuse_pairs(ring.corners[0], p, build_ring((0, 0), 2 * p + 1).members, graph)
+
+
 # sha256 of the sorted-key JSON of run_checks(p): any change to a
 # verdict, a tally or a witness changes it
 BATTERY_DIGESTS = {
@@ -379,6 +391,46 @@ def test_spread_shrinks_with_p(p, q):
 def test_path_bound_passes():
     for p in (2, 4, 5):
         assert verify_path_bound(p).ok
+
+
+def _path_bound_reference(p):
+    """The path bound over the full inner x outer distance matrix:
+    (counterexamples, pairs checked)."""
+    inner = ball((0, 0), p)
+    outer = [v for k in range(p + 1, 2 * p + 3) for v in build_ring((0, 0), k).members]
+    (d1,), (d2,) = pairwise_distances([(0, 0)], inner), pairwise_distances([(0, 0)], outer)
+    cross = pairwise_distances(inner, outer)
+    premise = d1[:, None] + d2[None, :] < 2 * p + 1
+    breach = premise & (cross >= 2 * p + 1)
+    return ([{"v1": inner[a], "v2": outer[b], "d": int(cross[a, b])}
+             for a, b in zip(*np.nonzero(breach))], int(premise.sum()))
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_path_bound_measures_only_the_premise_pairs(p):
+    rep = verify_path_bound(p)
+    assert (rep.counterexamples, rep.params["pairs_checked"]) == _path_bound_reference(p)
+    assert rep.ok
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_path_bound_counterexamples_in_row_major_order(p, monkeypatch):
+    # the true metric gives no counterexample; one that adds 3 to an
+    # elementwise quarter of the pairs gives many, in both computations
+    import hexspan.grid as grid
+    import hexspan.reuse as reuse
+
+    kernel = grid.distance_closed_array
+
+    def skewed(i1, j1, i2, j2):
+        return kernel(i1, j1, i2, j2) + 3 * ((i1 - 2 * j1 + 3 * i2 + j2) % 4 == 0)
+
+    monkeypatch.setattr(grid, "distance_closed_array", skewed)
+    monkeypatch.setattr(reuse, "distance_closed_array", skewed)
+    rep = verify_path_bound(p)
+    expected, pairs = _path_bound_reference(p)
+    assert len(expected) > 1
+    assert (rep.counterexamples, rep.params["pairs_checked"]) == (expected, pairs)
 
 
 def test_corner_reuse_passes_and_ranges():

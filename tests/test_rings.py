@@ -1,6 +1,6 @@
 import pytest
 
-from hexspan.grid import bfs_distances, parity
+from hexspan.grid import bfs_distances, distance_closed, parity
 from hexspan.rings import (
     ball,
     build_clique,
@@ -52,6 +52,23 @@ def test_ring_laws(k):
         assert ring.member(n) == corner
     # corner coordinates from the six closed-form offsets
     assert list(ring.corners) == [(di, dj) for di, dj in corner_offsets(k)]
+
+
+@pytest.mark.parametrize("center", [(0, 0), (3, -5), (1, 0), (-4, 7)])
+def test_ring_and_shells_match_their_definitions(center):
+    # arcs are slices of the member list and corners their heads; shells
+    # read straight off the scalar distance to each corner
+    mirror = -1 if parity(center) else 1
+    for k in range(1, 41):
+        ring = build_ring(center, k)
+        assert all(type(arc) is tuple for arc in ring.arcs)
+        assert [v for arc in ring.arcs for v in arc] == list(ring.members)
+        assert list(ring.corners) == ([] if k == 1 else [
+            (center[0] + mirror * di, center[1] + dj) for di, dj in corner_offsets(k)])
+        for h in range(k // 2 + 1):
+            assert _shell_members(center, k, h) == frozenset(
+                v for v in ring.non_corners
+                if any(distance_closed(v, c) == 2 * h for c in ring.corners))
 
 
 @pytest.mark.parametrize("k", [2, 5, 9, 14])
