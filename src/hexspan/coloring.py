@@ -40,7 +40,7 @@ from .grid import (
     pairwise_distances,
     parity,
 )
-from .rings import ball
+from .rings import ball, ball_size
 from .solver import bitmask_edges, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
 
@@ -444,17 +444,17 @@ def exact_window_span(l: int, radius: int, budget: int,
     that the whole grid needs at least B+1 colors.  A coloring found is
     rechecked (cover, budget, ``verify_window``) before it is returned.
 
-    Windows larger than ``guard`` cells are refused outright; a refusal
-    is never silently turned into an answer.
+    Windows larger than ``guard`` cells are refused before they are
+    built; a refusal is never silently turned into an answer.
     """
     if l < 1 or radius < 0 or budget < 0:
         raise InputError("l must be >= 1, radius >= 0, budget >= 0")
-    cells = ball((0, 0), radius)
-    if len(cells) > guard:
+    if ball_size(radius) > guard:
         raise ResourceGuard(
-            f"window of {len(cells)} cells exceeds the guard of {guard}; "
+            f"window of {ball_size(radius)} cells exceeds the guard of {guard}; "
             "raise the guard explicitly to proceed"
         )
+    cells = ball((0, 0), radius)
     adj = window_conflicts(cells, l)
     clique = greedy_clique(adj)
     if len(clique) > budget:
@@ -466,7 +466,7 @@ def exact_window_span(l: int, radius: int, budget: int,
     if solution is None:
         return WindowSearchResult(l, radius, budget, False, None,
                                   "exhaustive branch and bound")
-    if len(solution) != len(cells) or not set(solution) <= set(range(budget)):
+    if len(solution) != len(cells) or min(solution) < 0 or max(solution) >= budget:
         raise AssertionError(f"solver answer is no {budget}-coloring of the {len(cells)} cells")
     coloring = WindowColoring(l, {cell: c + 1 for cell, c in zip(cells, solution)})
     check = verify_window(coloring)
@@ -480,11 +480,11 @@ def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
     window: all window cells, one edge per pair at distance <= l."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    cells = sorted(ball((0, 0), radius))
-    if len(cells) > guard:
+    if ball_size(radius) > guard:
         raise ResourceGuard(
-            f"window of {len(cells)} cells exceeds the guard of {guard}"
+            f"window of {ball_size(radius)} cells exceeds the guard of {guard}"
         )
+    cells = sorted(ball((0, 0), radius))
     edges = bitmask_edges(window_conflicts(cells, l))
     lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
              "c vertex ids map to cells as:"]

@@ -138,7 +138,9 @@ def _closed_form(i1, j1, i2, j2, out=None):
 
 
 def distance_closed_array(i1, j1, i2, j2):
-    """``distance_closed`` over numpy arrays, broadcasting.
+    """``distance_closed`` over numpy arrays, broadcasting.  Integer
+    inputs narrower than int64 are promoted to it; other dtypes raise
+    ``InputError``.
 
     A result of more than ``_BLOCK_ENTRIES`` entries is filled one block
     of first-axis rows at a time: inputs that vary along that axis are
@@ -149,6 +151,11 @@ def distance_closed_array(i1, j1, i2, j2):
     inputs, and the inputs are never written.
     """
     args = [np.asarray(a) for a in (i1, j1, i2, j2)]
+    if not all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64) for a in args):
+        raise InputError("coordinates must have an integer dtype that fits int64, got "
+                         + ", ".join(str(a.dtype) for a in args))
+    # narrower integers would wrap in the differences; int64 is not copied
+    args = [a.astype(np.int64, copy=False) for a in args]
     full = np.broadcast(*args)
     if full.size <= _BLOCK_ENTRIES:
         return _closed_form(*args)

@@ -3,16 +3,16 @@
 "The color of v can be reused at most N times in T" is formalized as a
 spread bound: the largest subset of the reuse set R_v^T whose members
 are pairwise at distance >= 2p+1 has size <= N.  Spreads are exact
-clique searches inside one compatibility graph per p, over the rings
-p+1..2p-1 that hold every target of ``run_checks(p)``, and the corner
-pair check reads its double placements off the same graph; the reports
-carry histograms of maxima and explicit counterexamples, so a run
-doubles as a machine-checkable certificate.
+clique searches, which the checks of ``run_checks(p)`` run inside one
+compatibility graph per p, over the rings p+1..2p-1 that hold all of
+their targets; the reports carry histograms of maxima and explicit
+counterexamples, so a run doubles as a machine-checkable certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -42,7 +42,6 @@ class SpreadBound:
 
     source: Vertex
     p: int
-    target_label: str
     max_spread: int
     witness: tuple[Vertex, ...]
 
@@ -64,32 +63,25 @@ def spread_graph(cells, p: int) -> tuple[dict[Vertex, int], list[int], list[int]
             [~(m | 1 << v) for v, m in enumerate(masks)])
 
 
-def _positions(index: dict[Vertex, int], cells) -> list[int]:
-    """Each cell's position in a ``spread_graph``, refusing a cell outside it."""
-    at = [index.get(v, -1) for v in cells]
-    if -1 in at:
-        raise InputError(f"target cell {cells[at.index(-1)]} is not in the compatibility graph")
-    return at
+@lru_cache(maxsize=1)
+def _annulus_graph(p: int) -> tuple[dict[Vertex, int], list[int], list[int]]:
+    """The ``spread_graph`` over rings p+1..2p-1 (4.5p(p-1) cells), which
+    hold every spread target of ``run_checks(p)``."""
+    return spread_graph(_rings(p + 1, 2 * p - 1), p)
 
 
-def max_spreads(sources, p: int, target, label: str = "", graph=None) -> list[SpreadBound]:
-    """Exact spread of each of ``sources`` into ``target`` for 2p distance
-    coloring, in the order of ``sources``.
-
-    ``graph``, a ``spread_graph`` holding every target cell (by default
-    one over the target; ``run_checks`` shares one per p), is searched
-    once per distinct reuse set, as a candidate bitset.  Both cell lists
-    are sorted, so each search returns what it would on the reuse set's
-    own graph.  Every witness is rechecked, with its source, by BFS.
-    """
+def _spreads(sources, p: int, target, graph) -> list[SpreadBound]:
+    """``max_spreads`` inside ``graph``, a ``spread_graph`` holding every
+    target cell, searched once per distinct reuse set as a candidate
+    bitset: both cell lists are sorted, so each search returns what it
+    would on the reuse set's own graph.  Witnesses are rechecked by BFS."""
     sources = list(sources)
     cells = sorted(frozenset(target))
     sep = 2 * p + 1
-    index, masks, others = graph or spread_graph(cells, p)
-    at = _positions(index, cells)
+    index, masks, others = graph
     members = list(index)
     reusable = np.zeros((len(sources), len(members)), dtype=bool)
-    reusable[:, at] = pairwise_distances(sources, cells) >= sep
+    reusable[:, [index[v] for v in cells]] = pairwise_distances(sources, cells) >= sep
     solved: dict[bytes, tuple[int, tuple[Vertex, ...]]] = {}
     spreads = []
     for source, row in zip(sources, reusable):
@@ -107,13 +99,19 @@ def max_spreads(sources, p: int, target, label: str = "", graph=None) -> list[Sp
         for a, b in combinations((source, *witness), 2):
             if distance_within(a, b, sep - 1) is not None:
                 raise AssertionError(f"spread witness {a}, {b} closer than {sep}")
-        spreads.append(SpreadBound(source, p, label, size, witness))
+        spreads.append(SpreadBound(source, p, size, witness))
     return spreads
 
 
-def max_spread(source: Vertex, p: int, target, label: str = "") -> SpreadBound:
+def max_spreads(sources, p: int, target) -> list[SpreadBound]:
+    """Exact spread of each of ``sources`` into ``target`` for 2p distance
+    coloring, in the order of ``sources``."""
+    return _spreads(sources, p, target, spread_graph(target, p))
+
+
+def max_spread(source: Vertex, p: int, target) -> SpreadBound:
     """Exact spread of ``source`` into ``target`` for 2p distance coloring."""
-    return max_spreads([source], p, target, label)[0]
+    return max_spreads([source], p, target)[0]
 
 
 def spread_by_powerset(source: Vertex, p: int, target) -> int:
@@ -204,44 +202,37 @@ def verify_path_bound(p: int) -> ObservationReport:
     return report
 
 
-def _check_spreads(report: ObservationReport, sources, p: int, target, label: str,
-                   bound: int, graph, **fields) -> None:
-    """Tally the spread of each source into ``target`` and record every
-    spread above ``bound`` as a counterexample (``fields`` first)."""
-    for spread in max_spreads(sources, p, target, label, graph):
+def _check_spreads(report: ObservationReport, sources, p: int, target, bound: int,
+                   **fields) -> None:
+    """Tally the spread of each source into ``target`` (in the annulus)
+    and record every spread above ``bound`` as a counterexample."""
+    for spread in _spreads(sources, p, target, _annulus_graph(p)):
         report.tally(spread.max_spread)
         if spread.max_spread > bound:
             report.fail(**fields, source=spread.source, spread=spread.max_spread,
                         witness=spread.witness)
 
 
-def _verify_ring_reuse(check: str, p: int, qs, last: int, bound: int,
-                       sources, graph) -> ObservationReport:
+def _verify_ring_reuse(check: str, p: int, last: int, bound: int, sources) -> ObservationReport:
     """Spread of ``sources(ring p-q)`` into the radius p+q+1 ring is at
-    most ``bound``, for each q in ``qs`` (default 0..last)."""
-    qs = list(range(0, last + 1) if qs is None else qs)
-    for q in qs:
-        if not 0 <= q <= last:
-            raise InputError(f"q must be in 0..p-{p - last} = 0..{last}, got {q}")
-    report = ObservationReport(check, p, {"q": qs, "bound": bound})
-    for q in qs:
+    most ``bound``, for q = 0..last."""
+    report = ObservationReport(check, p, {"q": list(range(last + 1)), "bound": bound})
+    for q in range(last + 1):
         _check_spreads(report, sources(build_ring(ORIGIN, p - q)), p,
-                       build_ring(ORIGIN, p + q + 1).members, f"ring {p + q + 1}", bound,
-                       graph, q=q)
+                       build_ring(ORIGIN, p + q + 1).members, bound, q=q)
     return report
 
 
-def verify_corner_reuse(p: int, qs=None, graph=None) -> ObservationReport:
+def verify_corner_reuse(p: int) -> ObservationReport:
     """Corners of the radius p-q ring have spread at most 2 into the
     radius p+q+1 ring, for q = 0..p-2."""
-    return _verify_ring_reuse("corner-reuse", p, qs, p - 2, 2, lambda ring: ring.corners, graph)
+    return _verify_ring_reuse("corner-reuse", p, p - 2, 2, lambda ring: ring.corners)
 
 
-def verify_noncorner_reuse(p: int, qs=None, graph=None) -> ObservationReport:
+def verify_noncorner_reuse(p: int) -> ObservationReport:
     """Non-corner cells of the radius p-q ring have spread at most 1
     into the radius p+q+1 ring, for q = 0..p-3."""
-    return _verify_ring_reuse("noncorner-reuse", p, qs, p - 3, 1,
-                              lambda ring: ring.non_corners, graph)
+    return _verify_ring_reuse("noncorner-reuse", p, p - 3, 1, lambda ring: ring.non_corners)
 
 
 def shell_reuse_ranges(p: int) -> list[tuple[int, int]]:
@@ -249,11 +240,10 @@ def shell_reuse_ranges(p: int) -> list[tuple[int, int]]:
     return [(q, r) for q in range(0, max(p - 3, 0)) for r in range(1, (p - q) // 2)]
 
 
-def verify_shell_reuse(p: int, q: int, r: int, graph=None) -> ObservationReport:
+def verify_shell_reuse(p: int, q: int, r: int) -> ObservationReport:
     """Check the claimed deep-union bounds: shell cells reuse at most
     twice, and the remaining non-corner cells at most once, into the
-    union of rings p+q+1 .. p+q+2r+1.  Both searches run inside
-    ``graph``, by default one built over that union.
+    union of rings p+q+1 .. p+q+2r+1.
 
     The double claim is checked for q = 0..p-4, the single claim for
     q = 0..p-5; outside the single range only the double claim is
@@ -277,47 +267,41 @@ def verify_shell_reuse(p: int, q: int, r: int, graph=None) -> ObservationReport:
     report = ObservationReport("shell-reuse", p, {"q": q, "r": r, "double_bound": 2,
                                                   "single_bound": 1 if check_single else None})
     shell = _shell_members(ORIGIN, k, r)
-    ring = build_ring(ORIGIN, k)
     target = _rings(p + q + 1, p + q + 2 * r + 1)
-    graph = graph or spread_graph(target, p)
-    label = f"rings {p + q + 1}..{p + q + 2 * r + 1}"
-    _check_spreads(report, shell, p, target, label, 2, graph, kind="shell")
+    _check_spreads(report, shell, p, target, 2, kind="shell")
     if check_single:
-        rest = [v for v in ring.non_corners if v not in shell]
-        _check_spreads(report, rest, p, target, label, 1, graph, kind="non-shell")
+        rest = [v for v in build_ring(ORIGIN, k).non_corners if v not in shell]
+        _check_spreads(report, rest, p, target, 1, kind="non-shell")
     else:
         report.notes.append("single-reuse bound skipped: q beyond its p-5 range")
     return report
 
 
-def verify_shell_reuse_all(p: int, graph=None) -> list[ObservationReport]:
-    return [verify_shell_reuse(p, q, r, graph) for q, r in shell_reuse_ranges(p)]
+def verify_shell_reuse_all(p: int) -> list[ObservationReport]:
+    return [verify_shell_reuse(p, q, r) for q, r in shell_reuse_ranges(p)]
 
 
-def double_reuse_pairs(corner: Vertex, p: int, target, graph=None) -> list[tuple[Vertex, Vertex]]:
+def double_reuse_pairs(corner: Vertex, p: int, target) -> list[tuple[Vertex, Vertex]]:
     """All two-element subsets of the reuse set of ``corner`` whose
     members are mutually at distance >= 2p+1 (the ways to use the
-    corner's color twice in ``target``), read off ``graph``, a
-    ``spread_graph`` holding the reuse set (by default one over it)."""
+    corner's color twice in ``target``), in the order of a scan over the
+    index pairs a < b of the sorted reuse set."""
     members = sorted(reuse_set(corner, p, target).members)
-    index, masks, _ = graph or spread_graph(members, p)
-    at = _positions(index, members)
-    return [(members[a], members[b]) for a, b in combinations(range(len(members)), 2)
-            if masks[at[a]] >> at[b] & 1]
+    a, b = np.nonzero(np.triu(pairwise_distances(members) >= 2 * p + 1, 1))
+    return [(members[i], members[j]) for i, j in zip(a.tolist(), b.tolist())]
 
 
-def verify_corner_pair_exclusion(p: int, graph=None) -> ObservationReport:
+def verify_corner_pair_exclusion(p: int) -> ObservationReport:
     """No two corners of the radius-p ring taken from the same
     alternating triple (arcs 1/3/5 or arcs 2/4/6) can both be doubly
     reused into the radius p+1 ring: any double placements collide in a
-    shared cell.  Corners from opposite triples stay compatible.  The
-    pairs are read off ``graph``, by default one per corner."""
+    shared cell.  Corners from opposite triples stay compatible."""
     if p < 2:
         raise InputError(f"p must be >= 2, got {p}")
     report = ObservationReport("corner-pair-exclusion", p, {"target_ring": p + 1})
     corners = build_ring(ORIGIN, p).corners
     target = build_ring(ORIGIN, p + 1).members
-    pair_options = [double_reuse_pairs(c, p, target, graph) for c in corners]
+    pair_options = [double_reuse_pairs(c, p, target) for c in corners]
     compat = {}
     for a, b in combinations(range(6), 2):
         compat[(a, b)] = joint = any(not set(pa) & set(pb) for pa in pair_options[a]
@@ -408,12 +392,8 @@ def color_budget_certificate(p: int) -> ObservationReport:
 
 
 def run_checks(p: int) -> list[ObservationReport]:
-    """The full battery for one p, in a stable order.  Every spread and
-    corner-pair target lies in rings p+1..2p-1, so one graph over that
-    annulus (4.5p(p-1) cells) serves all of those checks and dies with
-    this call."""
-    path_bound = verify_path_bound(p)  # first: its premise pairs are the memory peak
-    graph = spread_graph(_rings(p + 1, 2 * p - 1), p)
-    return [path_bound, verify_corner_reuse(p, graph=graph),
-            verify_noncorner_reuse(p, graph=graph), *verify_shell_reuse_all(p, graph),
-            verify_corner_pair_exclusion(p, graph), color_budget_certificate(p)]
+    """The full battery for one p, in a stable order.  The spread checks
+    share the annulus graph of p (see ``_annulus_graph``)."""
+    return [verify_path_bound(p), verify_corner_reuse(p), verify_noncorner_reuse(p),
+            *verify_shell_reuse_all(p), verify_corner_pair_exclusion(p),
+            color_budget_certificate(p)]

@@ -17,6 +17,7 @@ normative and the formulas act only as cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InputError
@@ -67,8 +68,9 @@ class Ring:
         return self.members[n - 1]
 
 
+@lru_cache(maxsize=256)
 def build_ring(center: Vertex, k: int) -> Ring:
-    """The radius-k ring around ``center`` (either handedness)."""
+    """The radius-k ring around ``center`` (either handedness), cached."""
     if k < 1:
         raise InputError(f"ring radius must be >= 1, got {k}")
     arc_offsets = _ring_offsets(k)
@@ -97,6 +99,13 @@ def build_clique(center: Vertex, p: int) -> DistanceClique:
     if p < 1:
         raise InputError(f"clique parameter must be >= 1, got {p}")
     return DistanceClique(center, p, tuple(ball(center, p)))
+
+
+def ball_size(radius: int) -> int:
+    """``len(ball(center, radius))``, 1 + 3r(r+1)/2, without building it."""
+    if radius < 0:
+        raise InputError(f"radius must be >= 0, got {radius}")
+    return 1 + 3 * radius * (radius + 1) // 2
 
 
 def ball(center: Vertex, radius: int) -> list[Vertex]:

@@ -119,6 +119,47 @@ def test_exact_window_guard_exit_code(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def _limited_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _capped(*args):
+    """``python *args`` under a 2 GB address-space cap and a 60 s
+    timeout, so that a regression to O(budget) or O(window) work fails
+    fast instead of exhausting memory."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, preexec_fn=_limited_memory)
+
+
+def test_exact_window_recheck_reads_no_range_of_the_budget():
+    # the recheck once built set(range(budget)): 0.3 s at 3e6, MemoryError at 1e12
+    proc = _capped("-c", "import time\n"
+                         "from hexspan.coloring import exact_window_span\n"
+                         "start = time.perf_counter()\n"
+                         "assert exact_window_span(8, 1, 10**12).feasible\n"
+                         "print(time.perf_counter() - start)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1
+    proc = _capped("-m", "hexspan", "exact-window", "8", "--radius", "1",
+                   "--budget", str(10**12))
+    assert proc.returncode == 0, proc.stderr
+    assert "feasible (explicit coloring)" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [["exact-window", "2", "--budget", "3"],
+                                     ["export-dimacs", "2"]])
+def test_a_huge_window_is_refused_before_it_is_built(command, tmp_path):
+    # 1.5e12 cells: building the ball first would never end
+    out = tmp_path / "huge.out"
+    proc = _capped("-m", "hexspan", *command, "--radius", "1000000", "--guard", "3",
+                   "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "window of 1500001500001 cells exceeds the guard of 3" in proc.stderr
+    assert not out.exists()
+
+
 def test_export_dimacs_clique_counts(tmp_path, capsys):
     out = tmp_path / "d2r1.col"
     assert run(["export-dimacs", "2", "--radius", "1", "--out", str(out), "--json"]) == 0

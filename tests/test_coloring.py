@@ -435,6 +435,7 @@ def test_exact_window_feasibility_boundary():
     (lambda adj, budget: [0] * len(adj), "invalid window coloring"),
     (lambda adj, budget: list(range(len(adj)))[:-1], "no 19-coloring of the 19 cells"),
     (lambda adj, budget: list(range(1, len(adj) + 1)), "no 19-coloring of the 19 cells"),
+    (lambda adj, budget: list(range(-1, len(adj) - 1)), "no 19-coloring of the 19 cells"),
 ])
 def test_exact_window_rechecks_its_coloring(monkeypatch, fake, message):
     # the solver's feasible answer is verified before it is returned

@@ -147,6 +147,39 @@ def test_array_broadcasts_like_the_scalar_form(shapes):
         assert out[idx] == distance_closed(u, v), (u, v)
 
 
+@pytest.mark.parametrize("dtype,u,v,d", [
+    (np.uint8, (0, 0), (0, 1), 1),          # 0 - 1 wrapped to 255
+    (np.int8, (-100, 0), (100, 0), 400),    # 2 * 200 wrapped to 112
+    (np.uint32, (0, 0), (5, 3), 10),
+])
+def test_array_promotes_narrow_integers(dtype, u, v, d):
+    out = distance_closed_array(*(np.array([x], dtype=dtype) for x in (*u, *v)))
+    assert out.dtype == np.int64 and out.tolist() == [d] == [distance_closed(u, v)]
+
+
+@pytest.mark.parametrize("bad", [np.array([0], np.uint64), np.array([0.0]),
+                                 np.array([True]), np.array([0], object)])
+def test_array_refuses_other_dtypes(bad):
+    with pytest.raises(InputError, match="integer dtype that fits int64"):
+        distance_closed_array(bad, 0, 0, 1)
+
+
+def test_array_reads_int64_input_in_place():
+    # narrow input is promoted by a copy; int64 input, the oracle sweep's,
+    # is read in place
+    arr = np.asarray(ball((0, 0), 30), dtype=np.int64)
+
+    def peak(cells):
+        tracemalloc.start()
+        try:
+            distance_closed_array(cells[:, :1], cells[:, 1:], 0, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(arr.astype(np.int32)) - peak(arr) >= arr.nbytes - 1024
+
+
 def test_array_takes_python_ints():
     out = distance_closed_array(np.array([0, -1, 3]), np.array([0, 0, 2]), 0, 0)
     assert out.dtype == np.int64 and out.tolist() == [0, 3, 5]

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from hexspan.grid import distance_closed, pairwise_distances
 from hexspan.reuse import (
+    _annulus_graph,
     _max_clique_bits,
+    _spreads,
     color_budget_certificate,
     compatibility_masks,
     double_reuse_pairs,
@@ -22,12 +24,12 @@ from hexspan.reuse import (
     run_checks,
     shell_reuse_ranges,
     spread_by_powerset,
-    spread_graph,
     verify_corner_pair_exclusion,
     verify_corner_reuse,
     verify_noncorner_reuse,
     verify_path_bound,
     verify_shell_reuse,
+    verify_shell_reuse_all,
 )
 from hexspan.rings import ball, build_ring, reuse_set, _shell_members
 
@@ -195,10 +197,10 @@ def test_max_spreads_matches_per_source_reference(p, data):
         # repeated sources, and sources inside the target
         sources += data.draw(st.lists(st.sampled_from(sources + target), max_size=4),
                              label="extra sources")
-    spreads = max_spreads(sources, p, target, "t")
+    spreads = max_spreads(sources, p, target)
     assert [s.source for s in spreads] == sources
     for s in spreads:
-        assert (s.p, s.target_label) == (p, "t")
+        assert s.p == p
         assert (s.max_spread, s.witness) == _spread_reference(s.source, p, target)
 
 
@@ -210,11 +212,10 @@ def _annulus(p):
 @given(st.integers(2, 6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_spreads_inside_the_annulus_graph_match_per_source_reference(p, data):
-    annulus = _annulus(p)
-    target = data.draw(st.lists(st.sampled_from(annulus), max_size=60), label="target")
+    target = data.draw(st.lists(st.sampled_from(_annulus(p)), max_size=60), label="target")
     cell = ring_cells(2 * p)
     sources = data.draw(st.lists(cell, max_size=6), label="sources")
-    spreads = max_spreads(sources, p, target, "t", spread_graph(annulus, p))
+    spreads = _spreads(sources, p, target, _annulus_graph(p))
     assert [s.source for s in spreads] == sources
     for s in spreads:
         assert (s.max_spread, s.witness) == _spread_reference(s.source, p, target)
@@ -222,8 +223,8 @@ def test_spreads_inside_the_annulus_graph_match_per_source_reference(p, data):
 
 @pytest.mark.parametrize("p", [4, 5, 6])
 def test_run_checks_builds_one_spread_graph(p, monkeypatch):
-    # the annulus's graph is the battery's only compatibility graph:
-    # double_reuse_pairs reads its six corners' pairs off it too
+    # the annulus's graph is the battery's only compatibility graph;
+    # double_reuse_pairs reads its six corners' pairs off distances
     import hexspan.reuse as reuse
 
     graphs, pairs = [], []
@@ -232,28 +233,38 @@ def test_run_checks_builds_one_spread_graph(p, monkeypatch):
                         lambda cells, sep: graphs.append(cells) or masks(cells, sep))
     monkeypatch.setattr(reuse, "double_reuse_pairs",
                         lambda *args: pairs.append(args) or double(*args))
+    _annulus_graph.cache_clear()
     run_checks(p)
     assert len(pairs) == 6
     assert graphs == [sorted(_annulus(p))]
 
 
-def test_max_spreads_refuses_a_target_outside_the_graph():
-    # python -O strips assert statements; the refusal must be a real raise
-    code = (
-        "from hexspan.reuse import max_spreads, spread_graph\n"
-        "from hexspan.rings import build_ring\n"
-        "graph = spread_graph(build_ring((0, 0), 6).members, 5)\n"
-        "try:\n"
-        "    max_spreads([(0, 5)], 5, build_ring((0, 0), 7).members[:1], graph=graph)\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
-        "else:\n"
-        "    raise SystemExit('target outside the graph accepted')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"target cell {build_ring((0, 0), 7).members[0]} " \
-        "is not in the compatibility graph"
+@pytest.mark.parametrize("p", [4, 7])
+def test_run_checks_builds_each_ring_once(p, monkeypatch):
+    import hexspan.rings as rings
+
+    built = []
+    offsets = rings._ring_offsets
+    monkeypatch.setattr(rings, "_ring_offsets", lambda k: built.append(k) or offsets(k))
+    build_ring.cache_clear()
+    run_checks(p)
+    # rings 1..p of the path bound's ball, p+1..2p+2 around it: each once
+    assert sorted(built) == list(range(1, 2 * p + 3))
+
+
+@pytest.mark.parametrize("p", [4, 5, 8])
+def test_each_check_alone_reports_as_in_the_battery(p):
+    def alone(check, *args):
+        _annulus_graph.cache_clear()
+        return check(p, *args).to_dict()
+
+    shells = [alone(verify_shell_reuse, q, r) for q, r in shell_reuse_ranges(p)]
+    reports = [alone(verify_path_bound), alone(verify_corner_reuse),
+               alone(verify_noncorner_reuse), *shells,
+               alone(verify_corner_pair_exclusion), alone(color_budget_certificate)]
+    _annulus_graph.cache_clear()
+    assert [r.to_dict() for r in verify_shell_reuse_all(p)] == shells
+    assert [r.to_dict() for r in run_checks(p)] == reports
 
 
 def test_max_spreads_edge_cases():
@@ -339,14 +350,15 @@ def test_double_reuse_pairs_read_in_index_pair_order():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 6])
 def test_double_reuse_pairs_read_off_the_annulus_graph(p):
-    graph = spread_graph(_annulus(p), p)
+    # the pairs from the distances are the pairs the annulus graph joins,
+    # in the same order
+    index, masks, _ = _annulus_graph(p)
     ring = build_ring((0, 0), p)
     target = build_ring((0, 0), p + 1).members
     for source in ring.corners + ring.members[1::4]:
-        assert double_reuse_pairs(source, p, target, graph) == double_reuse_pairs(
-            source, p, target)
-    with pytest.raises(ValueError, match="not in the compatibility graph"):
-        double_reuse_pairs(ring.corners[0], p, build_ring((0, 0), 2 * p + 1).members, graph)
+        members = sorted(reuse_set(source, p, target).members)
+        assert double_reuse_pairs(source, p, target) == [
+            (a, b) for a, b in combinations(members, 2) if masks[index[a]] >> index[b] & 1]
 
 
 # sha256 of the sorted-key JSON of run_checks(p): any change to a
@@ -437,15 +449,13 @@ def test_corner_reuse_passes_and_ranges():
     rep = verify_corner_reuse(5)
     assert rep.ok
     assert rep.maxima.get(2, 0) > 0
-    with pytest.raises(ValueError):
-        verify_corner_reuse(5, qs=[4])
+    assert rep.params["q"] == [0, 1, 2, 3]
 
 
 def test_noncorner_reuse_passes_and_ranges():
     assert verify_noncorner_reuse(5).ok
-    assert verify_noncorner_reuse(7, qs=[2]).ok
-    with pytest.raises(ValueError):
-        verify_noncorner_reuse(5, qs=[3])
+    rep = verify_noncorner_reuse(7)
+    assert rep.ok and rep.params["q"] == [0, 1, 2, 3, 4]
 
 
 def test_shell_reuse_range_errors():

@@ -3,6 +3,7 @@ import pytest
 from hexspan.grid import bfs_distances, distance_closed, parity
 from hexspan.rings import (
     ball,
+    ball_size,
     build_clique,
     build_ring,
     build_shell,
@@ -192,6 +193,13 @@ def test_ball_counts():
     assert len(ball((0, 0), 0)) == 1
     assert len(ball((0, 0), 3)) == 1 + 3 * 3 * 4 // 2
     assert len(set(ball((1, 0), 4))) == 1 + 3 * 4 * 5 // 2
+
+
+def test_ball_size_is_the_size_of_the_ball():
+    for r in range(41):
+        assert ball_size(r) == len(ball((0, 0), r)) == len(ball((1, 0), r))
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        ball_size(-1)
 
 
 def test_clique_left_center():
