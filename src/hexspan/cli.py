@@ -63,7 +63,17 @@ def _cmd_distance(args) -> int:
     return 0 if closed == oracle else 1
 
 
+def _refuse_far_ring(k: int) -> None:
+    """Rings farther out than the BFS limit are refused, as distances are:
+    ring 1000 has 3,000 cells, while `ring 1000000` took more than 3 s
+    and `shell 1000000 3` 3.5 s and 820 MB on a 2-vCPU Xeon."""
+    if k > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"ring radius {k} exceeds the BFS oracle limit of "
+                            f"{DISTANCE_BFS_LIMIT}")
+
+
 def _cmd_ring(args) -> int:
+    _refuse_far_ring(args.k)
     ring = build_ring((args.center[0], args.center[1]), args.k)
     _emit(args, {
         "command": "ring", "k": args.k, "center": list(ring.center),
@@ -106,6 +116,7 @@ def _cmd_clique(args) -> int:
 
 
 def _cmd_shell(args) -> int:
+    _refuse_far_ring(args.k)
     shell = build_shell((0, 0), args.k, args.h)
     members = sorted(shell.members)
     _emit(args, {

@@ -309,20 +309,86 @@ def _bfs_ball(l: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
+def _turn(bits: int, k: int, d: int, low: int) -> int:
+    """``bits`` with every block of d bits rotated up by k, 0 <= k < d: bit
+    y of a block moves to bit (y + k) mod d.  ``low`` holds bit 0 of every
+    block."""
+    stay = ((1 << (d - k)) - 1) * low
+    return ((bits & stay) << k) | ((bits & ~stay) >> (d - k))
+
+
 def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
-    """Bitmask conflict graph over the fundamental domain.
+    """Bitmask conflict graph over the fundamental domain of a lattice of
+    even translations.
 
     Domain cells u and v conflict iff some cell within distance l of u
     lies in the orbit of v: the orbit table of u's row, with the
     ring-formula ball offsets of its handedness, lists v.  The rule is
-    exact, and symmetric because the lattice acts by automorphisms."""
-    n = geo.det
-    rows = np.arange(n)
-    related = np.zeros((n, n), dtype=bool)
-    for hand, offsets in enumerate(_ball_offsets(l)):
-        block = rows[parity(np.divmod(rows, geo.d)) == hand]
-        related[block[:, None], _orbit_index(geo, block, offsets)] = True
-    return bitmask_graph(related)
+    exact, and symmetric because the lattice acts by automorphisms.
+
+    Only the rows of (0, 0) and (0, 1) are read off the orbit table.  An
+    even translation t is an automorphism that permutes the domain by
+    v -> canonical(v + t), so the row of cell (x, y), of handedness h, is
+    the row of (0, h) moved by t = (x, y - h).  In the (a, b, d) layout
+    that moves block w of d bits (the cells (w, *)) to block
+    (w + x) mod a, rotated by (y - h - s*b) mod d, s = (w + x) // a."""
+    a, b, d, n = geo.a, geo.b, geo.d, geo.det
+    if (a + b) % 2 or d % 2:
+        raise InputError(f"{geo} is not a lattice of even translations")
+    low = ((1 << n) - 1) // ((1 << d) - 1)
+    adj = [0] * n
+    for h, offsets in enumerate(_ball_offsets(l)):
+        related = np.zeros((1, n), dtype=bool)
+        related[0, _orbit_index(geo, np.array([h]), offsets)] = True
+        row = bitmask_graph(related, h)[0]  # (0, h) has domain index h
+        wrapped = _turn(row, -b % d, d, low)
+        for x in range(a):
+            head = (a - x) * d  # blocks w < a - x keep s = 0
+            moved = ((row & ((1 << head) - 1)) << (x * d)) | (wrapped >> head)
+            for y in range((x + h) % 2, d, 2):
+                adj[x * d + y] = _turn(moved, (y - h) % d, d, low)
+    return adj
+
+
+def _image(g: tuple[Vertex, Vertex], t: Vertex) -> Vertex:
+    """The even translation t under the linear map g, given as its images
+    of the even basis (1, 1) and (1, -1)."""
+    (p1, q1), (p2, q2) = g
+    s, r = (t[0] + t[1]) // 2, (t[0] - t[1]) // 2
+    return (s * p1 + r * p2, s * q1 + r * q2)
+
+
+# R, the 60-degree rotation R(i, j) = ((i - j)/2, (3i + j)/2), and M, the
+# mirror M(i, j) = (i, -j), as maps for ``_image``
+_ROTATE = ((0, 2), (1, 1))
+_MIRROR = ((1, -1), (1, 1))
+
+
+def _point_group() -> list[tuple[Vertex, Vertex]]:
+    """The 12 linear maps that R and M generate, in closure order.
+
+    Each lifts to an automorphism of the grid: R takes a right-handed cell
+    u to R(u) + (-2, -1) and a left-handed one to R(u - (1, 0)) + (-2, 0),
+    M takes them to M(u) + (-2, -2) and M(u - (1, 0)) + (-1, -2).  Such a
+    lift moves every orbit of a lattice L onto an orbit of g(L), so the
+    quotient graphs of L and g(L) are isomorphic and the separation
+    filter gives both the same verdict."""
+    group = [((1, 1), (1, -1))]
+    for g in group:  # grows while it is read
+        for step in (_ROTATE, _MIRROR):
+            h = (_image(step, g[0]), _image(step, g[1]))
+            if h not in group:
+                group.append(h)
+    return group
+
+
+_POINT_GROUP = _point_group()
+
+
+def _orbit(basis: tuple[Vertex, Vertex]) -> set[LatticeGeometry]:
+    """The normal forms of the images of the lattice under the point group."""
+    return {lattice_geometry((_image(g, basis[0]), _image(g, basis[1])))
+            for g in _POINT_GROUP}
 
 
 @dataclass
@@ -348,6 +414,14 @@ def search_periodic(l: int, colors: int | None = None,
     on a lattice after 5,000,000 search nodes.  The first success wins,
     which keeps the search deterministic.
 
+    Lattices that the point group of the grid (``_point_group``) maps onto
+    each other have isomorphic quotient graphs, so a lattice whose image
+    was proven not colorable earlier in the same call, by the clique
+    bound or by an exhaustive DSATUR search, is skipped.  It still counts
+    in ``lattices_tried``, and its log line reads "symmetric image of" the
+    rejected basis.  A node-limit skip proves nothing and is never reused;
+    nothing is kept from one call to the next.
+
     If ``colors`` is the smallest admissible determinant, the first
     lattice is ``search_lattice``'s, and its quotient graph is complete
     (checked for l = 1..30, not proved): every orbit comes within l of
@@ -362,6 +436,9 @@ def search_periodic(l: int, colors: int | None = None,
     result = PeriodicSearchResult(l, target, None, "none")
     if max_det is None:
         max_det = 2 * target + 24
+    # the normal form of every image of a lattice proven not colorable ->
+    # that lattice's basis: one lookup per lattice tried, 12 forms per proof
+    rejected: dict[LatticeGeometry, tuple] = {}
     for det, basis in even_sublattices(max_det):
         if det < target:
             continue
@@ -369,17 +446,23 @@ def search_periodic(l: int, colors: int | None = None,
             continue
         result.lattices_tried += 1
         geo = lattice_geometry(basis)
+        line = f"det {det} basis {basis}"
+        if geo in rejected:
+            result.log.append(f"{line}: symmetric image of {rejected[geo]}")
+            continue
         adj = quotient_conflicts(geo, l)
         if len(greedy_clique(adj, exceed=target)) > target:
-            result.log.append(f"det {det} basis {basis}: clique exceeds {target}")
+            result.log.append(f"{line}: clique exceeds {target}")
+            rejected.update(dict.fromkeys(_orbit(basis), basis))
             continue
         try:
             solution = solve_coloring(adj, target, max_nodes=5_000_000)
         except ResourceGuard:
-            result.log.append(f"det {det} basis {basis}: node limit, skipped")
+            result.log.append(f"{line}: node limit, skipped")
             continue
         if solution is None:
-            result.log.append(f"det {det} basis {basis}: not {target}-colorable")
+            result.log.append(f"{line}: not {target}-colorable")
+            rejected.update(dict.fromkeys(_orbit(basis), basis))
             continue
         cells = geo.cells()
         assignment = {cell: c + 1 for cell, c in zip(cells, solution)}
@@ -394,7 +477,7 @@ def search_periodic(l: int, colors: int | None = None,
             raise AssertionError(f"search produced an invalid coloring: {check.violations[:3]}")
         result.coloring = coloring
         result.mode = coloring.mode
-        result.log.append(f"det {det} basis {basis}: success")
+        result.log.append(f"{line}: success")
         return result
     return result
 

@@ -12,11 +12,15 @@ import colorsys
 import math
 
 from .coloring import LatticeColoring, WindowColoring
-from .errors import InputError
+from .errors import InputError, ResourceGuard
 from .grid import Vertex, parity
 
 SQ3 = math.sqrt(3.0)
 SCALE = 24.0  # svg units per unit edge length
+# the most cells a tiled lattice drawing may hold: on a 2-vCPU Xeon,
+# `render --tile 38` of a 66-cell domain (95,304 cells, a 26 MB file)
+# takes about 2 s and 150 MB, and tile 60 took 3.3 s and 330 MB
+MAX_TILED_CELLS = 100_000
 
 
 def cell_position(v: Vertex) -> tuple[float, float]:
@@ -47,11 +51,16 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
 
     A window coloring is drawn as-is.  A lattice coloring is drawn as
     its fundamental domain tiled ``tile`` x ``tile`` times, so the
-    periodic structure is visible.
+    periodic structure is visible; ``ResourceGuard`` if that would draw
+    more than ``MAX_TILED_CELLS`` cells, checked before any is placed.
     """
     if tile < 1:
         raise InputError(f"tile must be >= 1, got {tile}")
     if isinstance(coloring, LatticeColoring):
+        if tile * tile * coloring.det > MAX_TILED_CELLS:
+            raise ResourceGuard(f"tile {tile} of a {coloring.det}-cell domain would draw "
+                                f"{tile * tile * coloring.det} cells, above the limit of "
+                                f"{MAX_TILED_CELLS}")
         t1, t2 = coloring.basis
         cells: dict[Vertex, int] = {}
         domain = coloring.geometry.cells()

@@ -60,6 +60,25 @@ def test_ring_and_shell_commands(capsys):
     assert run(["shell", "7", "3"]) == 2  # h = floor(k/2) rejected
 
 
+@pytest.mark.parametrize("argv", [["ring", "1001"], ["ring", "1000000"],
+                                  ["shell", "1001", "5"], ["shell", str(10 ** 12), "5"]])
+def test_rings_past_the_bfs_limit_are_refused_before_they_are_built(argv, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("ring built")
+
+    monkeypatch.setattr(cli, "build_ring", fail)
+    monkeypatch.setattr(cli, "build_shell", fail)
+    assert run(argv) == 3
+    assert f"ring radius {argv[1]} exceeds the BFS oracle limit of 1000" in capsys.readouterr().err
+
+
+def test_rings_at_the_bfs_limit_are_built(capsys):
+    assert run(["ring", "1000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 3000
+    assert run(["shell", "1000", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 12
+
+
 def test_check_observations_single_ring_bounds(capsys):
     # p=4 includes a genuine shell-reuse breach, so overall verdict fails
     assert run(["check-observations", "--p", "4", "--json"]) == 1
@@ -471,6 +490,29 @@ def test_render_tile_below_one_exit_2(tmp_path, capsys, tile):
     assert run(["render", str(src), "--out", str(out), "--tile", tile]) == 2
     assert f"tile must be >= 1, got {tile}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tile", ["1001", str(10 ** 12)])
+def test_render_refuses_a_tiling_past_the_cell_limit(tmp_path, capsys, tile):
+    coloring = single_coset_coloring(2, ((4, 4), (4, -4)))
+    src = tmp_path / "lat.col"
+    src.write_text(write_coloring(coloring))
+    out = tmp_path / "lat.svg"
+    start = time.perf_counter()
+    assert run(["render", str(src), "--out", str(out), "--tile", tile]) == 3
+    assert time.perf_counter() - start < 1.0
+    cells = int(tile) ** 2 * 32
+    assert (f"tile {tile} of a 32-cell domain would draw {cells} cells, "
+            "above the limit of 100000") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_draws_a_tiling_at_the_cell_limit():
+    # 55 x 55 tiles of a 32-cell domain are 96,800 cells, 56 x 56 are 100,352
+    coloring = single_coset_coloring(2, ((4, 4), (4, -4)))
+    assert render_svg(coloring, tile=55, labels=False).count("<polygon") == 55 * 55 * 32
+    with pytest.raises(ResourceGuard):
+        render_svg(coloring, tile=56)
 
 
 def test_render_is_deterministic(tmp_path):

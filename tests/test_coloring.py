@@ -1,7 +1,10 @@
+import ast
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import astuple
 from functools import lru_cache
 from itertools import islice
 from unittest import mock
@@ -18,6 +21,10 @@ from hexspan.coloring import (
     VerifyResult,
     Violation,
     WindowColoring,
+    _MIRROR,
+    _POINT_GROUP,
+    _ROTATE,
+    _image,
     _separation_ok,
     even_sublattices,
     exact_window_span,
@@ -34,9 +41,11 @@ from hexspan.coloring import (
     write_coloring,
 )
 from hexspan.errors import InputError, ResourceGuard
-from hexspan.grid import distance_bfs, distance_closed, translate
+from hexspan.grid import distance_bfs, distance_closed, neighbors, translate
 from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
+from hexspan.solver import bitmask_graph
+from hexspan.spans import span_even
 
 even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
     lambda t: t if (t[0] + t[1]) % 2 == 0 else (t[0], t[1] + 1)
@@ -220,6 +229,8 @@ def _searched(l):
     (12, 653, ((10, -8), (67, -67)), 134, 67),
     # 88 = span_even(14).span; t1 = (1 + c, 1 - c) with c = 3l/2 + 2 = 23
     (14, 1073, ((24, -22), (88, -88)), 176, 88),
+    (16, 1812, ((13, -11), (113, -113)), 226, 113),
+    (18, 2681, ((30, -28), (140, -140)), 280, 140),
 ])
 def test_search_periodic_results_pinned(l, tried, basis, det, colors):
     res = _searched(l)
@@ -227,6 +238,168 @@ def test_search_periodic_results_pinned(l, tried, basis, det, colors):
     assert res.coloring.basis == basis
     assert res.coloring.det == det and res.coloring.color_count == colors
     assert verify_lattice(res.coloring).valid
+
+
+def _tried_lattices(l):
+    # the lattices search_periodic(l) tries, in its order, up to its success
+    target = span_even(l).span
+    admissible = (basis for det, basis in even_sublattices(2 * target + 24)
+                  if det >= target and _separation_ok(basis, l))
+    return list(islice(admissible, _searched(l).lattices_tried))
+
+
+def _orbit_table_graph(geo, l):
+    # every row of the orbit table, as quotient_conflicts read it before it
+    # translated two rows
+    n = geo.det
+    rows = np.arange(n)
+    related = np.zeros((n, n), dtype=bool)
+    for hand, offsets in enumerate(coloring_module._ball_offsets(l)):
+        block = rows[(rows // geo.d + rows % geo.d) % 2 == hand]
+        related[block[:, None], coloring_module._orbit_index(geo, block, offsets)] = True
+    return bitmask_graph(related)
+
+
+@pytest.mark.parametrize("l", [8, 10, 12, 14])
+def test_translated_rows_match_the_orbit_table(l):
+    for basis in _tried_lattices(l):
+        geo = lattice_geometry(basis)
+        assert quotient_conflicts(geo, l) == _orbit_table_graph(geo, l), basis
+
+
+def test_translated_rows_match_the_orbit_table_on_sparse_quotients():
+    # the search's graphs are dense enough that turning the wrapped blocks
+    # the wrong way round (+b for -b) leaves them unchanged; at small l and
+    # large det, admissible or not, it does not
+    for l in (4, 6):
+        for det, basis in islice(even_sublattices(120), 0, None, 9):
+            geo = lattice_geometry(basis)
+            assert quotient_conflicts(geo, l) == _orbit_table_graph(geo, l), (l, basis)
+
+
+def test_quotient_conflicts_refuses_a_lattice_with_odd_vectors():
+    with pytest.raises(InputError, match="not a lattice of even translations"):
+        quotient_conflicts(lattice_geometry(((1, 0), (0, 2))), 4)
+
+
+def _lift(step, u):
+    # the grid automorphism over the linear map R (_ROTATE) or M (_MIRROR)
+    if (u[0] + u[1]) % 2 == 0:
+        i, j = _image(step, u)
+        return (i - 2, j - 1) if step == _ROTATE else (i - 2, j - 2)
+    i, j = _image(step, (u[0] - 1, u[1]))
+    return (i - 2, j) if step == _ROTATE else (i - 1, j - 2)
+
+
+def _lifted_group():
+    # {linear part: its lift}, the lifts composed word by word until closed
+    def linear(phi):
+        o = phi((0, 0))
+        return tuple((phi(t)[0] - o[0], phi(t)[1] - o[1]) for t in ((1, 1), (1, -1)))
+
+    found = {linear(lambda u: u): lambda u: u}
+    frontier = list(found.values())
+    while frontier:
+        phi = frontier.pop()
+        for step in (_ROTATE, _MIRROR):
+            psi = (lambda s, f: lambda u: _lift(s, f(u)))(step, phi)
+            if linear(psi) not in found:
+                found[linear(psi)] = psi
+                frontier.append(psi)
+    return found
+
+
+def test_rotation_and_mirror_lift_to_grid_automorphisms():
+    patch = [(i, j) for i in range(-8, 9) for j in range(-8, 9)]
+    assert {(i + j) % 2 for i, j in patch} == {0, 1}
+    for i, j in patch:
+        if (i + j) % 2 == 0:
+            assert _image(_ROTATE, (i, j)) == ((i - j) // 2, (3 * i + j) // 2)
+            assert _image(_MIRROR, (i, j)) == (i, -j)
+    for step in (_ROTATE, _MIRROR):
+        for u in patch:
+            assert {_lift(step, v) for v in neighbors(u)} == neighbors(_lift(step, u)), (step, u)
+    group = _lifted_group()
+    assert len(group) == len(set(_POINT_GROUP)) == 12
+    assert set(group) == set(_POINT_GROUP)
+    # each lift moves cells with its linear part: phi(u + t) = phi(u) + g(t)
+    for g, phi in group.items():
+        for u in patch[::7]:
+            for t in ((2, 0), (1, 1), (3, -5)):
+                assert phi(translate(u, t)) == translate(phi(u), _image(g, t))
+
+
+def _sampled_lattices(l, count, seed):
+    tried = _tried_lattices(l)
+    return tried[:3] + random.Random(seed).sample(tried[3:-1], count) + tried[-1:]
+
+
+@pytest.mark.parametrize("l", [8, 10])
+def test_symmetric_lattices_have_isomorphic_quotient_graphs(l):
+    group = _lifted_group()
+    for basis in _sampled_lattices(l, 4, l):
+        geo = lattice_geometry(basis)
+        adj = quotient_conflicts(geo, l)
+        for g, phi in group.items():
+            image = (_image(g, basis[0]), _image(g, basis[1]))
+            geo_g = lattice_geometry(image)
+            assert _separation_ok(image, l) and _separation_ok(basis, l)
+            # the lift maps domain cell u to the domain cell of phi(u)
+            to = [x * geo_g.d + y for x, y in (geo_g.canonical(phi(u)) for u in geo.cells())]
+            assert sorted(to) == list(range(geo.det))
+            moved = [0] * geo.det
+            for u, row in enumerate(adj):
+                moved[to[u]] = sum(1 << to[v] for v in range(geo.det) if row >> v & 1)
+            assert quotient_conflicts(geo_g, l) == moved, (l, basis, g)
+    # the separation filter agrees on lattices it rejects too
+    for det, basis in islice(even_sublattices(120), 0, None, 7):
+        for g in _POINT_GROUP:
+            image = (_image(g, basis[0]), _image(g, basis[1]))
+            assert _separation_ok(image, l) == _separation_ok(basis, l), (l, basis, g)
+
+
+def _orbit_key(basis):
+    return min(astuple(lattice_geometry((_image(g, basis[0]), _image(g, basis[1]))))
+               for g in _POINT_GROUP)
+
+
+def test_a_node_limit_is_never_inherited(monkeypatch):
+    reached = []
+
+    def undecided(adj, budget, max_nodes=None):
+        reached.append(adj)
+        raise ResourceGuard("node limit")
+
+    monkeypatch.setattr(coloring_module, "solve_coloring", undecided)
+    res = search_periodic(8, max_det=66)
+    assert res.coloring is None
+    # basis -> outcome, for every lattice tried
+    outcomes = dict(entry.split("basis ")[1].split(": ") for entry in res.log)
+    undecided_bases = [basis for basis, outcome in outcomes.items() if outcome.startswith("node")]
+    assert len(reached) == len(undecided_bases) == 6
+    # the six are one orbit, the search's own success lattice among them
+    assert len({_orbit_key(ast.literal_eval(basis)) for basis in undecided_bases}) == 1
+    assert "((7, -5), (33, -33))" in undecided_bases
+    # every skip names a lattice that the clique bound rejected
+    skipped = [outcome for outcome in outcomes.values() if outcome.startswith("symmetric")]
+    assert skipped
+    for outcome in skipped:
+        assert outcomes[outcome.removeprefix("symmetric image of ")] == "clique exceeds 33"
+
+
+def test_an_exhaustive_refutation_covers_its_orbit_within_one_call(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(coloring_module, "solve_coloring", lambda adj, budget, max_nodes=None: None)
+        res = search_periodic(8, max_det=66)
+    assert res.coloring is None
+    refuted = [e for e in res.log if e.endswith("not 33-colorable")]
+    assert refuted == ["det 66 basis ((7, -5), (33, -33)): not 33-colorable"]
+    images = [e for e in res.log if e.endswith("symmetric image of ((7, -5), (33, -33))")]
+    assert len(images) == 5
+    # the next call keeps nothing of it and finds the coloring again
+    again = search_periodic(8, max_det=66)
+    assert again.coloring.basis == ((7, -5), (33, -33))
+    assert again.log == _searched(8).log
 
 
 def _clashing_pairs(coloring, result):
