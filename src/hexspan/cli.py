@@ -34,7 +34,7 @@ from .coloring import (
 from .errors import InputError, ResourceGuard
 from .grid import DISTANCE_BFS_LIMIT, distance_bfs, distance_closed, pairwise_distances
 from .render import render_svg
-from .reuse import run_checks
+from .reuse import _refuse_large_p, run_checks
 from .rings import build_clique, build_ring, build_shell
 from .spans import span_even
 
@@ -139,9 +139,10 @@ def _cmd_check_observations(args) -> int:
     if args.p is not None:
         ps = [args.p]
     else:
-        ps = list(range(args.p_min, args.p_max + 1))
+        ps = range(args.p_min, args.p_max + 1)
         if not ps:
             raise InputError(f"empty p range: --p-min {args.p_min} > --p-max {args.p_max}")
+    _refuse_large_p(ps[-1])  # before any p of the range is checked
     all_ok = True
     reports = []
     for p in ps:
@@ -153,7 +154,7 @@ def _cmd_check_observations(args) -> int:
                 print(f"p={p} {report.check}: {report.verdict}{extra}")
     if args.json:
         print(json.dumps({"schema": SCHEMA, "command": "check-observations",
-                          "p": ps, "verdict": "pass" if all_ok else "fail",
+                          "p": list(ps), "verdict": "pass" if all_ok else "fail",
                           "reports": [r.to_dict() for r in reports]}, sort_keys=True))
     else:
         print(f"overall: {'pass' if all_ok else 'fail'}")

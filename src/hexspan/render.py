@@ -36,13 +36,11 @@ def palette_color(index: int) -> str:
     return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
 
 
-def _hexagon(cx: float, cy: float, radius: float, flip: bool) -> str:
-    pts = []
+def _corners(radius: float, flip: bool) -> list[tuple[float, float]]:
+    """The six corner offsets of a hexagon around its centre."""
     start = 0.0 if not flip else math.pi / 6.0
-    for t in range(6):
-        ang = start + t * math.pi / 3.0
-        pts.append(f"{cx + radius * math.cos(ang):.2f},{cy + radius * math.sin(ang):.2f}")
-    return " ".join(pts)
+    angles = [start + t * math.pi / 3.0 for t in range(6)]
+    return [(radius * math.cos(ang), radius * math.sin(ang)) for ang in angles]
 
 
 def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
@@ -86,18 +84,21 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
         f'<!-- hexspan coloring, l={coloring.l}, {len(cells)} cells -->',
     ]
-    radius = 0.56 * SCALE
+    # corner offsets per handedness and fill per color, computed once
+    corners = [_corners(0.56 * SCALE, flip=hand == 1) for hand in (0, 1)]
+    fill = {color: palette_color(color) for color in set(cells.values())}
+    font = f"{0.38 * SCALE:.1f}"
     for v in sorted(cells):
         px, py = placed[v]
         cx = (px - x0) * SCALE
         cy = height - (py - y0) * SCALE  # svg y grows downward
         color = cells[v]
-        pts = _hexagon(cx, cy, radius, flip=parity(v) == 1)
-        lines.append(f'<polygon points="{pts}" fill="{palette_color(color)}" '
+        pts = " ".join(f"{cx + dx:.2f},{cy + dy:.2f}" for dx, dy in corners[parity(v)])
+        lines.append(f'<polygon points="{pts}" fill="{fill[color]}" '
                      f'stroke="#333333" stroke-width="1"/>')
         if labels:
             lines.append(f'<text x="{cx:.2f}" y="{cy + 0.12 * SCALE:.2f}" '
-                         f'font-size="{0.38 * SCALE:.1f}" text-anchor="middle" '
+                         f'font-size="{font}" text-anchor="middle" '
                          f'font-family="monospace">{color}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

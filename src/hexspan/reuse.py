@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .coloring import window_conflicts
-from .errors import InputError
+from .errors import InputError, ResourceGuard
 from .grid import (Vertex, _to_bits, distance_bfs, distance_closed_array, distance_within,
                    pairwise_distances)
 from .rings import (
@@ -391,9 +391,22 @@ def color_budget_certificate(p: int) -> ObservationReport:
     return report
 
 
+# the largest p the battery takes: on a 2-vCPU Xeon run_checks(24) takes
+# about 13 s and 65 MB, and each step of 4 in p multiplies the time by 3 to 5
+MAX_P = 24
+
+
+def _refuse_large_p(p: int) -> None:
+    """``ResourceGuard`` if p is above ``MAX_P``."""
+    if p > MAX_P:
+        raise ResourceGuard(f"p {p} exceeds the observation battery's limit of {MAX_P}")
+
+
 def run_checks(p: int) -> list[ObservationReport]:
     """The full battery for one p, in a stable order.  The spread checks
-    share the annulus graph of p (see ``_annulus_graph``)."""
+    share the annulus graph of p (see ``_annulus_graph``).
+    ``ResourceGuard``, before any ring is built, if p is above ``MAX_P``."""
+    _refuse_large_p(p)
     return [verify_path_bound(p), verify_corner_reuse(p), verify_noncorner_reuse(p),
             *verify_shell_reuse_all(p), verify_corner_pair_exclusion(p),
             color_budget_certificate(p)]

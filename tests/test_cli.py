@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hexspan.coloring import (
     WindowColoring,
     exact_window_span,
     materialize_window,
+    search_periodic,
     single_coset_coloring,
     window_conflicts,
     write_coloring,
@@ -370,6 +372,57 @@ def test_search_lattice_refuses_l_past_the_bfs_limit(capsys):
         assert "BFS oracle limit of 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, det", [
+    # the default --max-det is 2 * colors + 24
+    (["search-lattice", "8", "--multi-domain", "--colors", "1000000000"], 2000000024),
+    (["search-lattice", "8", "--multi-domain", "--max-det", "2001"], 2001),
+    (["search-lattice", "8", "--max-index", str(10 ** 12)], 10 ** 12),
+    (["search-lattice", "8", "--max-index", "2001"], 2001),
+])
+def test_search_lattice_refuses_a_determinant_past_the_limit(argv, det, monkeypatch, capsys):
+    import hexspan.coloring as coloring
+
+    def fail(*args):
+        raise AssertionError("lattice enumerated")
+
+    monkeypatch.setattr(coloring, "even_sublattices", fail)
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert (f"refused: period lattices up to determinant {det} exceed the limit of 2000"
+            in capsys.readouterr().err)
+
+
+def test_search_lattice_at_the_determinant_limit(capsys):
+    # the limit itself is searched: the single-coset search stops at its
+    # first lattice, and colors above max_det enumerate no lattice at all
+    assert run(["search-lattice", "8", "--max-index", "2000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["colors"] == 38
+    start = time.perf_counter()
+    assert run(["search-lattice", "8", "--multi-domain", "--colors", "1000000000",
+                "--max-det", "2000", "--json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] is False and payload["lattices_tried"] == 0
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["check-observations", "--p", "100000"], 100000),
+    (["check-observations", "--p", "25", "--json"], 25),
+    # a range is refused by its top, before its first p is checked
+    (["check-observations", "--p-min", "4", "--p-max", str(10 ** 12)], 10 ** 12),
+])
+def test_check_observations_refuses_p_past_the_limit(argv, p, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("battery run")
+
+    monkeypatch.setattr(cli, "run_checks", fail)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: p {p} exceeds the observation battery's limit of 24\n"
+
+
 def test_clique_command(capsys):
     # README's example
     assert run(["clique", "5", "--json"]) == 0
@@ -520,6 +573,18 @@ def test_render_is_deterministic(tmp_path):
     one = render_svg(coloring)
     two = render_svg(coloring)
     assert one == two
+
+
+def test_render_output_pinned():
+    # sha256 of the SVG text: the l = 8 search's coloring at the default
+    # tile 3 with labels, and an 11-colour window coloring
+    lattice = search_periodic(8).coloring
+    window = exact_window_span(4, 3, 11).coloring
+    for coloring, digest in (
+            (lattice, "f73cce9535d1aaf3bd699402d54624a376d823e2a6563bdd88dbf4c26a0fa482"),
+            (window, "85d2349f57cd691caf0f7717415d847ef93146592629fd6ffd9721f5cc0fd613")):
+        svg = render_svg(coloring, tile=3, labels=True)
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
 def test_render_malformed_exit_2(tmp_path, capsys):

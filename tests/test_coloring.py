@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 import subprocess
 import sys
@@ -6,7 +7,8 @@ import time
 import tracemalloc
 from dataclasses import astuple
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from hexspan.coloring import (
     _MIRROR,
     _POINT_GROUP,
     _ROTATE,
+    _admissible,
     _image,
     _separation_ok,
     even_sublattices,
@@ -97,6 +100,43 @@ def test_even_sublattice_enumeration_order_and_parity():
     assert len({basis for _, basis in seq}) == len(seq)
 
 
+def test_even_sublattices_start_at_the_least_determinant(monkeypatch):
+    full = list(even_sublattices(90))
+    for least in (0, 1, 33, 34, 35, 90, 91):
+        assert list(even_sublattices(90, least)) == [x for x in full if x[0] >= least]
+    # determinants below the least one are not enumerated at all
+    seen = []
+    divisors = coloring_module._divisors
+    monkeypatch.setattr(coloring_module, "_divisors", lambda n: seen.append(n) or divisors(n))
+    list(even_sublattices(90, 33))
+    assert seen == list(range(17, 46))
+
+
+def test_each_determinant_is_filtered_in_one_call(monkeypatch):
+    expected = _searched(8).log
+    calls = []
+    separation_ok = coloring_module._separation_ok
+    monkeypatch.setattr(coloring_module, "_separation_ok",
+                        lambda bases, l: calls.append(bases) or separation_ok(bases, l))
+    assert search_periodic(8).log == expected
+    # dets 34..66, the last holding the success: one call each, with every
+    # basis of that det in even_sublattices order
+    dets = [2 * n for n in range(17, 34)]
+    assert calls == [[basis for det, basis in even_sublattices(det, det)] for det in dets]
+    # 685 bases; the filter called once per basis stopped at the success,
+    # the 644th, and the 41 after it in det 66 are the price of one pass
+    assert sum(map(len, calls)) == 685
+
+
+def test_lattice_searches_refuse_a_determinant_past_the_limit(monkeypatch):
+    monkeypatch.setattr(coloring_module, "even_sublattices", None)  # never reached
+    for search in (lambda: search_periodic(8, colors=10 ** 9),
+                   lambda: search_periodic(8, max_det=2001),
+                   lambda: search_lattice(8, 2001)):
+        with pytest.raises(ResourceGuard, match="exceed the limit of 2000"):
+            search()
+
+
 def _plain_graph(n, related):
     adj = [0] * n
     for a in range(n):
@@ -113,8 +153,7 @@ def test_conflict_graphs_match_plain_pair_scans():
     # ends are sampled
     cases = []
     for l, min_det in ((4, 0), (4, 22), (6, 0), (8, 0), (8, 66), (10, 96)):
-        admissible = (basis for det, basis in even_sublattices(200)
-                      if det >= min_det and _separation_ok(basis, l))
+        admissible = (basis for det, basis in _admissible(l, min_det, 200))
         cases += [(l, basis) for basis in islice(admissible, 3)]
     # thin domains where every ball wraps its orbits many times: one column
     # (a = 1) and strips two rows high (d = 2); the conflict rule does not
@@ -145,10 +184,34 @@ def _box_scan_separation_ok(basis, l):
     return True
 
 
+def _admits(basis, l):
+    return bool(_separation_ok([basis], l)[0])
+
+
 def test_separation_matches_the_box_scan():
-    for det, basis in even_sublattices(200):
-        for l in range(1, 17):
-            assert _separation_ok(basis, l) == _box_scan_separation_ok(basis, l), (l, basis)
+    # every basis of det <= 200, decided one determinant per call, as the
+    # searches call it
+    groups = [[basis for _, basis in group]
+              for _, group in groupby(even_sublattices(200), key=itemgetter(0))]
+    for l in range(1, 17):
+        for bases in groups:
+            verdicts = _separation_ok(bases, l)
+            assert verdicts.dtype == bool and len(verdicts) == len(bases)
+            assert verdicts.tolist() == [_box_scan_separation_ok(b, l) for b in bases], l
+
+
+def test_separation_verdicts_do_not_depend_on_the_block_size(monkeypatch):
+    # the 252 bases of det 192 at l = 12 (63 lookups each): in blocks of
+    # one basis (below 63 lookups too), of 15 bases with a short last
+    # block, and all 252 at once
+    bases = [basis for det, basis in even_sublattices(192, 192)]
+    assert len(bases) == 252
+    expected = [_box_scan_separation_ok(basis, 12) for basis in bases]
+    assert 0 < sum(expected) < len(bases)
+    for block in (1, 7, 15 * 63, 1 << 20):
+        monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", block)
+        assert _separation_ok(bases, 12).tolist() == expected, block
+    assert _separation_ok([], 12).shape == (0,)
 
 
 def _box_walk_verify_lattice(coloring):
@@ -240,11 +303,27 @@ def test_search_periodic_results_pinned(l, tried, basis, det, colors):
     assert verify_lattice(res.coloring).valid
 
 
+# sha256 of "\n".join(search_periodic(l).log): every lattice tried, in
+# order, with its outcome and the basis each skip names
+SEARCH_LOG_DIGESTS = {
+    8: "5e3ccbf912e53887f9b23a7168c92bd1cdf6895569674868e1fe23fed70406a1",
+    10: "63e41593b08f9dca9d564d3151478a45784cd418fabeff77fcf03ec20edc626d",
+    12: "0484b7f8ae70dbdc53eb118431d6f9b7df2b2fad6150c6e82baed3a68858de47",
+    14: "c34dc27f088657045b4c80bd7929130fb74b15dac93b15318217f0a013fc4764",
+}
+
+
+@pytest.mark.parametrize("l", sorted(SEARCH_LOG_DIGESTS))
+def test_search_periodic_logs_pinned(l):
+    text = "\n".join(_searched(l).log)
+    assert len(_searched(l).log) == _searched(l).lattices_tried
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEARCH_LOG_DIGESTS[l]
+
+
 def _tried_lattices(l):
     # the lattices search_periodic(l) tries, in its order, up to its success
     target = span_even(l).span
-    admissible = (basis for det, basis in even_sublattices(2 * target + 24)
-                  if det >= target and _separation_ok(basis, l))
+    admissible = (basis for det, basis in _admissible(l, target, 2 * target + 24))
     return list(islice(admissible, _searched(l).lattices_tried))
 
 
@@ -343,7 +422,7 @@ def test_symmetric_lattices_have_isomorphic_quotient_graphs(l):
         for g, phi in group.items():
             image = (_image(g, basis[0]), _image(g, basis[1]))
             geo_g = lattice_geometry(image)
-            assert _separation_ok(image, l) and _separation_ok(basis, l)
+            assert _admits(image, l) and _admits(basis, l)
             # the lift maps domain cell u to the domain cell of phi(u)
             to = [x * geo_g.d + y for x, y in (geo_g.canonical(phi(u)) for u in geo.cells())]
             assert sorted(to) == list(range(geo.det))
@@ -355,7 +434,7 @@ def test_symmetric_lattices_have_isomorphic_quotient_graphs(l):
     for det, basis in islice(even_sublattices(120), 0, None, 7):
         for g in _POINT_GROUP:
             image = (_image(g, basis[0]), _image(g, basis[1]))
-            assert _separation_ok(image, l) == _separation_ok(basis, l), (l, basis, g)
+            assert _admits(image, l) == _admits(basis, l), (l, basis, g)
 
 
 def _orbit_key(basis):

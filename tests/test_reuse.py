@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hexspan.errors import ResourceGuard
 from hexspan.grid import distance_closed, pairwise_distances
 from hexspan.reuse import (
     _annulus_graph,
@@ -237,6 +238,20 @@ def test_run_checks_builds_one_spread_graph(p, monkeypatch):
     run_checks(p)
     assert len(pairs) == 6
     assert graphs == [sorted(_annulus(p))]
+
+
+def test_run_checks_refuses_p_past_the_limit(monkeypatch):
+    import hexspan.reuse as reuse
+
+    def fail(*args):
+        raise AssertionError("ring built")
+
+    monkeypatch.setattr(reuse, "build_ring", fail)
+    monkeypatch.setattr(reuse, "ball", fail)
+    for p in (25, 100000, 10 ** 12):
+        with pytest.raises(ResourceGuard, match=f"p {p} exceeds the observation battery's "
+                                                "limit of 24"):
+            run_checks(p)
 
 
 @pytest.mark.parametrize("p", [4, 7])
