@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexspan.errors import InputError
+from hexspan import grid
+from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import (
     bfs_distances,
     distance_bfs,
@@ -335,33 +336,119 @@ def _reference_distance(u, v):
     return int(field[v[0] - u[0] + (reach + 1) // 2, v[1] - u[1] + reach])
 
 
+def _flagged(kind, source, di_max, dj_max, seed):
+    """A stop mask of one kind over the box, None for "none"."""
+    shape = (2 * di_max + 1, 2 * dj_max + 1)
+    if kind == "none":
+        return None
+    mask = np.zeros(shape, dtype=bool)
+    if kind == "source":
+        mask[di_max, dj_max] = True
+    elif kind == "sparse":
+        mask |= np.random.default_rng(seed).random(shape) < 0.05
+    elif kind in ("far", "unreachable"):
+        # one of the last cells reached, or a cell the box cannot reach if
+        # there is one (a one-column box reaches only the source and its
+        # horizontal neighbour): either way the sweep runs out
+        whole = _reference_distance_field(source, di_max, dj_max)
+        unreached = np.argwhere(whole < 0)
+        far = kind == "far" or not len(unreached)
+        mask[tuple(np.unravel_index(whole.argmax(), shape) if far else unreached[0])] = True
+    return mask
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_cells,
        st.integers(0, 7) | st.just(0),
        st.integers(0, 12) | st.just(0),
-       st.sampled_from(["none", "all-false", "source", "sparse", "full-sweep"]),
+       st.sampled_from(["none", "empty", "source", "sparse", "far", "unreachable"]),
        st.integers(0, 2 ** 32 - 1))
 def test_distance_field_is_the_reference_sweep(source, di_max, dj_max, stop, seed):
-    shape = (2 * di_max + 1, 2 * dj_max + 1)
-    mask = None if stop == "none" else np.zeros(shape, dtype=bool)
-    if stop == "source":
-        mask[di_max, dj_max] = True
-    elif stop == "sparse":
-        mask |= np.random.default_rng(seed).random(shape) < 0.05
-    elif stop == "full-sweep":
-        # a cell the box cannot reach if there is one (a one-column box
-        # reaches only the source and its horizontal neighbour), else
-        # one of the last cells reached: either way the sweep runs out
-        whole = _reference_distance_field(source, di_max, dj_max)
-        unreached = np.argwhere(whole < 0)
-        target = unreached[0] if len(unreached) else np.unravel_index(whole.argmax(), shape)
-        mask[tuple(target)] = True
+    mask = _flagged(stop, source, di_max, dj_max, seed)
     expected = _reference_distance_field(source, di_max, dj_max,
                                          None if mask is None else mask.copy())
     got = distance_field(source, di_max, dj_max, stop_mask=mask)
     assert got.dtype == expected.dtype == np.int32
-    assert got.shape == expected.shape == shape
+    assert got.shape == expected.shape == (2 * di_max + 1, 2 * dj_max + 1)
     assert np.array_equal(got, expected)
+
+
+# few boxes, so that the calls of one example share sweeps
+_MEMO_CALL = st.tuples(
+    small_cells,
+    st.sampled_from([(0, 3), (2, 0), (3, 5), (4, 8)]),
+    st.sampled_from(["none", "empty", "source", "sparse", "far", "unreachable"]),
+    st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MEMO_CALL, min_size=1, max_size=12))
+def test_distance_field_memo_in_any_call_order(calls):
+    # calls interleave boxes and handednesses, and each sweep is resumed
+    # or cut where the one before left it; every result is the reference
+    # sweep's, and writing to it never reaches a later call
+    grid._kept_sweep.cache_clear()
+    for source, (di_max, dj_max), kind, seed in calls:
+        if kind == "unreachable":
+            dj_max = 0
+        mask = _flagged(kind, source, di_max, dj_max, seed)
+        expected = _reference_distance_field(source, di_max, dj_max,
+                                             None if mask is None else mask.copy())
+        got = distance_field(source, di_max, dj_max, stop_mask=mask)
+        assert got.dtype == np.int32 and got.flags.writeable
+        assert np.array_equal(got, expected), (source, di_max, dj_max, kind)
+        got[...] = 7
+
+
+def test_one_off_sweep_stops_at_its_target():
+    # a fresh memo: the sweep of bfs_distances' box (reach 41) ends at the
+    # target's level, as an unmemoised sweep would, not at the far corner
+    grid._kept_sweep.cache_clear()
+    assert bfs_distances((0, 0), [(0, 40)]) == {(0, 40): 40}
+    assert grid._kept_sweep.cache_info().currsize == 1
+    sweep = grid._kept_sweep(True, 21, 41)
+    assert sweep.level == 40 and sweep.frontier
+    # a later call that flags a farther cell, (20, 41), resumes it
+    stop = np.zeros((43, 83), dtype=bool)
+    stop[21 + 20, 41 + 41] = True
+    field = distance_field((0, 0), 21, 41, stop_mask=stop)
+    assert grid._kept_sweep.cache_info().currsize == 1
+    assert sweep.level == field[41, 82] == distance_closed((0, 0), (20, 41)) == 61
+    assert np.array_equal(field, _reference_distance_field((0, 0), 21, 41, stop.copy()))
+
+
+def test_large_boxes_are_swept_for_their_call_alone(monkeypatch):
+    monkeypatch.setattr(grid, "_KEPT_CELLS", 11 * 21 - 1)
+    grid._kept_sweep.cache_clear()
+    stop = np.zeros((11, 21), dtype=bool)
+    stop[9, 4] = True
+    for mask in (stop, None, stop):
+        got = distance_field((3, 0), 5, 10, stop_mask=mask)
+        expected = _reference_distance_field((3, 0), 5, 10, None if mask is None else stop.copy())
+        assert np.array_equal(got, expected)
+    assert grid._kept_sweep.cache_info().currsize == 0
+    distance_field((3, 0), 5, 9)  # 11 x 19 cells: kept
+    assert grid._kept_sweep.cache_info().currsize == 1
+
+
+def test_handed_fields_are_the_shared_sweeps():
+    grid._kept_sweep.cache_clear()
+    right, left = grid._handed_fields(6)
+    assert grid._kept_sweep.cache_info().currsize == 2
+    assert right is grid._kept_sweep(True, 3, 6).field() and left is grid._kept_sweep(False, 3, 6).field()
+    assert not right.flags.writeable and not left.flags.writeable
+    assert np.array_equal(right, _reference_distance_field((0, 0), 3, 6))
+    assert np.array_equal(left, _reference_distance_field((1, 0), 3, 6))
+    # distance_within and distance_field read the same two sweeps
+    assert distance_within((5, 1), (4, 3), 6) == 3
+    whole = distance_field((-1, 0), 3, 6)
+    assert grid._kept_sweep.cache_info().currsize == 2
+    assert whole is not left and whole.flags.writeable and np.array_equal(whole, left)
+    # above the BFS limit both refuse before building a sweep
+    for refused in (lambda: grid._handed_fields(1001), lambda: distance_within((0, 0), (0, 1), 1001)):
+        with pytest.raises(ResourceGuard, match="BFS oracle limit of 1000"):
+            refused()
+    assert grid._kept_sweep.cache_info().currsize == 2
 
 
 def test_distance_field_one_column_and_one_row_boxes():
