@@ -86,10 +86,14 @@ def _cmd_ring(args) -> int:
     return 0
 
 
-def _widest(cells) -> int:
+def _widest(cells, center) -> int:
     """Largest distance between two of ``cells``, _BLOCK rows at a time:
-    the whole matrix grows as len(cells)**2."""
-    cells = np.asarray(cells, dtype=np.int64)
+    the whole matrix grows as len(cells)**2.  The cells are measured
+    moved by the even translation, an automorphism, that takes ``center``
+    to (0, 0) or (0, 1), so that int64 holds them whatever the centre."""
+    ci, cj = center
+    cj -= (ci + cj) % 2
+    cells = np.array([(i - ci, j - cj) for i, j in cells], dtype=np.int64)
     return max(int(pairwise_distances(cells[first:first + _BLOCK], cells).max())
                for first in range(0, len(cells), _BLOCK))
 
@@ -103,9 +107,9 @@ def _cmd_clique(args) -> int:
     # no pair is farther apart than 2p (both lie within p of the centre),
     # and a pair at 2p has both cells on ring p: the ring's widest pair
     # decides when it reaches 2p, and only below that is the ball scanned
-    widest = _widest(build_ring(clique.center, args.p).members)
+    widest = _widest(build_ring(clique.center, args.p).members, clique.center)
     if widest < 2 * args.p:
-        widest = _widest(clique.members)
+        widest = _widest(clique.members, clique.center)
     _emit(args, {
         "command": "clique", "p": args.p, "center": list(clique.center),
         "size": len(clique.members), "max_pairwise_distance": widest,

@@ -286,16 +286,31 @@ def even_sublattices(max_det: int, min_det: int = 0):
 # at l = 50
 MAX_DET = 2000
 
+# the most separation-filter lookups a lattice search may need: the bases
+# up to determinant 2N number sum(sigma(n), n <= N) = sum(k * (N // k),
+# k <= N) <= N**2, and each looks up the half-ball, one of each pair +-t
+# of the even offsets within l, 3M(M + 1)/2 for M = l // 2 (ring k holds
+# 3k cells, and the even offsets are the even rings).  The bound of
+# search_lattice(100, 2000), which made 3.15e9 lookups in 49 s, is
+# 10**6 * 3,825 and is accepted; at l = 1000 it is about 100 times that
+MAX_FILTER_LOOKUPS = 4 * 10 ** 9
+
 
 def _admissible(l: int, min_det: int, max_det: int):
     """(det, basis) of each lattice of ``even_sublattices(max_det,
     min_det)`` that passes the separation filter, in that order; the bases
     of one determinant are decided in one ``_separation_ok`` call.
     ``ResourceGuard``, before any lattice is built, if ``max_det`` is above
-    ``MAX_DET``."""
+    ``MAX_DET`` or the filter's lookups may pass ``MAX_FILTER_LOOKUPS``."""
     if max_det > MAX_DET:
         raise ResourceGuard(f"period lattices up to determinant {max_det} exceed the "
                             f"limit of {MAX_DET}")
+    m = l // 2
+    lookups = (max(max_det, 0) // 2) ** 2 * (3 * m * (m + 1) // 2)
+    if lookups > MAX_FILTER_LOOKUPS:
+        raise ResourceGuard(f"period lattices up to determinant {max_det} at l = {l} need up "
+                            f"to {lookups} separation lookups, above the limit of "
+                            f"{MAX_FILTER_LOOKUPS}")
     for det, group in groupby(even_sublattices(max_det, min_det), key=itemgetter(0)):
         bases = [basis for _, basis in group]
         for basis, ok in zip(bases, _separation_ok(bases, l)):

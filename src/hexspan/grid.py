@@ -34,14 +34,14 @@ readers size their boxes by this rule:
 * ``coloring.verify_lattice`` reads the radius-l ball from those fields.
 
 The box is placed relative to the source, so a field depends on its
-source only through the source's handedness.  ``distance_field`` keeps
-one resumable sweep per (handedness, box) in a bounded memo, and a call
-runs it on only as far as it asks: with a stop mask, until every
-flagged cell is reached (never past the level where an unmemoised sweep
-would stop), and a sweep already past that level is read and cut at D,
-the largest distance among the flagged cells.  The oracle criterion's
-1,396 sources thus share two sweeps, and ``distance_within`` reads the
-same memo.
+source only through the source's handedness.  ``distance_field`` sweeps
+a box whole once per handedness and keeps the field in a bounded memo;
+a call with a stop mask copies it and cuts the copy at D, the largest
+distance among the flagged cells, which is where a sweep stopped at
+the flagged cells would leave it.  The oracle criterion's 1,396 sources
+thus share two sweeps, and ``distance_within`` reads the same memo.
+``bfs_distances`` sweeps for its call alone and stops at its targets'
+level, as a far target leaves most of a whole box unread.
 
 ``distance_field`` keeps the w x h box as one Python int, a bitboard:
 bit x*h + y stands for box cell (x, y) = (i - si + di_max, j - sj + dj_max),
@@ -60,9 +60,9 @@ into its unseen neighbours with three shifts:
   or are cleared by the final ``& unseen``.
 
 The distances come out bit-sliced: the cells first reached at level d
-are OR-ed into plane b for every set bit b of d, and when the field is
-read each plane is unpacked once (``np.unpackbits``) and weighted by
-2**b.  Cells never reached hold -1.  A level costs about a dozen big-int
+are OR-ed into plane b for every set bit b of d, and at the end each
+plane is unpacked once (``np.unpackbits``) and weighted by 2**b.
+Cells never reached hold -1.  A level costs about a dozen big-int
 operations, whatever the size of its frontier.
 
 The closed form's westward correction term was calibrated against the
@@ -196,9 +196,10 @@ def distance_bfs(u: Vertex, v: Vertex) -> int:
 def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
     """BFS distances from ``source`` to every cell in ``targets``.
 
-    One ``distance_field`` sweep, stopped once every target is reached,
-    over a box sized by the walk bound in the module docstring.  Keys
-    follow the first appearance of each target.
+    One ``_sweep`` for this call alone, stopped once every target is
+    reached, over a box sized by the walk bound in the module docstring;
+    the memo is neither read nor filled.  Keys follow the first
+    appearance of each target.
     """
     cells = list(dict.fromkeys(targets))
     if not cells:
@@ -210,7 +211,7 @@ def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
     cols = np.array([j - sj + reach for _, j in cells])
     stop = np.zeros((2 * di_max + 1, 2 * reach + 1), dtype=bool)
     stop[rows, cols] = True
-    found = distance_field(source, di_max, reach, stop_mask=stop)[rows, cols]
+    found = _sweep(is_right(source), di_max, reach, _to_bits(stop))[rows, cols]
     if (found < 0).any():
         raise AssertionError(f"BFS sweep from {source} missed a target")
     return dict(zip(cells, found.tolist()))
@@ -236,106 +237,60 @@ def _column_guards(w: int, h: int) -> tuple[int, int, int]:
     return full, full ^ _to_bits(y == h - 1), full ^ _to_bits(y == 0)
 
 
-# The memo keeps up to _SWEEPS sweeps (the reuse battery reads 18: radii
-# 8..24, both handednesses; the oracle criterion 2) of up to _KEPT_CELLS
-# box cells each, enough for distance_within at the BFS limit (1,001 x
-# 2,001 cells).  Larger boxes are swept for their call alone.
+# The memo keeps up to _SWEEPS whole fields (the reuse battery reads 18:
+# radii 8..24, both handednesses; the oracle criterion 2) of up to
+# _KEPT_CELLS box cells each, enough for distance_within at the BFS limit
+# (1,001 x 2,001 cells).  A kept field is int32 only, at most 8.4 MB, so
+# the memo holds at most 268 MB.  Larger boxes are swept for their call
+# alone.
 _SWEEPS = 32
 _KEPT_CELLS = 1 << 21
 
 
-class _Sweep:
-    """One resumable ``distance_field`` sweep of the box |di| <= di_max,
-    |dj| <= dj_max around a source of the given handedness (``east``
-    for right-handed).  It holds the frontier, the unseen cells and the
-    distance planes as bitboards, the level it has reached, and the field
-    at that level, unpacked on first read and read-only.
-
-    A sweep holds about 4 + (b + 2)/8 bytes per box cell, b being the
-    bit length of its level: the int32 field, b planes, the unseen set
-    and the frontier.  b is at most 21 in a kept box, so one kept sweep
-    holds under 15 MB, and the memo at most ``_SWEEPS`` of them, under
-    480 MB; a field of ``distance_within`` at radius 1000 holds about
-    11 MB.  Kept sweeps are shared and advanced in place without a lock:
-    hexspan starts no threads.
-    """
-
-    __slots__ = ("shape", "off_last", "off_first", "frontier", "unseen", "east",
-                 "planes", "level", "_field")
-
-    def __init__(self, east: bool, di_max: int, dj_max: int):
-        w = 2 * di_max + 1
-        h = 2 * dj_max + 1
-        self.shape = (w, h)
-        full, self.off_last, self.off_first = _column_guards(w, h)
-        self.frontier = 1 << (di_max * h + dj_max)
-        self.unseen = full ^ self.frontier
-        self.east = east  # the handedness of every frontier cell
-        self.planes = [0] * (w * h).bit_length()  # planes[b]: cells whose distance has bit b set
-        self.level = 0
-        self._field: np.ndarray | None = None
-
-    def advance(self, waiting: int) -> None:
-        """Sweep on until no cell of ``waiting`` is unseen or the frontier
-        runs dry; a level, once begun, is finished."""
-        frontier, unseen, east, d = self.frontier, self.unseen, self.east, self.level
-        h, off_last, off_first, planes = self.shape[1], self.off_last, self.off_first, self.planes
+def _sweep(east: bool, di_max: int, dj_max: int, waiting: int | None = None) -> np.ndarray:
+    """The ``distance_field`` sweep of the box |di| <= di_max,
+    |dj| <= dj_max around a source of the given handedness (``east`` for
+    right-handed), -1 where unreached.  It stops once no cell of the
+    bitboard ``waiting`` is unseen, finishing that level, or when the
+    frontier runs dry; ``waiting=None`` waits for every cell."""
+    w = 2 * di_max + 1
+    h = 2 * dj_max + 1
+    full, off_last, off_first = _column_guards(w, h)
+    n = w * h
+    frontier = 1 << (di_max * h + dj_max)
+    unseen = full ^ frontier
+    # waiting for every cell, the sweep ends when the box is exhausted,
+    # exactly when the frontier would run dry
+    waiting = (full if waiting is None else waiting) & unseen
+    planes = [0] * n.bit_length()  # planes[b]: cells whose distance has bit b set
+    d = 0
+    while frontier and waiting:
+        d += 1
+        across = frontier << h if east else frontier >> h
+        nxt = ((frontier & off_last) << 1 | (frontier & off_first) >> 1 | across) & unseen
+        unseen ^= nxt
         waiting &= unseen
-        if not (frontier and waiting):
-            return
-        while frontier and waiting:
-            d += 1
-            across = frontier << h if east else frontier >> h
-            nxt = ((frontier & off_last) << 1 | (frontier & off_first) >> 1 | across) & unseen
-            unseen ^= nxt
-            waiting &= unseen
-            b, e = 0, d
-            while e:
-                if e & 1:
-                    planes[b] |= nxt
-                b += 1
-                e >>= 1
-            frontier = nxt
-            east = not east
-        self.frontier, self.unseen, self.east, self.level = frontier, unseen, east, d
-        self._field = None
-
-    def field(self) -> np.ndarray:
-        """The distances found so far, -1 where unreached; read-only."""
-        if self._field is None:
-            n = self.shape[0] * self.shape[1]
-            dist = np.zeros(n, dtype=np.int32)
-            for b in range(self.level.bit_length()):
-                dist |= np.left_shift(_from_bits(self.planes[b], n), b, dtype=np.int32)
-            dist -= _from_bits(self.unseen, n)  # unreached cells are 0 so far
-            dist = dist.reshape(self.shape)
-            dist.setflags(write=False)
-            self._field = dist
-        return self._field
-
-    def farthest(self, cells: int) -> int:
-        """The largest distance among ``cells``, all of them reached (0 if
-        there are none): a bit-sliced maximum, top plane first."""
-        d = 0
-        for b in reversed(range(self.level.bit_length())):
-            top = cells & self.planes[b]
-            if top:
-                cells = top
-                d |= 1 << b
-        return d
-
-    def whole(self) -> np.ndarray:
-        """The field of the box run to exhaustion; read-only."""
-        if self.frontier and self.unseen:
-            self.advance(self.unseen)
-        # read per distance_within lookup: skip the call once unpacked
-        return self._field if self._field is not None else self.field()
+        b, e = 0, d
+        while e:
+            if e & 1:
+                planes[b] |= nxt
+            b += 1
+            e >>= 1
+        frontier = nxt
+        east = not east  # the handedness of every frontier cell
+    dist = np.zeros(n, dtype=np.int32)
+    for b in range(d.bit_length()):
+        dist |= np.left_shift(_from_bits(planes[b], n), b, dtype=np.int32)
+    dist -= _from_bits(unseen, n)  # unreached cells are 0 so far
+    return dist.reshape(w, h)
 
 
 @lru_cache(maxsize=_SWEEPS)
-def _kept_sweep(east: bool, di_max: int, dj_max: int) -> _Sweep:
-    """The memo: one shared sweep per handedness and box."""
-    return _Sweep(east, di_max, dj_max)
+def _whole_field(east: bool, di_max: int, dj_max: int) -> np.ndarray:
+    """The memo: the whole, read-only field of one handedness and box."""
+    field = _sweep(east, di_max, dj_max)
+    field.setflags(write=False)
+    return field
 
 
 def distance_field(source: Vertex, di_max: int, dj_max: int,
@@ -353,9 +308,9 @@ def distance_field(source: Vertex, di_max: int, dj_max: int,
     flagged) then hold -1.  If a flagged cell cannot be reached, the
     whole box is swept.
 
-    The field depends on the source only through its handedness, so the
-    sweep is memoised per (handedness, box) and resumed only as far as a
-    call asks: a sweep already past D is read and cut at D.  The result
+    The field depends on the source only through its handedness, so a
+    box of up to ``_KEPT_CELLS`` cells is swept whole once per
+    handedness and memoised, and a call copies it, cut at D.  The result
     is a fresh, writable array either way.
     """
     di_max, dj_max = operator.index(di_max), operator.index(dj_max)
@@ -367,45 +322,38 @@ def distance_field(source: Vertex, di_max: int, dj_max: int,
         raise InputError(f"stop_mask must be a bool array of shape {shape}")
     east = is_right(source)
     if shape[0] * shape[1] > _KEPT_CELLS:
-        sweep = _Sweep(east, di_max, dj_max)
-    else:
-        sweep = _kept_sweep(east, di_max, dj_max)
-    if stop_mask is None:
-        return sweep.whole().copy()
-    flagged = _to_bits(stop_mask)
-    if flagged & sweep.unseen:
-        # stops at the level of the last flagged cell, or runs out
-        sweep.advance(flagged)
-        return sweep.field().copy()
-    # every flagged cell was reached before: cut the field at the farthest
-    field = sweep.field()
+        return _sweep(east, di_max, dj_max, None if stop_mask is None else _to_bits(stop_mask))
+    field = _whole_field(east, di_max, dj_max)
     out = field.copy()
-    np.copyto(out, -1, where=field > sweep.farthest(flagged))
+    if stop_mask is not None:
+        flagged = field[stop_mask]
+        if (flagged >= 0).all():  # else a stopped sweep runs out: the whole field
+            np.copyto(out, -1, where=field > flagged.max(initial=0))
     return out
 
 
-def _handed_fields(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The whole ``distance_field`` from (0, 0) and from (1, 0) over the
-    box ((radius+1)//2, radius), indexed by ``parity``: the memoised
-    sweeps' own read-only fields."""
+def _handed_field(right: bool, radius: int) -> np.ndarray:
+    """The memoised whole field from (0, 0) (``right``) or from (1, 0)
+    over the box ((radius+1)//2, radius), refused above the BFS limit."""
     if radius > DISTANCE_BFS_LIMIT:
         raise ResourceGuard(f"radius {radius} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
-    di_max = (radius + 1) // 2
-    return _kept_sweep(True, di_max, radius).whole(), _kept_sweep(False, di_max, radius).whole()
+    return _whole_field(right, (radius + 1) // 2, radius)
+
+
+def _handed_fields(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_handed_field`` from (0, 0) and from (1, 0), indexed by ``parity``."""
+    return _handed_field(True, radius), _handed_field(False, radius)
 
 
 def distance_within(u: Vertex, v: Vertex, radius: int) -> int | None:
     """BFS distance from u to v if it is at most ``radius``, else None:
-    the ``_handed_fields`` field of u's handedness, read at v - u."""
+    the ``_handed_field`` of u's handedness, read at v - u."""
     di = v[0] - u[0]
     dj = v[1] - u[1]
     di_max = (radius + 1) // 2
     if abs(di) > di_max or abs(dj) > radius:
         return None
-    # one sweep, not the pair: the reuse battery makes thousands of lookups
-    if radius > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"radius {radius} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
-    d = _kept_sweep((u[0] + u[1]) % 2 == 0, di_max, radius).whole().item(di + di_max, dj + radius)
+    d = _handed_field(is_right(u), radius).item(di + di_max, dj + radius)
     return d if 0 <= d <= radius else None
 
 

@@ -393,6 +393,23 @@ def test_search_lattice_refuses_a_determinant_past_the_limit(argv, det, monkeypa
             in capsys.readouterr().err)
 
 
+def test_search_lattice_refuses_a_filter_past_the_lookup_limit(monkeypatch, capsys):
+    # within the determinant limit, but 823,081 bases each looking up
+    # 375,750 half-ball offsets
+    import hexspan.coloring as coloring
+
+    def fail(*args):
+        raise AssertionError("lattice enumerated")
+
+    monkeypatch.setattr(coloring, "even_sublattices", fail)
+    start = time.perf_counter()
+    assert run(["search-lattice", "1000", "--max-index", "2000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "refused: period lattices up to determinant 2000 at l = 1000 need up to "
+        "375750000000 separation lookups, above the limit of 4000000000\n")
+
+
 def test_search_lattice_at_the_determinant_limit(capsys):
     # the limit itself is searched: the single-coset search stops at its
     # first lattice, and colors above max_det enumerate no lattice at all
@@ -472,6 +489,21 @@ def test_clique_command_refuses_a_diameter_past_the_bfs_limit(monkeypatch, capsy
     monkeypatch.setattr(cli, "build_clique", fail)
     assert run(["clique", "501"]) == 3
     assert "BFS oracle limit of 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("center", [(10 ** 20, 0), (10 ** 20 + 1, -7), (-10 ** 20, 2 ** 70 + 1)])
+def test_clique_command_at_a_center_past_int64(center, capsys):
+    # the widest pair is measured on the cells moved by an even translation
+    # towards the origin; the members are printed where they are
+    ci, cj = center
+    near = (0, (ci + cj) % 2)
+    assert run(["clique", "2", "--center", str(near[0]), str(near[1]), "--json"]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    assert run(["clique", "2", "--center", str(ci), str(cj), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["center"] == [ci, cj] and payload["max_pairwise_distance"] == 4
+    shift = (ci - near[0], cj - near[1])
+    assert payload["members"] == [[i + shift[0], j + shift[1]] for i, j in expected["members"]]
 
 
 def test_clique_command_at_p_300(capsys):

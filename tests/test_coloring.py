@@ -137,6 +137,22 @@ def test_lattice_searches_refuse_a_determinant_past_the_limit(monkeypatch):
             search()
 
 
+def test_lattice_searches_refuse_a_filter_past_the_lookup_limit(monkeypatch):
+    # (2000 // 2)**2 bases times 3M(M + 1)/2 half-ball offsets, M = l // 2:
+    # 3,978 at l = 103 is accepted, 4,134 at l = 104 refused, as is l = 1000
+    monkeypatch.setattr(coloring_module, "even_sublattices", lambda *args: iter(()))
+    assert search_lattice(100, 2000) is None
+    assert search_lattice(103, 2000) is None
+    assert search_lattice(1000, -2000) is None  # no bases at all
+    for search in (lambda: search_lattice(104, 2000),
+                   lambda: search_lattice(1000, 2000),
+                   lambda: search_periodic(104, colors=1000, max_det=2000)):
+        with pytest.raises(ResourceGuard, match="4134000000 separation lookups|375750000000 "
+                                                "separation lookups") as exc:
+            search()
+        assert "above the limit of 4000000000" in str(exc.value)
+
+
 def _plain_graph(n, related):
     adj = [0] * n
     for a in range(n):

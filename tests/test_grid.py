@@ -373,7 +373,7 @@ def test_distance_field_is_the_reference_sweep(source, di_max, dj_max, stop, see
     assert np.array_equal(got, expected)
 
 
-# few boxes, so that the calls of one example share sweeps
+# few boxes, so that the calls of one example share memoised fields
 _MEMO_CALL = st.tuples(
     small_cells,
     st.sampled_from([(0, 3), (2, 0), (3, 5), (4, 8)]),
@@ -384,10 +384,10 @@ _MEMO_CALL = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_MEMO_CALL, min_size=1, max_size=12))
 def test_distance_field_memo_in_any_call_order(calls):
-    # calls interleave boxes and handednesses, and each sweep is resumed
-    # or cut where the one before left it; every result is the reference
-    # sweep's, and writing to it never reaches a later call
-    grid._kept_sweep.cache_clear()
+    # calls interleave boxes and handednesses and share the memoised
+    # fields; every result is the reference sweep's, and writing to it
+    # never reaches a later call
+    grid._whole_field.cache_clear()
     for source, (di_max, dj_max), kind, seed in calls:
         if kind == "unreachable":
             dj_max = 0
@@ -400,55 +400,69 @@ def test_distance_field_memo_in_any_call_order(calls):
         got[...] = 7
 
 
-def test_one_off_sweep_stops_at_its_target():
-    # a fresh memo: the sweep of bfs_distances' box (reach 41) ends at the
-    # target's level, as an unmemoised sweep would, not at the far corner
-    grid._kept_sweep.cache_clear()
+def test_one_off_sweep_stops_at_its_target(monkeypatch):
+    # bfs_distances sweeps its box (reach 41) for its call alone and ends
+    # at the target's level, as the reference sweep does, not at the far
+    # corner; the memo is neither read nor filled
+    grid._whole_field.cache_clear()
+    levels = []
+    kernel = grid._sweep
+
+    def counted(*args):
+        field = kernel(*args)
+        levels.append(int(field.max()))
+        return field
+
+    monkeypatch.setattr(grid, "_sweep", counted)
     assert bfs_distances((0, 0), [(0, 40)]) == {(0, 40): 40}
-    assert grid._kept_sweep.cache_info().currsize == 1
-    sweep = grid._kept_sweep(True, 21, 41)
-    assert sweep.level == 40 and sweep.frontier
-    # a later call that flags a farther cell, (20, 41), resumes it
+    assert levels == [40] and grid._whole_field.cache_info().currsize == 0
+    # distance_field sweeps the same box whole, once, into the memo, and a
+    # call flagging a farther cell, (20, 41), cuts its copy there
     stop = np.zeros((43, 83), dtype=bool)
     stop[21 + 20, 41 + 41] = True
-    field = distance_field((0, 0), 21, 41, stop_mask=stop)
-    assert grid._kept_sweep.cache_info().currsize == 1
-    assert sweep.level == field[41, 82] == distance_closed((0, 0), (20, 41)) == 61
-    assert np.array_equal(field, _reference_distance_field((0, 0), 21, 41, stop.copy()))
+    for _ in range(2):
+        field = distance_field((0, 0), 21, 41, stop_mask=stop)
+        assert field.max() == field[41, 82] == distance_closed((0, 0), (20, 41)) == 61
+        assert np.array_equal(field, _reference_distance_field((0, 0), 21, 41, stop.copy()))
+    assert len(levels) == 2 and levels[1] > 61
+    assert grid._whole_field.cache_info().currsize == 1
+    # a memoised box is still swept afresh by bfs_distances
+    assert bfs_distances((2, 0), [(2, 40)]) == {(2, 40): 40}
+    assert levels[2:] == [40] and grid._whole_field.cache_info().currsize == 1
 
 
 def test_large_boxes_are_swept_for_their_call_alone(monkeypatch):
     monkeypatch.setattr(grid, "_KEPT_CELLS", 11 * 21 - 1)
-    grid._kept_sweep.cache_clear()
+    grid._whole_field.cache_clear()
     stop = np.zeros((11, 21), dtype=bool)
     stop[9, 4] = True
     for mask in (stop, None, stop):
         got = distance_field((3, 0), 5, 10, stop_mask=mask)
         expected = _reference_distance_field((3, 0), 5, 10, None if mask is None else stop.copy())
         assert np.array_equal(got, expected)
-    assert grid._kept_sweep.cache_info().currsize == 0
+    assert grid._whole_field.cache_info().currsize == 0
     distance_field((3, 0), 5, 9)  # 11 x 19 cells: kept
-    assert grid._kept_sweep.cache_info().currsize == 1
+    assert grid._whole_field.cache_info().currsize == 1
 
 
 def test_handed_fields_are_the_shared_sweeps():
-    grid._kept_sweep.cache_clear()
+    grid._whole_field.cache_clear()
     right, left = grid._handed_fields(6)
-    assert grid._kept_sweep.cache_info().currsize == 2
-    assert right is grid._kept_sweep(True, 3, 6).field() and left is grid._kept_sweep(False, 3, 6).field()
+    assert grid._whole_field.cache_info().currsize == 2
+    assert right is grid._whole_field(True, 3, 6) and left is grid._whole_field(False, 3, 6)
     assert not right.flags.writeable and not left.flags.writeable
     assert np.array_equal(right, _reference_distance_field((0, 0), 3, 6))
     assert np.array_equal(left, _reference_distance_field((1, 0), 3, 6))
-    # distance_within and distance_field read the same two sweeps
+    # distance_within and distance_field read the same two fields
     assert distance_within((5, 1), (4, 3), 6) == 3
     whole = distance_field((-1, 0), 3, 6)
-    assert grid._kept_sweep.cache_info().currsize == 2
+    assert grid._whole_field.cache_info().currsize == 2
     assert whole is not left and whole.flags.writeable and np.array_equal(whole, left)
-    # above the BFS limit both refuse before building a sweep
+    # above the BFS limit both refuse before sweeping
     for refused in (lambda: grid._handed_fields(1001), lambda: distance_within((0, 0), (0, 1), 1001)):
         with pytest.raises(ResourceGuard, match="BFS oracle limit of 1000"):
             refused()
-    assert grid._kept_sweep.cache_info().currsize == 2
+    assert grid._whole_field.cache_info().currsize == 2
 
 
 def test_distance_field_one_column_and_one_row_boxes():
@@ -536,7 +550,7 @@ def test_bfs_distances_guard_survives_optimize_flag():
     code = (
         "import numpy as np\n"
         "import hexspan.grid as grid\n"
-        "grid.distance_field = lambda source, di_max, dj_max, stop_mask=None: "
+        "grid._sweep = lambda east, di_max, dj_max, waiting=None: "
         "np.full((2 * di_max + 1, 2 * dj_max + 1), -1, dtype=np.int32)\n"
         "try:\n"
         "    grid.distance_bfs((0, 0), (3, 2))\n"
