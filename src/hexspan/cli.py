@@ -3,7 +3,9 @@
 Exit codes follow one contract everywhere: 0 success or pass, 1 a
 verification failed or a bound was not attained, 2 usage or parse
 error (``InputError``, ``ColoringFormatError``, a file that cannot be
-read or written), 3 resource-guard refusal, 4 an internal check failed
+read or written), 3 resource-guard refusal (a multi-domain search that
+found nothing after giving up on a lattice at the node limit is
+undecided, so it exits 3 too), 4 an internal check failed
 or any other exception (a bug in the package, such as a spread witness
 the BFS recheck rejects).  Every subcommand takes --json for
 machine-readable output with a schema-version field.
@@ -171,12 +173,17 @@ def _cmd_search_lattice(args) -> int:
         target = result.target
         coloring = result.coloring
         payload = {"command": "search-lattice", "l": args.l, "target": target,
-                   "mode": result.mode, "lattices_tried": result.lattices_tried}
+                   "mode": result.mode, "lattices_tried": result.lattices_tried,
+                   "undecided": result.undecided}
         if coloring is None:
-            _emit(args, {**payload, "found": False},
-                  f"no periodic coloring with {target} colors found "
-                  f"(examined {result.lattices_tried} lattices)")
-            return 1
+            text = (f"no periodic coloring with {target} colors found "
+                    f"(examined {result.lattices_tried} lattices)")
+            if result.undecided:
+                # a lattice skipped at the node limit may still be colorable
+                text += (f"; undecided: {result.undecided} lattices skipped at the "
+                         "node limit")
+            _emit(args, {**payload, "found": False}, text)
+            return 3 if result.undecided else 1
         payload.update({"found": True, "colors": coloring.color_count,
                         "det": coloring.det,
                         "basis": [list(t) for t in coloring.basis]})

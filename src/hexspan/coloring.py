@@ -257,8 +257,7 @@ def _separation_ok(bases: list[tuple[Vertex, Vertex]], l: int) -> np.ndarray:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [k for k in range(1, n + 1) if n % k == 0]
-    return out
+    return [k for k in range(1, n + 1) if n % k == 0]
 
 
 def even_sublattices(max_det: int, min_det: int = 0):
@@ -367,14 +366,6 @@ def _bfs_ball(l: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
-def _turn(bits: int, k: int, d: int, low: int) -> int:
-    """``bits`` with every block of d bits rotated up by k, 0 <= k < d: bit
-    y of a block moves to bit (y + k) mod d.  ``low`` holds bit 0 of every
-    block."""
-    stay = ((1 << (d - k)) - 1) * low
-    return ((bits & stay) << k) | ((bits & ~stay) >> (d - k))
-
-
 def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     """Bitmask conflict graph over the fundamental domain of a lattice of
     even translations.
@@ -382,30 +373,33 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     Domain cells u and v conflict iff some cell within distance l of u
     lies in the orbit of v: the orbit table of u's row, with the
     ring-formula ball offsets of its handedness, lists v.  The rule is
-    exact, and symmetric because the lattice acts by automorphisms.
-
-    Only the rows of (0, 0) and (0, 1) are read off the orbit table.  An
-    even translation t is an automorphism that permutes the domain by
-    v -> canonical(v + t), so the row of cell (x, y), of handedness h, is
-    the row of (0, h) moved by t = (x, y - h).  In the (a, b, d) layout
-    that moves block w of d bits (the cells (w, *)) to block
-    (w + x) mod a, rotated by (y - h - s*b) mod d, s = (w + x) // a."""
+    exact, and symmetric because the lattice acts by automorphisms.  Every
+    row is read, in blocks of rows of at most ``_BLOCK_LOOKUPS`` lookups."""
     a, b, d, n = geo.a, geo.b, geo.d, geo.det
     if (a + b) % 2 or d % 2:
         raise InputError(f"{geo} is not a lattice of even translations")
-    low = ((1 << n) - 1) // ((1 << d) - 1)
-    adj = [0] * n
-    for h, offsets in enumerate(_ball_offsets(l)):
-        related = np.zeros((1, n), dtype=bool)
-        related[0, _orbit_index(geo, np.array([h]), offsets)] = True
-        row = bitmask_graph(related, h)[0]  # (0, h) has domain index h
-        wrapped = _turn(row, -b % d, d, low)
-        for x in range(a):
-            head = (a - x) * d  # blocks w < a - x keep s = 0
-            moved = ((row & ((1 << head) - 1)) << (x * d)) | (wrapped >> head)
-            for y in range((x + h) % 2, d, 2):
-                adj[x * d + y] = _turn(moved, (y - h) % d, d, low)
+    step = max(1, _BLOCK_LOOKUPS // ball_size(l))
+    adj: list[int] = []
+    for first in range(0, n, step):
+        u = np.arange(first, min(first + step, n))
+        related = np.zeros((len(u), n), dtype=bool)
+        for hand, offsets in enumerate(_ball_offsets(l)):
+            mine = np.flatnonzero(parity(np.divmod(u, d)) == hand)
+            related[mine[:, None], _orbit_index(geo, u[mine], offsets)] = True
+        adj += bitmask_graph(related, first)
     return adj
+
+
+def _covered(geo: LatticeGeometry, l: int) -> bool:
+    """True iff the quotient graph is complete: the radius-l ball around
+    (0, 0) meets all det orbits.  Each orbit-table row lists its own cell,
+    and even translations permute the orbits, carrying (0, 0) to every
+    right-handed cell and (1, 0) to every left-handed one.  The inversion
+    (i, j) -> (1 - i, -j), a grid automorphism that swaps handedness,
+    takes the ball around (0, 0) onto that around (1, 0) and orbits onto
+    orbits (-L = L), so this one row decides every row."""
+    row = _orbit_index(geo, np.zeros(1, dtype=np.int64), _ball_offsets(l)[0])
+    return bool(np.bincount(row.ravel(), minlength=geo.det).all())
 
 
 def _image(g: tuple[Vertex, Vertex], t: Vertex) -> Vertex:
@@ -451,46 +445,48 @@ def _orbit(basis: tuple[Vertex, Vertex]) -> set[LatticeGeometry]:
 
 @dataclass
 class PeriodicSearchResult:
-    """Outcome of a periodic-coloring search: the coloring (or None),
-    its ``LatticeColoring.mode`` ("none" without one), and a search
-    trace."""
+    """Outcome of a periodic-coloring search: the coloring (or None), its
+    ``LatticeColoring.mode`` ("none" without one), a search trace, and the
+    lattices skipped at the node limit, which leave a search undecided."""
 
     l: int
     target: int
     coloring: LatticeColoring | None
     mode: str  # "single-coset" | "multi-domain" | "none"
     lattices_tried: int = 0
+    undecided: int = 0
     log: list = field(default_factory=list)
 
 
 def search_periodic(l: int, colors: int | None = None,
                     max_det: int | None = None) -> PeriodicSearchResult:
     """Verified periodic coloring with at most ``colors`` colors (default:
-    the span of even l): for each admissible period lattice of
-    determinant ``colors`` to ``max_det`` (default 2 * colors + 24), in
-    ``even_sublattices`` order, solve the quotient coloring exactly with
-    the color budget, giving up on a lattice after 5,000,000 search
-    nodes.  The first success wins, which keeps the search deterministic.
+    the span of even l): for each admissible period lattice (one that
+    passes the separation filter, decided per determinant by
+    ``_separation_ok``) of determinant ``colors`` to ``max_det`` (default
+    2 * colors + 24), in ``even_sublattices`` order, solve the quotient
+    coloring exactly with the color budget, giving up on a lattice after
+    5,000,000 search nodes.  The first success wins, which keeps the
+    search deterministic.  ``ResourceGuard``, before any lattice is built,
+    if ``max_det`` is above ``MAX_DET``.
 
-    A lattice is admissible if it passes the separation filter; the
-    filter decides all bases of one determinant in one ``_separation_ok``
-    call, and no determinant below ``colors`` is enumerated.
-    ``ResourceGuard``, before any lattice is built, if ``max_det`` is
-    above ``MAX_DET``.
+    A lattice of det above ``colors`` with a complete quotient graph
+    (``_covered``) is a clique of det cells, rejected without building the
+    graph: at the span of even l = 8..40 only the success lattice's graph
+    is built.  Other graphs face ``greedy_clique``, then DSATUR.  Both
+    rejections log "clique exceeds" the target.
 
     Lattices that the point group of the grid (``_point_group``) maps onto
     each other have isomorphic quotient graphs, so a lattice whose image
-    was proven not colorable earlier in the same call, by the clique
-    bound or by an exhaustive DSATUR search, is skipped.  It still counts
-    in ``lattices_tried``, and its log line reads "symmetric image of" the
-    rejected basis.  A node-limit skip proves nothing and is never reused;
-    nothing is kept from one call to the next.
+    was proven not colorable earlier in the same call (by a clique or an
+    exhaustive DSATUR search) is skipped; it counts in ``lattices_tried``
+    and logs "symmetric image of" the rejected basis.  A node-limit skip
+    proves nothing and is never reused; no call keeps anything.
 
     If ``colors`` is the smallest admissible determinant, the first
-    lattice is ``search_lattice``'s, and its quotient graph is complete
-    (checked for l = 1..30, not proved): every orbit comes within l of
-    every cell.  DSATUR, all saturations and degrees tied, then gives the
-    cells new colors in domain order, as ``single_coset_coloring`` does.
+    lattice is ``search_lattice``'s; its quotient graph is complete
+    (checked for l = 1..30), so DSATUR, all saturations and degrees tied,
+    colors the cells in domain order, as ``single_coset_coloring`` does.
     """
     target = span_even(l).span if colors is None else colors
     if l < 1:
@@ -510,14 +506,15 @@ def search_periodic(l: int, colors: int | None = None,
         if geo in rejected:
             result.log.append(f"{line}: symmetric image of {rejected[geo]}")
             continue
-        adj = quotient_conflicts(geo, l)
-        if len(greedy_clique(adj, exceed=target)) > target:
+        adj = None if det > target and _covered(geo, l) else quotient_conflicts(geo, l)
+        if adj is None or len(greedy_clique(adj, exceed=target)) > target:
             result.log.append(f"{line}: clique exceeds {target}")
             rejected.update(dict.fromkeys(_orbit(basis), basis))
             continue
         try:
             solution = solve_coloring(adj, target, max_nodes=5_000_000)
         except ResourceGuard:
+            result.undecided += 1
             result.log.append(f"{line}: node limit, skipped")
             continue
         if solution is None:

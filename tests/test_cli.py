@@ -545,6 +545,29 @@ def test_search_lattice_mode_names_the_coloring(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "lattice (single-coset)"
 
 
+def test_search_lattice_undecided_is_not_refuted(monkeypatch, capsys):
+    # every lattice that reaches DSATUR hits the node limit: the search
+    # proves nothing about them, so it exits 3 and counts them
+    def undecided(adj, budget, max_nodes=None):
+        raise ResourceGuard("node limit")
+
+    monkeypatch.setattr("hexspan.coloring.solve_coloring", undecided)
+    argv = ["search-lattice", "8", "--multi-domain", "--max-det", "66"]
+    assert run(argv + ["--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] is False and payload["undecided"] == 6
+    assert payload["lattices_tried"] == 181
+    assert run(argv) == 3
+    assert capsys.readouterr().out == (
+        "no periodic coloring with 33 colors found (examined 181 lattices); "
+        "undecided: 6 lattices skipped at the node limit\n")
+    # a search that decides every lattice and finds none still exits 1
+    assert run(["search-lattice", "8", "--multi-domain", "--colors", "32",
+                "--max-det", "40", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["found"] is False and payload["undecided"] == 0
+
+
 def test_render_window(tmp_path, capsys):
     coloring = exact_window_span(2, 1, 4).coloring
     src = tmp_path / "w.col"

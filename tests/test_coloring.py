@@ -47,7 +47,6 @@ from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import distance_bfs, distance_closed, neighbors, translate
 from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
-from hexspan.solver import bitmask_graph
 from hexspan.spans import span_even
 
 even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
@@ -162,11 +161,30 @@ def _plain_graph(n, related):
     return adj
 
 
-def test_conflict_graphs_match_plain_pair_scans():
-    # reference graphs built pair by pair over a box of lattice vectors,
-    # with no numpy, no ball and no bitmask_graph; the admissible lattices
-    # below det 22 (l = 4) and det 66 (l = 8) give complete graphs, so both
-    # ends are sampled
+def _pair_scan_quotient(geo, l):
+    # the quotient graph pair by pair over a box of lattice vectors, with
+    # no numpy, no ball and no bitmask_graph.  The even translation s that
+    # takes u to (h, 0), h its handedness, keeps distances, so u and v
+    # conflict iff (h, 0) comes within l of the orbit of v - s: one scan of
+    # the box per handedness and orbit
+    cells = geo.cells()
+    lam = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
+
+    @lru_cache(maxsize=None)
+    def near(h, w):
+        return any(distance_closed((h, 0), translate(w, t)) <= l for t in lam)
+
+    def related(a, b):
+        (x, y), (p, q) = cells[a], cells[b]
+        h = (x + y) % 2
+        return near(h, geo.canonical((p - x + h, q - y)))
+
+    return _plain_graph(len(cells), related)
+
+
+def test_conflict_graphs_match_plain_pair_scans(monkeypatch):
+    # the admissible lattices below det 22 (l = 4) and det 66 (l = 8) give
+    # complete graphs, so both ends are sampled
     cases = []
     for l, min_det in ((4, 0), (4, 22), (6, 0), (8, 0), (8, 66), (10, 96)):
         admissible = (basis for det, basis in _admissible(l, min_det, 200))
@@ -177,11 +195,18 @@ def test_conflict_graphs_match_plain_pair_scans():
     cases += [(10, ((1, 1), (0, 24))), (10, ((12, 0), (0, 2))), (6, ((11, 1), (0, 2)))]
     for l, basis in cases:
         geo = lattice_geometry(basis)
-        cells = geo.cells()
-        lam = geo.points_in_box(geo.a + l + 2, geo.d + geo.b + l + 2)
-        expected = _plain_graph(len(cells), lambda a, b: any(
-            distance_closed(cells[a], translate(cells[b], t)) <= l for t in lam))
+        expected = _pair_scan_quotient(geo, l)
         assert quotient_conflicts(geo, l) == expected, (l, basis)
+        # one row per block: every block boundary, both handednesses
+        with monkeypatch.context() as m:
+            m.setattr(coloring_module, "_BLOCK_LOOKUPS", 1)
+            assert quotient_conflicts(geo, l) == expected, (l, basis)
+    # sparse quotients at small l up to det 120, admissible or not, among
+    # them more columns and strips (a = 1, d = 2 and d = 4)
+    for l in (4, 6):
+        for det, basis in islice(even_sublattices(120), 0, None, 41):
+            geo = lattice_geometry(basis)
+            assert quotient_conflicts(geo, l) == _pair_scan_quotient(geo, l), (l, basis)
     cells = ball((0, 0), 5)
     n = len(cells)
     assert window_conflicts(cells, 4) == _plain_graph(
@@ -298,8 +323,37 @@ def _pairwise_verify_window(coloring):
 
 
 @lru_cache(maxsize=None)
+def _searched_and_graphs(l):
+    # search_periodic(l), and how many quotient graphs it built
+    built = []
+
+    def counting(geo, l_):
+        built.append(geo)
+        return quotient_conflicts(geo, l_)
+
+    with mock.patch.object(coloring_module, "quotient_conflicts", counting):
+        return search_periodic(l), len(built)
+
+
 def _searched(l):
-    return search_periodic(l)
+    return _searched_and_graphs(l)[0]
+
+
+def _rule_basis(l):
+    # the closed-form lattice of even l: t1 = (1 + c, 1 - c), t2 = (S, -S),
+    # S the span, c = 3l/4 for l = 0 mod 4 and 3l/2 + 2 for l = 2 mod 4
+    s = span_even(l).span
+    c = 3 * l // 4 if l % 4 == 0 else 3 * l // 2 + 2
+    return ((1 + c, 1 - c), (s, -s))
+
+
+def _assert_search_pinned(l, tried, basis, det, colors):
+    res = _searched(l)
+    assert res.lattices_tried == tried
+    assert res.coloring.basis == basis == _rule_basis(l)
+    assert res.coloring.det == det == 2 * colors
+    assert res.coloring.color_count == colors == span_even(l).span
+    assert verify_lattice(res.coloring).valid
 
 
 @pytest.mark.parametrize("l, tried, basis, det, colors", [
@@ -310,13 +364,31 @@ def _searched(l):
     (14, 1073, ((24, -22), (88, -88)), 176, 88),
     (16, 1812, ((13, -11), (113, -113)), 226, 113),
     (18, 2681, ((30, -28), (140, -140)), 280, 140),
+    (20, 4073, ((16, -14), (171, -171)), 342, 171),
+    (22, 5652, ((36, -34), (204, -204)), 408, 204),
+    (24, 8046, ((19, -17), (241, -241)), 482, 241),
 ])
 def test_search_periodic_results_pinned(l, tried, basis, det, colors):
-    res = _searched(l)
-    assert res.lattices_tried == tried
-    assert res.coloring.basis == basis
-    assert res.coloring.det == det and res.coloring.color_count == colors
-    assert verify_lattice(res.coloring).valid
+    _assert_search_pinned(l, tried, basis, det, colors)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("l, tried", [
+    (26, 10604), (28, 14196), (30, 18237), (32, 23521),
+    (34, 29314), (36, 36832), (38, 44958), (40, 55105),
+])
+def test_search_periodic_results_pinned_up_to_l40(l, tried):
+    s = span_even(l).span
+    _assert_search_pinned(l, tried, _rule_basis(l), 2 * s, s)
+
+
+@pytest.mark.parametrize("l", range(8, 25, 2))
+def test_search_periodic_builds_one_quotient_graph(l):
+    # every lattice rejected before the success has a complete quotient
+    # graph, decided from one orbit row, and the others tried are images of
+    # those under the point group: only the success's graph is built
+    res, graphs = _searched_and_graphs(l)
+    assert res.coloring is not None and graphs == 1
 
 
 # sha256 of "\n".join(search_periodic(l).log): every lattice tried, in
@@ -343,33 +415,31 @@ def _tried_lattices(l):
     return list(islice(admissible, _searched(l).lattices_tried))
 
 
-def _orbit_table_graph(geo, l):
-    # every row of the orbit table, as quotient_conflicts read it before it
-    # translated two rows
-    n = geo.det
-    rows = np.arange(n)
-    related = np.zeros((n, n), dtype=bool)
-    for hand, offsets in enumerate(coloring_module._ball_offsets(l)):
-        block = rows[(rows // geo.d + rows % geo.d) % 2 == hand]
-        related[block[:, None], coloring_module._orbit_index(geo, block, offsets)] = True
-    return bitmask_graph(related)
+def _is_complete(adj):
+    full = (1 << len(adj)) - 1
+    return all(row == full ^ (1 << u) for u, row in enumerate(adj))
 
 
-@pytest.mark.parametrize("l", [8, 10, 12, 14])
-def test_translated_rows_match_the_orbit_table(l):
-    for basis in _tried_lattices(l):
-        geo = lattice_geometry(basis)
-        assert quotient_conflicts(geo, l) == _orbit_table_graph(geo, l), basis
+def _assert_covering_is_completeness(geo, l):
+    complete = _is_complete(quotient_conflicts(geo, l))
+    assert coloring_module._covered(geo, l) == complete
+    # the row of (0, 1), domain index 1, left-handed, agrees with (0, 0)'s
+    row = coloring_module._orbit_index(geo, np.array([1]), coloring_module._ball_offsets(l)[1])
+    assert (len(np.unique(row)) == geo.det) == complete
+    return complete
 
 
-def test_translated_rows_match_the_orbit_table_on_sparse_quotients():
-    # the search's graphs are dense enough that turning the wrapped blocks
-    # the wrong way round (+b for -b) leaves them unchanged; at small l and
-    # large det, admissible or not, it does not
-    for l in (4, 6):
-        for det, basis in islice(even_sublattices(120), 0, None, 9):
-            geo = lattice_geometry(basis)
-            assert quotient_conflicts(geo, l) == _orbit_table_graph(geo, l), (l, basis)
+def test_covering_row_decides_quotient_completeness():
+    verdicts = set()
+    for l in (8, 10, 12, 14):
+        for basis in _tried_lattices(l):
+            verdicts.add(_assert_covering_is_completeness(lattice_geometry(basis), l))
+    # the success lattice is the one incomplete graph of each search
+    assert verdicts == {True, False}
+    for l in (2, 4, 6):
+        verdicts = {_assert_covering_is_completeness(lattice_geometry(basis), l)
+                    for det, basis in even_sublattices(120)}
+        assert verdicts == {True, False}, l
 
 
 def test_quotient_conflicts_refuses_a_lattice_with_odd_vectors():
@@ -471,7 +541,7 @@ def test_a_node_limit_is_never_inherited(monkeypatch):
     # basis -> outcome, for every lattice tried
     outcomes = dict(entry.split("basis ")[1].split(": ") for entry in res.log)
     undecided_bases = [basis for basis, outcome in outcomes.items() if outcome.startswith("node")]
-    assert len(reached) == len(undecided_bases) == 6
+    assert len(reached) == len(undecided_bases) == res.undecided == 6
     # the six are one orbit, the search's own success lattice among them
     assert len({_orbit_key(ast.literal_eval(basis)) for basis in undecided_bases}) == 1
     assert "((7, -5), (33, -33))" in undecided_bases
@@ -654,6 +724,21 @@ def test_search_periodic_colors_is_an_upper_bound():
     # below l = 8 no span is known, so any count up to the target succeeds
     small = search_periodic(4, colors=12).coloring
     assert small.color_count <= 12 and verify_lattice(small).valid
+
+
+def test_below_span_searches_end_without_the_node_limit():
+    # below the span every lattice is rejected; the point-group skip keeps
+    # these fast (about 0.1 s each; 78 s and over 60 s without it)
+    res = search_periodic(10, colors=47)
+    assert res.coloring is None and res.lattices_tried == 815 and res.undecided == 0
+    assert not [e for e in res.log if "node limit" in e]
+    text = "\n".join(res.log)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "241d7274c549a5befddbb81b2758a3a364896252d9e66ab6c356afdcc0989c02")
+    res = search_periodic(11, colors=53)
+    assert res.coloring is None and res.lattices_tried == 1168 and res.undecided == 0
+    assert sum(e.endswith(": clique exceeds 53") for e in res.log) == 220
+    assert sum(": symmetric image of " in e for e in res.log) == 948
 
 
 def test_search_periodic_refuses_fewer_colors_than_the_span(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import random
 import sys
 
@@ -407,10 +408,18 @@ def test_greedy_clique_matches_the_reference_on_the_l8_search(monkeypatch):
 
     monkeypatch.setattr(coloring, "greedy_clique", spy)
     result = coloring.search_periodic(8)
-    # the other 127 lattices tried are symmetric images of rejected ones:
-    # no graph is built for them
+    # the other 127 lattices tried are symmetric images of rejected ones,
+    # and the 35 rejected ones have complete quotient graphs, rejected
+    # without a graph: only the success lattice's graph meets the clique
     assert result.lattices_tried == 163
-    assert len(calls) == 36
-    for adj, exceed in calls:
-        assert exceed == 33
-        assert greedy_clique(adj, exceed=exceed) == _reference_greedy_clique(adj, exceed=exceed)
+    assert len(calls) == 1 and calls[0][1] == 33
+    # the 36 graphs, success included, that are not symmetric images
+    bases = [ast.literal_eval(line.split("basis ")[1].split(":")[0])
+             for line in result.log if "symmetric image of" not in line]
+    assert len(bases) == 36
+    for basis in bases:
+        adj = quotient_conflicts(lattice_geometry(basis), 8)
+        for exceed in (None, 33):
+            assert greedy_clique(adj, exceed=exceed) == _reference_greedy_clique(adj, exceed=exceed)
+    # the last is the success lattice, whose graph the search tested
+    assert calls[0][0] == adj
