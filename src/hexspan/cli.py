@@ -3,9 +3,9 @@
 Exit codes follow one contract everywhere: 0 success or pass, 1 a
 verification failed or a bound was not attained, 2 usage or parse
 error (``InputError``, ``ColoringFormatError``, a file that cannot be
-read or written), 3 resource-guard refusal (a multi-domain search that
-found nothing after giving up on a lattice at the node limit is
-undecided, so it exits 3 too), 4 an internal check failed
+read or written), 3 resource-guard refusal (an exact window stopped at
+the node limit, and a multi-domain search that found nothing after
+giving up on a lattice there, are undecided), 4 an internal check failed
 or any other exception (a bug in the package, such as a spread witness
 the BFS recheck rejects).  Every subcommand takes --json for
 machine-readable output with a schema-version field.
@@ -34,7 +34,7 @@ from .coloring import (
     write_coloring_file,
 )
 from .errors import InputError, ResourceGuard
-from .grid import DISTANCE_BFS_LIMIT, distance_bfs, distance_closed, pairwise_distances
+from .grid import _refuse_past_bfs_limit, distance_bfs, distance_closed, pairwise_distances
 from .render import render_svg
 from .reuse import _refuse_large_p, run_checks
 from .rings import build_clique, build_ring, build_shell
@@ -55,9 +55,7 @@ def _cmd_distance(args) -> int:
     u = (args.i1, args.j1)
     v = (args.i2, args.j2)
     closed = distance_closed(u, v)
-    if closed > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"distance {closed} exceeds the BFS oracle limit of "
-                            f"{DISTANCE_BFS_LIMIT}")
+    _refuse_past_bfs_limit("distance", closed)
     oracle = distance_bfs(u, v)
     _emit(args, {"command": "distance", "u": list(u), "v": list(v),
                  "distance": closed, "bfs": oracle},
@@ -69,9 +67,7 @@ def _refuse_far_ring(k: int) -> None:
     """Rings farther out than the BFS limit are refused, as distances are:
     ring 1000 has 3,000 cells, while `ring 1000000` took more than 3 s
     and `shell 1000000 3` 3.5 s and 820 MB on a 2-vCPU Xeon."""
-    if k > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"ring radius {k} exceeds the BFS oracle limit of "
-                            f"{DISTANCE_BFS_LIMIT}")
+    _refuse_past_bfs_limit("ring radius", k)
 
 
 def _cmd_ring(args) -> int:
@@ -102,9 +98,7 @@ def _widest(cells, center) -> int:
 
 def _cmd_clique(args) -> int:
     # refuse, as `distance` does, a ball whose diameter 2p passes the BFS limit
-    if 2 * args.p > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"clique diameter {2 * args.p} exceeds the BFS oracle limit of "
-                            f"{DISTANCE_BFS_LIMIT}")
+    _refuse_past_bfs_limit("clique diameter", 2 * args.p)
     clique = build_clique((args.center[0], args.center[1]), args.p)
     # no pair is farther apart than 2p (both lie within p of the centre),
     # and a pair at 2p has both cells on ring p: the ring's widest pair
@@ -229,7 +223,7 @@ def _cmd_verify_coloring(args) -> int:
 
 
 def _cmd_exact_window(args) -> int:
-    result = exact_window_span(args.l, args.radius, args.budget, guard=args.guard)
+    result = exact_window_span(args.l, args.radius, args.budget)
     _emit(args, {"command": "exact-window", **result.to_dict()},
           f"l={args.l} radius={args.radius} budget={args.budget}: "
           f"{'feasible' if result.feasible else 'infeasible'} ({result.certificate})")
@@ -241,7 +235,7 @@ def _cmd_exact_window(args) -> int:
 
 
 def _cmd_export_dimacs(args) -> int:
-    text = export_dimacs(args.l, args.radius, guard=args.guard)
+    text = export_dimacs(args.l, args.radius)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     header = next(line for line in text.splitlines() if line.startswith("p "))
@@ -325,14 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("l", type=int)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--guard", type=int, default=200)
     p.add_argument("--out", type=str, default=None)
 
     p = add("export-dimacs", _cmd_export_dimacs, "window power graph in DIMACS format")
     p.add_argument("l", type=int)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--guard", type=int, default=200)
 
     p = add("render", _cmd_render, "render a coloring file to SVG")
     p.add_argument("file", type=str)

@@ -35,9 +35,9 @@ import numpy as np
 
 from .errors import InputError, ResourceGuard
 from .grid import (
-    DISTANCE_BFS_LIMIT,
     Vertex,
     _handed_fields,
+    _refuse_past_bfs_limit,
     distance_closed_array,
     pairwise_distances,
     parity,
@@ -337,9 +337,7 @@ def _ball_offsets(l: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of the radius-l ball around a right-handed cell and around
     a left-handed cell, as (2, m) arrays indexed by ``parity``;
     ``ResourceGuard`` above the BFS oracle's limit, as for ``_bfs_ball``."""
-    if l > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"l {l} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}, "
-                            "which bounds the periodic searches too")
+    _refuse_past_bfs_limit("l", l)
     out = []
     for rep in ((0, 0), (1, 0)):
         offsets = np.array([(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]).T
@@ -466,7 +464,7 @@ def search_periodic(l: int, colors: int | None = None,
     ``_separation_ok``) of determinant ``colors`` to ``max_det`` (default
     2 * colors + 24), in ``even_sublattices`` order, solve the quotient
     coloring exactly with the color budget, giving up on a lattice after
-    5,000,000 search nodes.  The first success wins, which keeps the
+    ``MAX_NODES`` search nodes.  The first success wins, which keeps the
     search deterministic.  ``ResourceGuard``, before any lattice is built,
     if ``max_det`` is above ``MAX_DET``.
 
@@ -512,7 +510,7 @@ def search_periodic(l: int, colors: int | None = None,
             rejected.update(dict.fromkeys(_orbit(basis), basis))
             continue
         try:
-            solution = solve_coloring(adj, target, max_nodes=5_000_000)
+            solution = solve_coloring(adj, target)
         except ResourceGuard:
             result.undecided += 1
             result.log.append(f"{line}: node limit, skipped")
@@ -577,24 +575,33 @@ class WindowSearchResult:
                 "feasible": self.feasible, "certificate": self.certificate}
 
 
-def exact_window_span(l: int, radius: int, budget: int,
-                      guard: int = 200) -> WindowSearchResult:
+MAX_WINDOW_CELLS = 200  # the largest window the tests and benchmark decide has 199
+
+
+def _window(l: int, radius: int) -> list[Vertex]:
+    """The radius window's cells around (0, 0), refused before any is built
+    above the BFS oracle's limit on l or above ``MAX_WINDOW_CELLS`` cells."""
+    if l < 1 or radius < 0:
+        raise InputError(f"l must be >= 1 and radius >= 0, got l={l}, radius={radius}")
+    _refuse_past_bfs_limit("l", l)
+    if ball_size(radius) > MAX_WINDOW_CELLS:
+        raise ResourceGuard(f"window of {ball_size(radius)} cells exceeds the limit of "
+                            f"{MAX_WINDOW_CELLS}")
+    return ball((0, 0), radius)
+
+
+def exact_window_span(l: int, radius: int, budget: int) -> WindowSearchResult:
     """Exact decision: can the radius window be colored with ``budget``
     colors under separation l?  Infeasibility at budget B is a proof
     that the whole grid needs at least B+1 colors.  A coloring found is
     rechecked (cover, budget, ``verify_window``) before it is returned.
 
-    Windows larger than ``guard`` cells are refused before they are
-    built; a refusal is never silently turned into an answer.
+    A window past ``_window``'s limits is refused unbuilt, and a search
+    past ``MAX_NODES`` nodes raises ``ResourceGuard``: undecided, never infeasible.
     """
-    if l < 1 or radius < 0 or budget < 0:
-        raise InputError("l must be >= 1, radius >= 0, budget >= 0")
-    if ball_size(radius) > guard:
-        raise ResourceGuard(
-            f"window of {ball_size(radius)} cells exceeds the guard of {guard}; "
-            "raise the guard explicitly to proceed"
-        )
-    cells = ball((0, 0), radius)
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
+    cells = _window(l, radius)
     adj = window_conflicts(cells, l)
     clique = greedy_clique(adj)
     if len(clique) > budget:
@@ -615,16 +622,10 @@ def exact_window_span(l: int, radius: int, budget: int,
     return WindowSearchResult(l, radius, budget, True, coloring, "explicit coloring")
 
 
-def export_dimacs(l: int, radius: int, guard: int = 200) -> str:
+def export_dimacs(l: int, radius: int) -> str:
     """DIMACS edge-format text of the l-th power graph of the radius
-    window: all window cells, one edge per pair at distance <= l."""
-    if l < 1:
-        raise InputError(f"l must be >= 1, got {l}")
-    if ball_size(radius) > guard:
-        raise ResourceGuard(
-            f"window of {ball_size(radius)} cells exceeds the guard of {guard}"
-        )
-    cells = sorted(ball((0, 0), radius))
+    window (``_window``'s limits): all cells, one edge per pair at distance <= l."""
+    cells = sorted(_window(l, radius))
     edges = bitmask_edges(window_conflicts(cells, l))
     lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
              "c vertex ids map to cells as:"]
@@ -668,9 +669,7 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     ``ResourceGuard`` if l is above the BFS oracle's limit, the bound that
     lattice files have too."""
     l = coloring.l
-    if l > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"l {l} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}, "
-                            "which bounds window verification too")
+    _refuse_past_bfs_limit("l", l)
     cells = sorted(coloring.assignment)
     if not cells:
         return VerifyResult(True, [], 0)

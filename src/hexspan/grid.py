@@ -89,6 +89,13 @@ Vertex = tuple[int, int]
 DISTANCE_BFS_LIMIT = 1000
 
 
+def _refuse_past_bfs_limit(what: str, value: int) -> None:
+    """``ResourceGuard`` if ``value``, the ``what`` of a request, passes
+    ``DISTANCE_BFS_LIMIT``."""
+    if value > DISTANCE_BFS_LIMIT:
+        raise ResourceGuard(f"{what} {value} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
+
+
 def parity(v: Vertex) -> int:
     """0 for right-handed cells (east edge), 1 for left-handed (west edge)."""
     return (v[0] + v[1]) % 2
@@ -335,8 +342,7 @@ def distance_field(source: Vertex, di_max: int, dj_max: int,
 def _handed_field(right: bool, radius: int) -> np.ndarray:
     """The memoised whole field from (0, 0) (``right``) or from (1, 0)
     over the box ((radius+1)//2, radius), refused above the BFS limit."""
-    if radius > DISTANCE_BFS_LIMIT:
-        raise ResourceGuard(f"radius {radius} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
+    _refuse_past_bfs_limit("radius", radius)
     return _whole_field(right, (radius + 1) // 2, radius)
 
 

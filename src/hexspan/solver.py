@@ -203,8 +203,11 @@ def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[in
     return best_size, best_set
 
 
+MAX_NODES = 5_000_000  # per exact coloring; a search stopped there is undecided
+
+
 def solve_coloring(adj: list[int], budget: int,
-                   max_nodes: int | None = None) -> list[int] | None:
+                   max_nodes: int = MAX_NODES) -> list[int] | None:
     """Color the graph with at most ``budget`` colors.
 
     ``adj`` is a bitmask adjacency list (bit u of adj[v] set iff u~v).
@@ -214,8 +217,8 @@ def solve_coloring(adj: list[int], budget: int,
     per colored vertex: the vertex, its color, the colors still to try,
     the number of colors in use before it, and the saturation planes and
     ``blocked`` row it replaced, so undoing a color is restoring them.
-    Every visit to a partial coloring is one node; ``max_nodes`` bounds
-    their number.
+    Every visit to a partial coloring is one node; past ``max_nodes`` the
+    search raises ``ResourceGuard``: undecided, never infeasible.
     """
     n = len(adj)
     if budget < 0:
@@ -234,7 +237,7 @@ def solve_coloring(adj: list[int], budget: int,
     nodes = 0
     while True:
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > max_nodes:
             raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
         if not uncolored:
             return colors

@@ -22,7 +22,7 @@ from hexspan.errors import InputError
 from hexspan.render import render_svg
 from hexspan.grid import pairwise_distances
 from hexspan.rings import ball, build_ring
-from hexspan.solver import ResourceGuard
+from hexspan.solver import ResourceGuard, solve_coloring
 
 
 def test_span_json(capsys):
@@ -174,11 +174,54 @@ def test_exact_window_recheck_reads_no_range_of_the_budget():
 def test_a_huge_window_is_refused_before_it_is_built(command, tmp_path):
     # 1.5e12 cells: building the ball first would never end
     out = tmp_path / "huge.out"
-    proc = _capped("-m", "hexspan", *command, "--radius", "1000000", "--guard", "3",
-                   "--out", str(out))
+    proc = _capped("-m", "hexspan", *command, "--radius", "1000000", "--out", str(out))
     assert proc.returncode == 3, proc.stderr
-    assert "window of 1500001500001 cells exceeds the guard of 3" in proc.stderr
+    assert "window of 1500001500001 cells exceeds the limit of 200" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["exact-window", "4", "--budget", "11"],
+                                     ["export-dimacs", "4"]])
+def test_the_window_guard_option_is_gone(command, tmp_path, capsys):
+    # the window limit is the library's MAX_WINDOW_CELLS, not an option
+    out = tmp_path / "w.out"
+    assert run([*command, "--radius", "3", "--guard", "3", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --guard 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["exact-window", "2000", "--budget", "3"],
+                                     ["exact-window", "2000", "--budget", "4"],
+                                     ["export-dimacs", "2000"]])
+def test_a_window_past_the_bfs_limit_is_refused_before_it_is_built(command, monkeypatch,
+                                                                   tmp_path, capsys):
+    # l = 2000 on the 4-cell window was once decided (budget 3) or solved
+    # and then refused at the recheck (budget 4); now neither starts
+    def fail(*args):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr("hexspan.coloring.ball", fail)
+    monkeypatch.setattr("hexspan.coloring.window_conflicts", fail)
+    out = tmp_path / "far.out"
+    assert run([*command, "--radius", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: l 2000 exceeds the BFS oracle limit of 1000\n"
+    assert not out.exists()
+
+
+def test_exact_window_node_limit_exits_3(monkeypatch, capsys):
+    # the radius-8 window at l = 10, B = 47 (109 cells) runs far past a
+    # small node limit: the stop is a refusal and exit 3 with no verdict,
+    # never "infeasible"
+    monkeypatch.setattr("hexspan.coloring.solve_coloring",
+                        lambda adj, budget: solve_coloring(adj, budget, max_nodes=10_000))
+    with pytest.raises(ResourceGuard, match="exceeded 10000 nodes"):
+        exact_window_span(10, 8, 47)
+    assert run(["exact-window", "10", "--radius", "8", "--budget", "47"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: coloring search exceeded 10000 nodes\n"
 
 
 def test_export_dimacs_clique_counts(tmp_path, capsys):

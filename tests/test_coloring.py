@@ -827,9 +827,18 @@ def test_exact_window_clique_lower_bounds():
 
 
 def test_exact_window_guard_refuses():
-    # radius 12 holds 235 cells, past the default guard of 200
-    with pytest.raises(ResourceGuard):
-        exact_window_span(4, 12, 50, guard=200)
+    # radius 12 holds 235 cells, past MAX_WINDOW_CELLS = 200
+    with pytest.raises(ResourceGuard, match="window of 235 cells exceeds the limit of 200"):
+        exact_window_span(4, 12, 50)
+
+
+def test_the_l8_radius7_window_needs_33_colours():
+    # lambda^8 >= 33 by exhaustive search under the default node limit
+    # (470,836 nodes, pinned in test_solver); with the 33-colour periodic
+    # colouring of search_periodic(8), lambda^8 = 33
+    res = exact_window_span(8, 7, 32)
+    assert not res.feasible and res.coloring is None
+    assert res.certificate == "exhaustive branch and bound"
 
 
 def test_exact_window_monotone_radius():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import random
 import sys
 
@@ -10,6 +11,7 @@ from hexspan import coloring
 from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
 from hexspan.rings import ball
 from hexspan.solver import (
+    MAX_NODES,
     ResourceGuard,
     brute_force_chromatic,
     greedy_clique,
@@ -150,6 +152,7 @@ def test_node_counts_pinned(radius, budget, feasible, nodes):
     (6, 6, 20, True, 8573),
     (6, 8, 20, True, 9211),
     (8, 7, 33, True, 20958),
+    (8, 7, 32, False, 470836),
 ])
 def test_window_node_counts_pinned(l, radius, budget, feasible, nodes):
     # window-sized instances of the exact window decisions
@@ -157,6 +160,12 @@ def test_window_node_counts_pinned(l, radius, budget, feasible, nodes):
     assert (solve_coloring(adj, budget, max_nodes=nodes) is not None) == feasible
     with pytest.raises(ResourceGuard):
         solve_coloring(adj, budget, max_nodes=nodes - 1)
+
+
+def test_the_node_limit_is_one_library_constant():
+    # every exact coloring, window or quotient, stops at the same limit
+    assert MAX_NODES == 5_000_000
+    assert inspect.signature(solve_coloring).parameters["max_nodes"].default == MAX_NODES
 
 
 def test_deep_search_leaves_recursion_limit_alone():
