@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .coloring import (
     _BLOCK,
+    SINGLE_COSET_MAX_DET,
     ColoringFormatError,
     LatticeColoring,
     exact_window_span,
@@ -137,11 +138,15 @@ def _cmd_span(args) -> int:
 
 def _cmd_check_observations(args) -> int:
     if args.p is not None:
+        if args.p_min is not None or args.p_max is not None:
+            raise InputError("--p cannot be combined with --p-min or --p-max")
         ps = [args.p]
     else:
-        ps = range(args.p_min, args.p_max + 1)
+        p_min = 4 if args.p_min is None else args.p_min
+        p_max = 12 if args.p_max is None else args.p_max
+        ps = range(p_min, p_max + 1)
         if not ps:
-            raise InputError(f"empty p range: --p-min {args.p_min} > --p-max {args.p_max}")
+            raise InputError(f"empty p range: --p-min {p_min} > --p-max {p_max}")
     _refuse_large_p(ps[-1])  # before any p of the range is checked
     all_ok = True
     reports = []
@@ -162,46 +167,40 @@ def _cmd_check_observations(args) -> int:
 
 
 def _cmd_search_lattice(args) -> int:
-    if args.multi_domain:
+    periodic = args.multi_domain or args.colors is not None
+    payload = {"command": "search-lattice", "l": args.l}
+    if periodic:
         result = search_periodic(args.l, colors=args.colors, max_det=args.max_det)
-        target = result.target
-        coloring = result.coloring
-        payload = {"command": "search-lattice", "l": args.l, "target": target,
-                   "mode": result.mode, "lattices_tried": result.lattices_tried,
-                   "undecided": result.undecided}
-        if coloring is None:
-            text = (f"no periodic coloring with {target} colors found "
-                    f"(examined {result.lattices_tried} lattices)")
-            if result.undecided:
-                # a lattice skipped at the node limit may still be colorable
-                text += (f"; undecided: {result.undecided} lattices skipped at the "
-                         "node limit")
-            _emit(args, {**payload, "found": False}, text)
-            return 3 if result.undecided else 1
-        payload.update({"found": True, "colors": coloring.color_count,
-                        "det": coloring.det,
-                        "basis": [list(t) for t in coloring.basis]})
+        coloring, undecided = result.coloring, result.undecided
+        payload.update({"target": result.target, "mode": result.mode,
+                        "lattices_tried": result.lattices_tried, "undecided": undecided})
+        text = (f"no periodic coloring with {result.target} colors found "
+                f"(examined {result.lattices_tried} lattices)")
+        if undecided:
+            # a lattice skipped at the node limit may still be colorable
+            text += f"; undecided: {undecided} lattices skipped at the node limit"
+    else:
+        max_det = SINGLE_COSET_MAX_DET if args.max_det is None else args.max_det
+        coloring, undecided = search_lattice(args.l, max_det), 0
+        payload.update({"max_index": max_det, "mode": "single-coset"})
+        text = f"no single-coset lattice with index <= {max_det}"
+    if coloring is None:
+        _emit(args, {**payload, "found": False}, text)
+        return 3 if undecided else 1
+    # both searches return only colorings that verify_lattice accepted
+    payload.update({"found": True, "colors": coloring.color_count,
+                    "basis": [list(t) for t in coloring.basis], "verified": True})
+    if periodic:
+        payload["det"] = coloring.det
         text = (f"{coloring.color_count}-color periodic coloring, mode {result.mode}, "
                 f"period basis {coloring.basis}, domain {coloring.det} cells")
     else:
-        coloring = search_lattice(args.l, args.max_index)
-        payload = {"command": "search-lattice", "l": args.l,
-                   "max_index": args.max_index, "mode": "single-coset"}
-        if coloring is None:
-            _emit(args, {**payload, "found": False},
-                  f"no single-coset lattice with index <= {args.max_index}")
-            return 1
-        payload.update({"found": True, "colors": coloring.color_count,
-                        "basis": [list(t) for t in coloring.basis]})
-        text = (f"{coloring.color_count}-color single-coset coloring, "
-                f"basis {coloring.basis}")
-    check = verify_lattice(coloring)
-    payload["verified"] = check.valid
+        text = f"{coloring.color_count}-color single-coset coloring, basis {coloring.basis}"
     if args.out:
         write_coloring_file(coloring, args.out)
         text += f"; written to {args.out}"
     _emit(args, payload, text)
-    return 0 if check.valid else 1
+    return 0
 
 
 def _cmd_verify_coloring(args) -> int:
@@ -294,21 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check-observations", _cmd_check_observations,
             "verify all reuse bounds and counting certificates")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--p-min", type=int, default=4)
-    p.add_argument("--p-max", type=int, default=12)
+    p.add_argument("--p", type=int, default=None, help="check this p alone")
+    p.add_argument("--p-min", type=int, default=None, help="first p of the range (default: 4)")
+    p.add_argument("--p-max", type=int, default=None, help="last p of the range (default: 12)")
 
     p = add("search-lattice", _cmd_search_lattice, "search periodic colorings")
     p.add_argument("l", type=int)
-    p.add_argument("--max-index", type=int, default=200,
-                   help="single-coset search bound on the color count")
     p.add_argument("--multi-domain", action="store_true",
                    help="periodic search with per-cell color assignments")
     p.add_argument("--colors", type=int, default=None,
-                   help="at most this many colors for --multi-domain "
+                   help="at most this many colors; selects --multi-domain "
                         "(default: span formula)")
     p.add_argument("--max-det", type=int, default=None,
-                   help="largest period-lattice determinant to try")
+                   help="largest period-lattice determinant to try (default: "
+                        f"{SINGLE_COSET_MAX_DET} single-coset, 2 * colors + 24 multi-domain)")
     p.add_argument("--out", type=str, default=None, help="write the coloring file here")
 
     p = add("verify-coloring", _cmd_verify_coloring, "verify a coloring file")

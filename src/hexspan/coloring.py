@@ -39,6 +39,7 @@ from .grid import (
     _handed_fields,
     _refuse_past_bfs_limit,
     distance_closed_array,
+    is_even_translation,
     pairwise_distances,
     parity,
 )
@@ -117,7 +118,7 @@ class LatticeColoring:
 
     def __post_init__(self) -> None:
         for t in self.basis:
-            if (t[0] + t[1]) % 2 != 0:
+            if not is_even_translation(t):
                 raise InputError(f"basis vector {t} is not an even translation")
         self.geometry = lattice_geometry(self.basis)
 
@@ -317,18 +318,28 @@ def _admissible(l: int, min_det: int, max_det: int):
                 yield det, basis
 
 
-def search_lattice(l: int, max_index: int) -> LatticeColoring | None:
+# search_lattice's default determinant bound
+SINGLE_COSET_MAX_DET = 200
+
+
+def search_lattice(l: int, max_det: int = SINGLE_COSET_MAX_DET) -> LatticeColoring | None:
     """Smallest single-coset periodic coloring valid for separation l.
 
     Enumerates sublattices of the even translation lattice in normal
-    form by increasing determinant (= color count) up to ``max_index``
-    and returns the first valid one, or None.  Pure and deterministic.
-    ``ResourceGuard`` if ``max_index`` is above ``MAX_DET``.
+    form by increasing determinant (= color count) up to ``max_det``
+    and returns the first that passes the separation filter, or None.
+    As in ``search_periodic``, ``verify_lattice`` checks the coloring
+    first, and a rejection raises ``AssertionError``.  Pure and
+    deterministic.  ``ResourceGuard`` if ``max_det`` is above ``MAX_DET``.
     """
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    for det, basis in _admissible(l, 0, max_index):
-        return single_coset_coloring(l, basis)
+    for det, basis in _admissible(l, 0, max_det):
+        coloring = single_coset_coloring(l, basis)
+        check = verify_lattice(coloring)
+        if not check.valid:
+            raise AssertionError(f"search produced an invalid coloring: {check.violations[:3]}")
+        return coloring
     return None
 
 
@@ -374,7 +385,7 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     exact, and symmetric because the lattice acts by automorphisms.  Every
     row is read, in blocks of rows of at most ``_BLOCK_LOOKUPS`` lookups."""
     a, b, d, n = geo.a, geo.b, geo.d, geo.det
-    if (a + b) % 2 or d % 2:
+    if not (is_even_translation((a, b)) and is_even_translation((0, d))):
         raise InputError(f"{geo} is not a lattice of even translations")
     step = max(1, _BLOCK_LOOKUPS // ball_size(l))
     adj: list[int] = []
@@ -814,7 +825,7 @@ def read_coloring(text: str) -> LatticeColoring | WindowColoring:
     except ValueError as exc:
         raise ColoringFormatError(1, str(exc))
     for t in basis:
-        if (t[0] + t[1]) % 2 != 0:
+        if not is_even_translation(t):
             raise ColoringFormatError(1, f"lattice vector {t} has odd coordinate sum")
     canonical = {geo.canonical(cell): color for cell, color in cells.items()}
     if len(canonical) != len(cells):

@@ -31,13 +31,7 @@ never returns a wrong verdict.
 planes too, and updates them row by row as the candidates shrink
 instead of recounting every candidate at every pick: a start costs
 O(deg(start) * log deg) word operations on n-bit rows, not
-O(clique size * deg) popcounts.  On the quotient graphs of the
-lattices that ``search_periodic(8/10/12)`` tries and does not skip as
-symmetric images (36, 68 and 126 graphs) that is a third (l = 8) to a
-sixth (l = 12) of the recounting time.  The search itself rejects the
-complete ones from one orbit row and tests only incomplete graphs with
-``greedy_clique``: at the span of even l = 8..24 that is one graph per
-search, and ``search_periodic(8, colors=32, max_det=110)`` tests 147.
+O(clique size * deg) popcounts.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ bracket has a half-open boundary that floating point would get wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -36,15 +36,7 @@ class SpanCertificate:
     parity_case: str
 
     def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "p": self.p,
-            "clique_size": self.clique_size,
-            "extra": self.extra,
-            "span": self.span,
-            "formula_value": self.formula_value,
-            "parity_case": self.parity_case,
-        }
+        return asdict(self)
 
 
 def span_even(l: int) -> SpanCertificate:

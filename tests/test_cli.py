@@ -27,9 +27,13 @@ from hexspan.solver import ResourceGuard, solve_coloring
 
 def test_span_json(capsys):
     assert run(["span", "10", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["schema"] == "hexspan/1"
     assert payload["span"] == 48 and payload["l"] == 10
+    assert out == ('{"clique_size": 46, "command": "span", "extra": 2, "formula_value": 48, '
+                   '"l": 10, "p": 5, "parity_case": "p=2q+1", "schema": "hexspan/1", '
+                   '"span": 48}\n')
 
 
 def test_span_rejects_odd_l(capsys):
@@ -407,7 +411,7 @@ def test_argument_checks_exit_2(tmp_path, capsys):
 
 def test_search_lattice_refuses_l_past_the_bfs_limit(capsys):
     # the ball offsets of the lattice searches grow as l**2
-    for argv in (["search-lattice", "1001", "--max-index", "2"],
+    for argv in (["search-lattice", "1001", "--max-det", "2"],
                  ["search-lattice", "1001", "--multi-domain", "--colors", "5"]):
         start = time.perf_counter()
         assert run(argv) == 3, argv
@@ -419,8 +423,8 @@ def test_search_lattice_refuses_l_past_the_bfs_limit(capsys):
     # the default --max-det is 2 * colors + 24
     (["search-lattice", "8", "--multi-domain", "--colors", "1000000000"], 2000000024),
     (["search-lattice", "8", "--multi-domain", "--max-det", "2001"], 2001),
-    (["search-lattice", "8", "--max-index", str(10 ** 12)], 10 ** 12),
-    (["search-lattice", "8", "--max-index", "2001"], 2001),
+    (["search-lattice", "8", "--max-det", str(10 ** 12)], 10 ** 12),
+    (["search-lattice", "8", "--max-det", "2001"], 2001),
 ])
 def test_search_lattice_refuses_a_determinant_past_the_limit(argv, det, monkeypatch, capsys):
     import hexspan.coloring as coloring
@@ -446,7 +450,7 @@ def test_search_lattice_refuses_a_filter_past_the_lookup_limit(monkeypatch, caps
 
     monkeypatch.setattr(coloring, "even_sublattices", fail)
     start = time.perf_counter()
-    assert run(["search-lattice", "1000", "--max-index", "2000"]) == 3
+    assert run(["search-lattice", "1000", "--max-det", "2000"]) == 3
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "refused: period lattices up to determinant 2000 at l = 1000 need up to "
@@ -456,7 +460,7 @@ def test_search_lattice_refuses_a_filter_past_the_lookup_limit(monkeypatch, caps
 def test_search_lattice_at_the_determinant_limit(capsys):
     # the limit itself is searched: the single-coset search stops at its
     # first lattice, and colors above max_det enumerate no lattice at all
-    assert run(["search-lattice", "8", "--max-index", "2000", "--json"]) == 0
+    assert run(["search-lattice", "8", "--max-det", "2000", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["colors"] == 38
     start = time.perf_counter()
     assert run(["search-lattice", "8", "--multi-domain", "--colors", "1000000000",
@@ -559,11 +563,87 @@ def test_clique_command_at_p_300(capsys):
 
 def test_search_lattice_command(tmp_path, capsys):
     out = tmp_path / "l8.col"
-    assert run(["search-lattice", "8", "--max-index", "40",
+    assert run(["search-lattice", "8", "--max-det", "40",
                 "--out", str(out), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] and payload["colors"] == 38 and payload["verified"]
+    assert payload["max_index"] == 40
     assert run(["verify-coloring", str(out)]) == 0
+
+
+def test_search_lattice_max_det_bounds_the_single_coset_search(capsys):
+    # the det-38 coloring lies above a bound of 30 (test_search_lattice_command
+    # finds it within one of 40)
+    assert run(["search-lattice", "8", "--max-det", "30", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "hexspan/1", "command": "search-lattice", "l": 8, "max_index": 30,
+        "mode": "single-coset", "found": False}
+    assert run(["search-lattice", "8", "--max-det", "30"]) == 1
+    assert capsys.readouterr().out == "no single-coset lattice with index <= 30\n"
+
+
+def test_the_max_index_option_is_gone(capsys):
+    assert run(["search-lattice", "8", "--max-index", "40"]) == 2
+    assert "unrecognized arguments: --max-index 40" in capsys.readouterr().err
+
+
+def test_colors_selects_the_multi_domain_search(capsys):
+    assert run(["search-lattice", "8", "--colors", "34", "--json"]) == 0
+    alone = capsys.readouterr().out
+    assert run(["search-lattice", "8", "--multi-domain", "--colors", "34", "--json"]) == 0
+    assert capsys.readouterr().out == alone
+    assert json.loads(alone)["target"] == 34
+
+
+def test_search_lattice_json_keys(capsys):
+    # hexspan/1 changes compatibly: each mode keeps the keys it had
+    single = {"schema", "command", "l", "max_index", "mode", "found"}
+    multi = {"schema", "command", "l", "target", "mode", "lattices_tried", "undecided", "found"}
+    found = {"colors", "basis", "verified"}
+    for argv, code, keys in ((["--max-det", "30"], 1, single),
+                             ([], 0, single | found),
+                             (["--colors", "32", "--max-det", "40"], 1, multi),
+                             (["--multi-domain"], 0, multi | found | {"det"})):
+        assert run(["search-lattice", "8", *argv, "--json"]) == code, argv
+        assert set(json.loads(capsys.readouterr().out)) == keys, argv
+
+
+def test_search_lattice_command_verifies_once(monkeypatch, capsys):
+    # each library search verifies the coloring it returns, and the
+    # command adds no second pass
+    import hexspan.coloring as coloring
+
+    calls = []
+    verify = coloring.verify_lattice
+    monkeypatch.setattr(coloring, "verify_lattice", lambda c: calls.append(c) or verify(c))
+    monkeypatch.setattr(cli, "verify_lattice", None)
+    for argv in (["8"], ["8", "--multi-domain"], ["8", "--colors", "34"]):
+        assert run(["search-lattice", *argv, "--json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert len(calls) == 3
+
+
+def test_an_invalid_single_coset_coloring_is_an_internal_failure(monkeypatch, capsys):
+    # a separation filter that admits every basis hands over the det-2
+    # lattice; search_lattice's own verification rejects it, a bug: exit 4
+    import hexspan.coloring as coloring
+
+    monkeypatch.setattr(coloring, "_separation_ok", lambda bases, l: [True] * len(bases))
+    with pytest.raises(AssertionError, match="search produced an invalid coloring"):
+        coloring.search_lattice(8, 40)
+    assert run(["search-lattice", "8", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed: search produced an invalid coloring")
+    # python -O strips assert statements; the check must be a real raise
+    code = ("import hexspan.coloring as c\n"
+            "from hexspan.cli import run\n"
+            "c._separation_ok = lambda bases, l: [True] * len(bases)\n"
+            "raise SystemExit(run(['search-lattice', '8']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal check failed: search produced an invalid coloring")
 
 
 def test_search_lattice_colors_above_span(tmp_path, capsys):
@@ -715,3 +795,30 @@ def test_check_observations_empty_p_range_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: empty p range")
+
+
+@pytest.mark.parametrize("bound", [["--p-min", "7"], ["--p-max", "6"],
+                                   ["--p-min", "7", "--p-max", "6"]])
+def test_check_observations_p_excludes_a_range(bound, monkeypatch, capsys):
+    # --p once won silently over a range; now neither is checked
+    def fail(*args):
+        raise AssertionError("battery run")
+
+    monkeypatch.setattr(cli, "run_checks", fail)
+    assert run(["check-observations", "--p", "5", *bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --p cannot be combined with --p-min or --p-max\n"
+
+
+@pytest.mark.parametrize("bounds, ps", [
+    ([], list(range(4, 13))),
+    (["--p-min", "11"], [11, 12]),
+    (["--p-max", "5"], [4, 5]),
+    (["--p-min", "6", "--p-max", "7"], [6, 7]),
+])
+def test_check_observations_range_defaults(bounds, ps, monkeypatch, capsys):
+    # a bound not given defaults to 4 (--p-min) or 12 (--p-max)
+    monkeypatch.setattr(cli, "run_checks", lambda p: [])
+    assert run(["check-observations", *bounds, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == ps

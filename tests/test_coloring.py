@@ -684,6 +684,23 @@ def test_dense_lattice_rejected_with_witness():
     assert distance_bfs(v.u, v.v) == v.distance <= 10
 
 
+def test_one_even_translation_rule(monkeypatch):
+    # the three parity checks keep their messages ...
+    odd = ((1, 0), (0, 2))
+    text = "hexcolor v1\nl 4\nlattice 1 0 0 2\ncell 0 0 1\ncell 0 1 2\n"
+    with pytest.raises(InputError, match=r"basis vector \(1, 0\) is not an even translation"):
+        LatticeColoring(4, odd, {})
+    with pytest.raises(ColoringFormatError, match=r"vector \(1, 0\) has odd coordinate sum"):
+        read_coloring(text)
+    with pytest.raises(InputError, match="not a lattice of even translations"):
+        quotient_conflicts(lattice_geometry(odd), 4)
+    # ... and all three ask grid.is_even_translation
+    monkeypatch.setattr(coloring_module, "is_even_translation", lambda t: True)
+    assert LatticeColoring(4, odd, {}).det == 2
+    assert read_coloring(text).basis == odd
+    assert len(quotient_conflicts(lattice_geometry(odd), 4)) == 2
+
+
 def test_single_coset_search_l8():
     best = search_lattice(8, 40)
     assert best is not None

@@ -47,6 +47,8 @@ def test_span_certificate_fields():
         "l": 10, "p": 5, "clique_size": 46, "extra": 2,
         "span": 48, "formula_value": 48, "parity_case": "p=2q+1",
     }
+    assert list(cert.to_dict()) == ["l", "p", "clique_size", "extra", "span",
+                                    "formula_value", "parity_case"]
 
 
 @pytest.mark.parametrize("l", [9, 7, 11])
