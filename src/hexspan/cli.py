@@ -3,12 +3,12 @@
 Exit codes follow one contract everywhere: 0 success or pass, 1 a
 verification failed or a bound was not attained, 2 usage or parse
 error (``InputError``, ``ColoringFormatError``, a file that cannot be
-read or written), 3 resource-guard refusal (an exact window stopped at
-the node limit, and a multi-domain search that found nothing after
-giving up on a lattice there, are undecided), 4 an internal check failed
-or any other exception (a bug in the package, such as a spread witness
-the BFS recheck rejects).  Every subcommand takes --json for
-machine-readable output with a schema-version field.
+read or written), 3 resource-guard refusal (an exact window or a
+multi-domain search stopped at the node limit is undecided, never
+refuted), 4 an internal check failed or any other exception (a bug in
+the package, such as a spread witness the BFS recheck rejects).  Every
+subcommand takes --json for machine-readable output with a
+schema-version field.
 """
 
 from __future__ import annotations
@@ -171,22 +171,20 @@ def _cmd_search_lattice(args) -> int:
     payload = {"command": "search-lattice", "l": args.l}
     if periodic:
         result = search_periodic(args.l, colors=args.colors, max_det=args.max_det)
-        coloring, undecided = result.coloring, result.undecided
+        coloring = result.coloring
+        # the search decides every lattice or raises; hexspan/1 keeps the key
         payload.update({"target": result.target, "mode": result.mode,
-                        "lattices_tried": result.lattices_tried, "undecided": undecided})
+                        "lattices_tried": result.lattices_tried, "undecided": 0})
         text = (f"no periodic coloring with {result.target} colors found "
                 f"(examined {result.lattices_tried} lattices)")
-        if undecided:
-            # a lattice skipped at the node limit may still be colorable
-            text += f"; undecided: {undecided} lattices skipped at the node limit"
     else:
         max_det = SINGLE_COSET_MAX_DET if args.max_det is None else args.max_det
-        coloring, undecided = search_lattice(args.l, max_det), 0
+        coloring = search_lattice(args.l, max_det)
         payload.update({"max_index": max_det, "mode": "single-coset"})
-        text = f"no single-coset lattice with index <= {max_det}"
+        text = f"no single-coset lattice with det <= {max_det}"
     if coloring is None:
         _emit(args, {**payload, "found": False}, text)
-        return 3 if undecided else 1
+        return 1
     # both searches return only colorings that verify_lattice accepted
     payload.update({"found": True, "colors": coloring.color_count,
                     "basis": [list(t) for t in coloring.basis], "verified": True})

@@ -44,7 +44,7 @@ from .grid import (
     parity,
 )
 from .rings import ball, ball_size
-from .solver import bitmask_edges, bitmask_graph, greedy_clique, solve_coloring
+from .solver import MAX_NODES, bitmask_edges, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
 
 
@@ -454,16 +454,15 @@ def _orbit(basis: tuple[Vertex, Vertex]) -> set[LatticeGeometry]:
 
 @dataclass
 class PeriodicSearchResult:
-    """Outcome of a periodic-coloring search: the coloring (or None), its
-    ``LatticeColoring.mode`` ("none" without one), a search trace, and the
-    lattices skipped at the node limit, which leave a search undecided."""
+    """Outcome of a periodic-coloring search that decided every lattice:
+    the coloring (or None), its ``LatticeColoring.mode`` ("none" without
+    one), the number of lattices tried and a search trace."""
 
     l: int
     target: int
     coloring: LatticeColoring | None
     mode: str  # "single-coset" | "multi-domain" | "none"
     lattices_tried: int = 0
-    undecided: int = 0
     log: list = field(default_factory=list)
 
 
@@ -474,10 +473,11 @@ def search_periodic(l: int, colors: int | None = None,
     passes the separation filter, decided per determinant by
     ``_separation_ok``) of determinant ``colors`` to ``max_det`` (default
     2 * colors + 24), in ``even_sublattices`` order, solve the quotient
-    coloring exactly with the color budget, giving up on a lattice after
-    ``MAX_NODES`` search nodes.  The first success wins, which keeps the
-    search deterministic.  ``ResourceGuard``, before any lattice is built,
-    if ``max_det`` is above ``MAX_DET``.
+    coloring exactly with the color budget.  The first success wins, which
+    keeps the search deterministic.  ``ResourceGuard``, before any lattice
+    is built, if ``max_det`` is above ``MAX_DET``, and once DSATUR has
+    spent ``MAX_NODES`` nodes over the whole call: no verdict, never a
+    refutation.
 
     A lattice of det above ``colors`` with a complete quotient graph
     (``_covered``) is a clique of det cells, rejected without building the
@@ -488,9 +488,9 @@ def search_periodic(l: int, colors: int | None = None,
     Lattices that the point group of the grid (``_point_group``) maps onto
     each other have isomorphic quotient graphs, so a lattice whose image
     was proven not colorable earlier in the same call (by a clique or an
-    exhaustive DSATUR search) is skipped; it counts in ``lattices_tried``
-    and logs "symmetric image of" the rejected basis.  A node-limit skip
-    proves nothing and is never reused; no call keeps anything.
+    exhaustive DSATUR search) is passed over unbuilt; it counts in
+    ``lattices_tried`` and logs "symmetric image of" the rejected basis.
+    No call keeps anything.
 
     If ``colors`` is the smallest admissible determinant, the first
     lattice is ``search_lattice``'s; its quotient graph is complete
@@ -508,6 +508,7 @@ def search_periodic(l: int, colors: int | None = None,
     # the normal form of every image of a lattice proven not colorable ->
     # that lattice's basis: one lookup per lattice tried, 12 forms per proof
     rejected: dict[LatticeGeometry, tuple] = {}
+    nodes_left = MAX_NODES
     for det, basis in _admissible(l, target, max_det):
         result.lattices_tried += 1
         geo = lattice_geometry(basis)
@@ -521,11 +522,10 @@ def search_periodic(l: int, colors: int | None = None,
             rejected.update(dict.fromkeys(_orbit(basis), basis))
             continue
         try:
-            solution = solve_coloring(adj, target)
+            solution, nodes = solve_coloring(adj, target, max_nodes=nodes_left)
         except ResourceGuard:
-            result.undecided += 1
-            result.log.append(f"{line}: node limit, skipped")
-            continue
+            raise ResourceGuard(f"periodic search exceeded {MAX_NODES} nodes at {line}") from None
+        nodes_left -= nodes
         if solution is None:
             result.log.append(f"{line}: not {target}-colorable")
             rejected.update(dict.fromkeys(_orbit(basis), basis))
@@ -608,7 +608,7 @@ def exact_window_span(l: int, radius: int, budget: int) -> WindowSearchResult:
     rechecked (cover, budget, ``verify_window``) before it is returned.
 
     A window past ``_window``'s limits is refused unbuilt, and a search
-    past ``MAX_NODES`` nodes raises ``ResourceGuard``: undecided, never infeasible.
+    past ``MAX_NODES`` nodes raises ``ResourceGuard``: a refusal, never infeasible.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
@@ -620,7 +620,7 @@ def exact_window_span(l: int, radius: int, budget: int) -> WindowSearchResult:
             l, radius, budget, False, None,
             f"clique of {len(clique)} mutually conflicting cells exceeds budget",
         )
-    solution = solve_coloring(adj, budget)
+    solution, _ = solve_coloring(adj, budget)
     if solution is None:
         return WindowSearchResult(l, radius, budget, False, None,
                                   "exhaustive branch and bound")

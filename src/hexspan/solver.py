@@ -4,11 +4,11 @@ the window and periodic searches test first, and ``_max_clique_bits``,
 the exact maximum clique under the reuse battery's spreads.
 
 The solver answers "is this graph colorable with at most B colors" and,
-when feasible, returns one assignment.  Vertex selection is greatest
-saturation first (ties: more uncolored neighbors, then lower index) and
-color symmetry is broken by first-use indexing: a vertex may only open
-color c+1 when colors 0..c are already in use.  The search is fully
-deterministic (DSATUR: Brélaz, CACM 1979).
+when feasible, returns one assignment, with the search nodes it visited.
+Vertex selection is greatest saturation first (ties: more uncolored
+neighbors, then lower index) and color symmetry is broken by first-use
+indexing: a vertex may only open color c+1 when colors 0..c are already
+in use.  The search is fully deterministic (DSATUR: Brélaz, CACM 1979).
 
 The state is held in bitsets over the vertices, in the manner of San
 Segundo et al.'s bit-parallel clique search (Computers & OR, 2011):
@@ -197,15 +197,16 @@ def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[in
     return best_size, best_set
 
 
-MAX_NODES = 5_000_000  # per exact coloring; a search stopped there is undecided
+MAX_NODES = 5_000_000  # per request: one window, or one periodic search's lattices together
 
 
 def solve_coloring(adj: list[int], budget: int,
-                   max_nodes: int = MAX_NODES) -> list[int] | None:
+                   max_nodes: int = MAX_NODES) -> tuple[list[int] | None, int]:
     """Color the graph with at most ``budget`` colors.
 
     ``adj`` is a bitmask adjacency list (bit u of adj[v] set iff u~v).
-    Returns a color list (values 0..budget-1) or None when impossible.
+    Returns (colors, nodes): a color list (values 0..budget-1), or None
+    when impossible, and the number of search nodes visited.
 
     The depth-first search runs over an explicit stack with one frame
     per colored vertex: the vertex, its color, the colors still to try,
@@ -218,9 +219,9 @@ def solve_coloring(adj: list[int], budget: int,
     if budget < 0:
         raise InputError("budget must be >= 0")
     if n == 0:
-        return []
+        return [], 0
     if budget == 0:
-        return None
+        return None, 0
     budget = min(budget, n)         # n colors always suffice
     colors = [-1] * n
     uncolored = (1 << n) - 1
@@ -234,7 +235,7 @@ def solve_coloring(adj: list[int], budget: int,
         if nodes > max_nodes:
             raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
         if not uncolored:
-            return colors
+            return colors, nodes
         # greatest saturation s: from the top plane down, keep the
         # candidates with the bit set whenever some have it
         cand = uncolored
@@ -265,7 +266,7 @@ def solve_coloring(adj: list[int], budget: int,
         # to its next color, until some vertex has one left
         while not avail:
             if not stack:
-                return None
+                return None, nodes
             v, c, avail, used, sat, row = stack.pop()
             blocked[c] = row
             colors[v] = -1

@@ -132,7 +132,7 @@ def test_exact_window_infeasible_out_writes_nothing(tmp_path, capsys):
 
 def test_exact_window_invalid_solver_answer_exit_4(monkeypatch, capsys):
     monkeypatch.setattr("hexspan.coloring.solve_coloring",
-                        lambda adj, budget: [0] * len(adj))
+                        lambda adj, budget: ([0] * len(adj), 1))
     assert run(["exact-window", "4", "--radius", "3", "--budget", "19"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal check failed: ")
@@ -579,7 +579,7 @@ def test_search_lattice_max_det_bounds_the_single_coset_search(capsys):
         "schema": "hexspan/1", "command": "search-lattice", "l": 8, "max_index": 30,
         "mode": "single-coset", "found": False}
     assert run(["search-lattice", "8", "--max-det", "30"]) == 1
-    assert capsys.readouterr().out == "no single-coset lattice with index <= 30\n"
+    assert capsys.readouterr().out == "no single-coset lattice with det <= 30\n"
 
 
 def test_the_max_index_option_is_gone(capsys):
@@ -669,21 +669,19 @@ def test_search_lattice_mode_names_the_coloring(tmp_path, capsys):
 
 
 def test_search_lattice_undecided_is_not_refuted(monkeypatch, capsys):
-    # every lattice that reaches DSATUR hits the node limit: the search
-    # proves nothing about them, so it exits 3 and counts them
-    def undecided(adj, budget, max_nodes=None):
-        raise ResourceGuard("node limit")
+    # the first lattice that reaches DSATUR hits the node limit: the search
+    # proves nothing, so it refuses (exit 3) and prints no verdict
+    def out_of_nodes(adj, budget, max_nodes):
+        raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
 
-    monkeypatch.setattr("hexspan.coloring.solve_coloring", undecided)
+    monkeypatch.setattr("hexspan.coloring.solve_coloring", out_of_nodes)
     argv = ["search-lattice", "8", "--multi-domain", "--max-det", "66"]
-    assert run(argv + ["--json"]) == 3
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["found"] is False and payload["undecided"] == 6
-    assert payload["lattices_tried"] == 181
-    assert run(argv) == 3
-    assert capsys.readouterr().out == (
-        "no periodic coloring with 33 colors found (examined 181 lattices); "
-        "undecided: 6 lattices skipped at the node limit\n")
+    for json_flag in ([], ["--json"]):
+        assert run(argv + json_flag) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("refused: periodic search exceeded 5000000 nodes at "
+                                "det 66 basis ((7, -5), (33, -33))\n")
     # a search that decides every lattice and finds none still exits 1
     assert run(["search-lattice", "8", "--multi-domain", "--colors", "32",
                 "--max-det", "40", "--json"]) == 1

@@ -1,11 +1,9 @@
-import ast
 import hashlib
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import astuple
 from functools import lru_cache
 from itertools import groupby, islice
 from operator import itemgetter
@@ -527,38 +525,27 @@ def test_symmetric_lattices_have_isomorphic_quotient_graphs(l):
             assert _admits(image, l) == _admits(basis, l), (l, basis, g)
 
 
-def _orbit_key(basis):
-    return min(astuple(lattice_geometry((_image(g, basis[0]), _image(g, basis[1]))))
-               for g in _POINT_GROUP)
+def test_the_first_node_limit_ends_the_search(monkeypatch):
+    # the first lattice to reach DSATUR, the search's own success lattice,
+    # runs out of nodes: the search refuses there, with the limit of the
+    # whole search, and tries no further lattice
+    limits = []
 
+    def out_of_nodes(adj, budget, max_nodes):
+        limits.append(max_nodes)
+        raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
 
-def test_a_node_limit_is_never_inherited(monkeypatch):
-    reached = []
-
-    def undecided(adj, budget, max_nodes=None):
-        reached.append(adj)
-        raise ResourceGuard("node limit")
-
-    monkeypatch.setattr(coloring_module, "solve_coloring", undecided)
-    res = search_periodic(8, max_det=66)
-    assert res.coloring is None
-    # basis -> outcome, for every lattice tried
-    outcomes = dict(entry.split("basis ")[1].split(": ") for entry in res.log)
-    undecided_bases = [basis for basis, outcome in outcomes.items() if outcome.startswith("node")]
-    assert len(reached) == len(undecided_bases) == res.undecided == 6
-    # the six are one orbit, the search's own success lattice among them
-    assert len({_orbit_key(ast.literal_eval(basis)) for basis in undecided_bases}) == 1
-    assert "((7, -5), (33, -33))" in undecided_bases
-    # every skip names a lattice that the clique bound rejected
-    skipped = [outcome for outcome in outcomes.values() if outcome.startswith("symmetric")]
-    assert skipped
-    for outcome in skipped:
-        assert outcomes[outcome.removeprefix("symmetric image of ")] == "clique exceeds 33"
+    monkeypatch.setattr(coloring_module, "solve_coloring", out_of_nodes)
+    with pytest.raises(ResourceGuard) as refusal:
+        search_periodic(8, max_det=66)
+    assert str(refusal.value) == (
+        "periodic search exceeded 5000000 nodes at det 66 basis ((7, -5), (33, -33))")
+    assert limits == [5_000_000]
 
 
 def test_an_exhaustive_refutation_covers_its_orbit_within_one_call(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(coloring_module, "solve_coloring", lambda adj, budget, max_nodes=None: None)
+        m.setattr(coloring_module, "solve_coloring", lambda adj, budget, max_nodes: (None, 0))
         res = search_periodic(8, max_det=66)
     assert res.coloring is None
     refuted = [e for e in res.log if e.endswith("not 33-colorable")]
@@ -751,13 +738,12 @@ def test_below_span_searches_end_without_the_node_limit():
     # below the span every lattice is rejected; the point-group skip keeps
     # these fast (about 0.1 s each; 78 s and over 60 s without it)
     res = search_periodic(10, colors=47)
-    assert res.coloring is None and res.lattices_tried == 815 and res.undecided == 0
-    assert not [e for e in res.log if "node limit" in e]
+    assert res.coloring is None and res.lattices_tried == 815
     text = "\n".join(res.log)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "241d7274c549a5befddbb81b2758a3a364896252d9e66ab6c356afdcc0989c02")
     res = search_periodic(11, colors=53)
-    assert res.coloring is None and res.lattices_tried == 1168 and res.undecided == 0
+    assert res.coloring is None and res.lattices_tried == 1168
     assert sum(e.endswith(": clique exceeds 53") for e in res.log) == 220
     assert sum(": symmetric image of " in e for e in res.log) == 948
 
@@ -765,7 +751,7 @@ def test_below_span_searches_end_without_the_node_limit():
 def test_search_periodic_refuses_fewer_colors_than_the_span(monkeypatch):
     # a one-color quotient at l = 8 would contradict the span of 33
     monkeypatch.setattr("hexspan.coloring.solve_coloring",
-                        lambda adj, budget, max_nodes=None: [0] * len(adj))
+                        lambda adj, budget, max_nodes: ([0] * len(adj), 1))
     with pytest.raises(AssertionError, match="below the span"):
         search_periodic(8, max_det=66)
 
@@ -806,10 +792,10 @@ def test_exact_window_feasibility_boundary():
 
 
 @pytest.mark.parametrize("fake, message", [
-    (lambda adj, budget: [0] * len(adj), "invalid window coloring"),
-    (lambda adj, budget: list(range(len(adj)))[:-1], "no 19-coloring of the 19 cells"),
-    (lambda adj, budget: list(range(1, len(adj) + 1)), "no 19-coloring of the 19 cells"),
-    (lambda adj, budget: list(range(-1, len(adj) - 1)), "no 19-coloring of the 19 cells"),
+    (lambda adj, budget: ([0] * len(adj), 1), "invalid window coloring"),
+    (lambda adj, budget: (list(range(len(adj)))[:-1], 1), "no 19-coloring of the 19 cells"),
+    (lambda adj, budget: (list(range(1, len(adj) + 1)), 1), "no 19-coloring of the 19 cells"),
+    (lambda adj, budget: (list(range(-1, len(adj) - 1)), 1), "no 19-coloring of the 19 cells"),
 ])
 def test_exact_window_rechecks_its_coloring(monkeypatch, fake, message):
     # the solver's feasible answer is verified before it is returned
@@ -821,7 +807,7 @@ def test_exact_window_rechecks_its_coloring(monkeypatch, fake, message):
 def test_exact_window_recheck_survives_optimize_flag():
     code = (
         "import hexspan.coloring as c\n"
-        "c.solve_coloring = lambda adj, budget: [0] * len(adj)\n"
+        "c.solve_coloring = lambda adj, budget: ([0] * len(adj), 1)\n"
         "try:\n"
         "    c.exact_window_span(4, 3, 19)\n"
         "except AssertionError as exc:\n"

@@ -3,9 +3,11 @@ with each of its integer arguments set to -1, 0, 1, 10**12 and 10**30,
 and the other arguments small and valid, ends within 2 s with an exit
 code of 0..3 and no internal error.
 
-Left out: the multi-domain search below the span,
-``search-lattice 8 --multi-domain --colors 32 --max-det 200``, which has
-no overall work bound yet and runs for minutes."""
+The multi-domain search below the span,
+``search-lattice 8 --multi-domain --colors 32 --max-det 200``, is not in
+the table: it stops only at its node budget, about 37 s in.
+``test_the_search_below_the_span_stops_at_its_node_budget`` runs it with
+a smaller budget."""
 
 import signal
 import subprocess
@@ -13,7 +15,9 @@ import sys
 
 import pytest
 
+from hexspan import coloring
 from hexspan.cli import run
+from hexspan.solver import solve_coloring
 
 VALUES = ["-1", "0", "1", str(10 ** 12), str(10 ** 30)]
 
@@ -71,21 +75,50 @@ def _timeout(signum, frame):
     pytest.fail("the case ran past 2 s")
 
 
+def _run_within_2_s(argv):
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(2)
+    try:
+        return run(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("command, value", CASES)
 def test_hostile_integer_argument(command, value, tmp_path, capsys):
     _write_files(tmp_path, value)
     argv = [value if token == "N" else token.replace("TMP", str(tmp_path))
             for token in command.split()]
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(2)
-    try:
-        code = run(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    code = _run_within_2_s(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3), (argv, err)
     assert not any(line.startswith("internal") for line in err.splitlines()), err
+
+
+def test_the_search_below_the_span_stops_at_its_node_budget(monkeypatch, capsys):
+    # DSATUR runs on lattice after lattice below the span; the lattices
+    # share one node budget, and when it runs out the search refuses with
+    # no verdict
+    budget = 20_000
+    monkeypatch.setattr(coloring, "MAX_NODES", budget)
+    spent = []
+
+    def spy(adj, colors, max_nodes):
+        assert sum(spent) + max_nodes <= budget
+        solution, nodes = solve_coloring(adj, colors, max_nodes)
+        spent.append(nodes)
+        return solution, nodes
+
+    monkeypatch.setattr(coloring, "solve_coloring", spy)
+    argv = ["search-lattice", "8", "--multi-domain", "--colors", "32", "--max-det", "200"]
+    assert _run_within_2_s(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: periodic search exceeded 20000 nodes at det ")
+    assert len(captured.err.splitlines()) == 1
+    # several lattices were decided within the budget before it ran out
+    assert len(spent) > 1 and sum(spent) <= budget
 
 
 def test_hostile_refusals_survive_optimize_flag(tmp_path):

@@ -37,20 +37,21 @@ def _complete(n):
 
 def test_complete_graph():
     adj = _complete(5)
-    assert solve_coloring(adj, 4) is None
-    colors = solve_coloring(adj, 5)
+    assert solve_coloring(adj, 4)[0] is None
+    colors, _ = solve_coloring(adj, 5)
     _check_assignment(adj, colors, 5)
 
 
 def test_empty_and_trivial():
-    assert solve_coloring([], 0) == []
-    assert solve_coloring([0, 0, 0], 1) == [0, 0, 0]
-    assert solve_coloring([0], 0) is None
+    # (colors, nodes): one node per colored vertex, and one for the full coloring
+    assert solve_coloring([], 0) == ([], 0)
+    assert solve_coloring([0, 0, 0], 1) == ([0, 0, 0], 4)
+    assert solve_coloring([0], 0) == (None, 0)
 
 
 def test_budget_beyond_the_vertex_count():
     # the state is sized by min(budget, n), not by the budget
-    assert solve_coloring(_complete(3), 10 ** 12) == [0, 1, 2]
+    assert solve_coloring(_complete(3), 10 ** 12) == ([0, 1, 2], 4)
 
 
 def test_cycle5_needs_three():
@@ -59,8 +60,8 @@ def test_cycle5_needs_three():
     for v in range(n):
         adj[v] |= 1 << ((v + 1) % n)
         adj[(v + 1) % n] |= 1 << v
-    assert solve_coloring(adj, 2) is None
-    _check_assignment(adj, solve_coloring(adj, 3), 3)
+    assert solve_coloring(adj, 2)[0] is None
+    _check_assignment(adj, solve_coloring(adj, 3)[0], 3)
 
 
 def test_greedy_clique_on_complete():
@@ -114,8 +115,8 @@ def test_determinism():
     adj = _complete(6)
     adj[0] &= ~(1 << 5)
     adj[5] &= ~1
-    runs = {tuple(solve_coloring(adj, 5)) for _ in range(3)}
-    assert len(runs) == 1
+    runs = [solve_coloring(adj, 5) for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_resource_guard_raises():
@@ -129,6 +130,11 @@ def test_resource_guard_raises():
                 adj[u] |= 1 << v
     with pytest.raises(ResourceGuard):
         solve_coloring(adj, 3, max_nodes=2)
+    # the node count returned is the least limit that decides
+    adj = window_conflicts(ball((0, 0), 3), 4)
+    assert solve_coloring(adj, 10, max_nodes=33) == (None, 33)
+    with pytest.raises(ResourceGuard, match="exceeded 32 nodes"):
+        solve_coloring(adj, 10, max_nodes=32)
 
 
 @pytest.mark.parametrize("radius, budget, feasible, nodes", [
@@ -141,9 +147,8 @@ def test_node_counts_pinned(radius, budget, feasible, nodes):
     # l = 4 windows; the counts pin the pick rule, the color order and
     # what counts as one search node
     adj = window_conflicts(ball((0, 0), radius), 4)
-    assert (solve_coloring(adj, budget, max_nodes=nodes) is not None) == feasible
-    with pytest.raises(ResourceGuard):
-        solve_coloring(adj, budget, max_nodes=nodes - 1)
+    colors, visited = solve_coloring(adj, budget)
+    assert (colors is not None, visited) == (feasible, nodes)
 
 
 @pytest.mark.parametrize("l, radius, budget, feasible, nodes", [
@@ -157,20 +162,28 @@ def test_node_counts_pinned(radius, budget, feasible, nodes):
 def test_window_node_counts_pinned(l, radius, budget, feasible, nodes):
     # window-sized instances of the exact window decisions
     adj = window_conflicts(ball((0, 0), radius), l)
-    assert (solve_coloring(adj, budget, max_nodes=nodes) is not None) == feasible
-    with pytest.raises(ResourceGuard):
-        solve_coloring(adj, budget, max_nodes=nodes - 1)
+    colors, visited = solve_coloring(adj, budget)
+    assert (colors is not None, visited) == (feasible, nodes)
 
 
-def test_the_node_limit_is_one_library_constant():
-    # every exact coloring, window or quotient, stops at the same limit
+def test_the_node_limit_is_one_library_constant(monkeypatch):
+    # a window's coloring and a whole periodic search stop at the same limit
     assert MAX_NODES == 5_000_000
     assert inspect.signature(solve_coloring).parameters["max_nodes"].default == MAX_NODES
+    limits = []
+
+    def spy(adj, budget, max_nodes):
+        limits.append(max_nodes)
+        return solve_coloring(adj, budget, max_nodes)
+
+    monkeypatch.setattr(coloring, "solve_coloring", spy)
+    assert coloring.search_periodic(8).coloring is not None
+    assert limits == [MAX_NODES]
 
 
 def test_deep_search_leaves_recursion_limit_alone():
     before = sys.getrecursionlimit()
-    assert solve_coloring([0] * 1500, 1) == [0] * 1500
+    assert solve_coloring([0] * 1500, 1) == ([0] * 1500, 1501)
     assert sys.getrecursionlimit() == before
 
 
@@ -190,8 +203,8 @@ def random_graphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_against_brute_force(adj):
     chi = brute_force_chromatic(adj)
-    assert solve_coloring(adj, chi - 1) is None or chi == 0
-    colors = solve_coloring(adj, chi)
+    assert solve_coloring(adj, chi - 1)[0] is None or chi == 0
+    colors, _ = solve_coloring(adj, chi)
     _check_assignment(adj, colors, chi)
 
 
@@ -287,21 +300,18 @@ def graphs_of_any_density(draw):
 def test_same_search_as_the_reference_solver(adj, budget):
     cap = 2000
     try:
-        expected, nodes = _reference_solve_coloring(adj, budget, cap)
+        expected = _reference_solve_coloring(adj, budget, cap)
     except ResourceGuard:
         with pytest.raises(ResourceGuard):
             solve_coloring(adj, budget, max_nodes=cap)
         return
-    assert solve_coloring(adj, budget, max_nodes=nodes) == expected
-    if nodes:
-        with pytest.raises(ResourceGuard):
-            solve_coloring(adj, budget, max_nodes=nodes - 1)
+    assert solve_coloring(adj, budget, max_nodes=cap) == expected
 
 
 def test_largest_pinned_window_colors_as_the_reference_solver():
     adj = window_conflicts(ball((0, 0), 7), 8)
-    expected, nodes = _reference_solve_coloring(adj, 33, 20958)
-    assert nodes == 20958
+    expected = _reference_solve_coloring(adj, 33, 20958)
+    assert expected[1] == 20958
     assert solve_coloring(adj, 33) == expected
 
 
@@ -331,14 +341,12 @@ def test_same_search_as_the_reference_solver_on_window_like_graphs(graph):
     adj, budget = graph
     cap = 5000
     try:
-        expected, nodes = _reference_solve_coloring(adj, budget, cap)
+        expected = _reference_solve_coloring(adj, budget, cap)
     except ResourceGuard:
         with pytest.raises(ResourceGuard):
             solve_coloring(adj, budget, max_nodes=cap)
         return
-    assert solve_coloring(adj, budget, max_nodes=nodes) == expected
-    with pytest.raises(ResourceGuard):
-        solve_coloring(adj, budget, max_nodes=nodes - 1)
+    assert solve_coloring(adj, budget, max_nodes=cap) == expected
 
 
 def _reference_greedy_clique(adj, *, exceed=None):
