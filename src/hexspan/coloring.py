@@ -240,20 +240,30 @@ def _separation_ok(bases: list[tuple[Vertex, Vertex]], l: int) -> np.ndarray:
 
     The orbit of (0, 0) is the lattice: even vectors, with -t for each t,
     and -t is as far from (0, 0) as t.  So only one of each pair +-t of
-    nonzero even ball offsets is looked up.  The bases are decided
-    together, at most ``_BLOCK_LOOKUPS`` lookups at a time:
-    ``LatticeGeometry.canonical``, broadcast over a column of (a, b, d)
-    per basis, reads those offsets' orbit-table row of (0, 0) for every
-    lattice of a block in one pass."""
+    nonzero even ball offsets is tested.  An offset (i, j) lies in the
+    lattice of t1 = (p1, q1), t2 = (p2, q2) iff its coordinates in that
+    basis are integers, that is (Cramer) iff both numerators
+    i*q2 - j*p2 and p1*j - q1*i are multiples of det = p1*q2 - p2*q1;
+    this holds for any basis, in normal form or not.  The bases are
+    decided together, at most ``_BLOCK_LOOKUPS`` membership tests at a
+    time, each block in one pass broadcast over a column of
+    (p1, q1, p2, q2) per basis.  ``InputError`` on a degenerate basis (det 0)."""
     i, j = offsets = _ball_offsets(l)[0]
-    half = offsets[:, ((i + j) % 2 == 0) & ((i > 0) | (i == 0) & (j > 0))]
-    abd = np.array([(g.a, g.b, g.d) for g in map(lattice_geometry, bases)],
-                   dtype=np.int64).reshape(-1, 3)
-    step = max(1, _BLOCK_LOOKUPS // max(half.shape[1], 1))
-    ok = np.empty(len(abd), dtype=bool)
-    for first in range(0, len(abd), step):
-        cx, cy = LatticeGeometry(*abd[first:first + step].T[:, :, None]).canonical(half)
-        ok[first:first + step] = ~((cx == 0) & (cy == 0)).any(axis=1)
+    i, j = offsets[:, ((i + j) % 2 == 0) & ((i > 0) | (i == 0) & (j > 0))]
+    entries = np.array(bases, dtype=np.int64).reshape(-1, 4)
+    p1, q1, p2, q2 = entries.T[:, :, None]
+    det = p1 * q2 - p2 * q1
+    degenerate = np.flatnonzero(det == 0)
+    if degenerate.size:
+        raise InputError(f"degenerate lattice basis {bases[degenerate[0]]}")
+    step = max(1, _BLOCK_LOOKUPS // max(i.size, 1))
+    ok = np.empty(len(entries), dtype=bool)
+    for first in range(0, len(entries), step):
+        block = slice(first, first + step)
+        d = det[block]
+        hit = (i * q2[block] - j * p2[block]) % d == 0
+        hit &= (p1[block] * j - q1[block] * i) % d == 0
+        ok[block] = ~hit.any(axis=1)
     return ok
 
 

@@ -32,6 +32,15 @@ planes too, and updates them row by row as the candidates shrink
 instead of recounting every candidate at every pick: a start costs
 O(deg(start) * log deg) word operations on n-bit rows, not
 O(clique size * deg) popcounts.
+
+Both clique routines bound the clique number by ``_colour_classes``,
+the class count of a greedy colouring (a clique takes at most one
+vertex per class; San Segundo et al.).  ``greedy_clique`` stops before
+a later start once its best clique has reached that count for the
+whole graph: a start only replaces the best clique by a strictly
+larger one, and none is larger, so the clique returned is the one all
+24 starts would return.  On the quotient graph of a periodic search's
+success lattice the count is the chromatic number, and one start runs.
 """
 
 from __future__ import annotations
@@ -83,11 +92,24 @@ def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
     the lowest bit left; shrinking ``cand`` borrow-subtracts the rows of
     the vertices it drops.  A start thus makes O(deg(start)) row updates
     of O(log deg) word operations each, where recounting every candidate
-    at every step costs O(clique size * deg) popcounts."""
+    at every step costs O(clique size * deg) popcounts.
+
+    Before the second start and each later one, the search stops if the
+    best clique has as many vertices as a greedy colouring of the whole
+    graph has classes (``_colour_classes``, computed once, and only if a
+    second start would run).  No clique is larger than that count and a
+    start replaces the best clique only by a strictly larger one, so the
+    clique returned is the same as without the stop."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best: list[int] = []
-    for start in order[: min(n, 24)]:
+    bound = n
+    for k, start in enumerate(order[: min(n, 24)]):
+        if k == 1:
+            others = [~(row | 1 << v) for v, row in enumerate(adj)]
+            bound = _colour_classes((1 << n) - 1, others, n)
+        if len(best) >= bound:
+            break
         clique = [start]
         cand = adj[start]
         planes = [0] * cand.bit_count().bit_length()
@@ -127,6 +149,24 @@ def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
     return sorted(best)
 
 
+def _colour_classes(cand: int, others: list[int], cap: int) -> int:
+    """Classes of a greedy colouring of the candidate bitset ``cand``, or
+    ``cap + 1`` once they exceed ``cap``.  Each class takes, in index
+    order, every uncoloured vertex that ``others`` lets share a class
+    with all it holds so far (``others[v]``: the vertices v may share a
+    class with)."""
+    uncoloured = cand
+    classes = 0
+    while uncoloured and classes <= cap:
+        classes += 1
+        free = uncoloured
+        while free:
+            bit = free & -free
+            uncoloured ^= bit
+            free &= others[bit.bit_length() - 1]
+    return classes if not uncoloured else cap + 1
+
+
 def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[int, int]:
     """Maximum clique of the bitmask graph ``masks`` inside the candidate
     bitset ``cand``: (size, member bitset).  ``others[v]`` is
@@ -156,19 +196,6 @@ def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[in
     best_size = 0
     best_set = 0
 
-    def colour_classes(cand: int, cap: int) -> int:
-        """Greedy colour classes of ``cand``, stopping once they exceed ``cap``."""
-        uncoloured = cand
-        classes = 0
-        while uncoloured and classes <= cap:
-            classes += 1
-            free = uncoloured
-            while free:
-                bit = free & -free
-                uncoloured ^= bit
-                free &= others[bit.bit_length() - 1]
-        return classes if not uncoloured else cap + 1
-
     def expand(cur: int, cur_size: int, cand: int) -> None:
         nonlocal best_size, best_set
         if cur_size > best_size:
@@ -178,7 +205,7 @@ def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[in
         # at slack 0 that only asks whether cand is empty, which the loop
         # below answers
         slack = best_size - cur_size
-        if slack and colour_classes(cand, slack) <= slack:
+        if slack and _colour_classes(cand, others, slack) <= slack:
             return
         while cand and best_size < bound:
             if cur_size + cand.bit_count() <= best_size:
@@ -188,7 +215,7 @@ def _max_clique_bits(masks: list[int], others: list[int], cand: int) -> tuple[in
             v = bit.bit_length() - 1
             expand(cur | bit, cur_size + 1, cand & masks[v])
 
-    bound = colour_classes(cand, cand.bit_count())
+    bound = _colour_classes(cand, others, cand.bit_count())
     expand(0, 0, cand)
     # expand refers to itself; unbinding it breaks that cycle, so the
     # closure and its hold on the tables go now, not at the next cyclic

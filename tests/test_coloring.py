@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hexspan import coloring as coloring_module
@@ -255,6 +256,37 @@ def test_separation_verdicts_do_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", block)
         assert _separation_ok(bases, 12).tolist() == expected, block
     assert _separation_ok([], 12).shape == (0,)
+
+
+wide_even_vectors = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+    lambda t: (t[0] + t[1]) % 2 == 0)
+
+
+@given(wide_even_vectors, wide_even_vectors, st.integers(1, 16))
+@example((2, 0), (1, 1), 1)
+@example((30, -30), (-29, 27), 16)
+@settings(max_examples=300, deadline=None)
+def test_separation_matches_the_box_scan_on_any_basis(t1, t2, l):
+    # bases far from normal form: the Cramer membership test holds for any
+    # basis, so both orders and both orientations of one lattice get the
+    # box scan's verdict, decided here in one call
+    (p1, q1), (p2, q2) = t1, t2
+    assume(p1 * q2 - p2 * q1 != 0)
+    forms = [(t1, t2), (t2, t1), (t1, (-p2, -q2)), (t2, (-p1, -q1))]
+    assert _separation_ok(forms, l).tolist() == [_box_scan_separation_ok((t1, t2), l)] * 4
+
+
+def test_separation_refuses_a_degenerate_basis():
+    # the determinant is checked before any membership test, so numpy never
+    # divides by zero, whatever its error settings
+    good = ((7, -5), (33, -33))
+    for degenerate in (((2, 0), (4, 0)), ((1, 1), (-3, -3)), ((0, 0), (2, 0))):
+        message = re.escape(f"degenerate lattice basis {degenerate}")
+        with np.errstate(all="raise"), pytest.raises(InputError, match=message):
+            _separation_ok([good, degenerate, good], 8)
+        with pytest.raises(InputError, match=message):
+            lattice_geometry(degenerate)
+    assert _separation_ok([good], 8).tolist() == [True]
 
 
 def _box_walk_verify_lattice(coloring):

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexspan import coloring
+from hexspan import coloring, solver
 from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
 from hexspan.rings import ball
 from hexspan.solver import (
     MAX_NODES,
     ResourceGuard,
+    _colour_classes,
     brute_force_chromatic,
     greedy_clique,
     solve_coloring,
 )
+from hexspan.spans import span_even
 
 
 def _check_assignment(adj, colors, budget):
@@ -349,13 +351,14 @@ def test_same_search_as_the_reference_solver_on_window_like_graphs(graph):
     assert solve_coloring(adj, budget, max_nodes=cap) == expected
 
 
-def _reference_greedy_clique(adj, *, exceed=None):
+def _reference_greedy_clique(adj, *, exceed=None, starts=24):
     """The greedy clique that recounts every candidate's in-candidate
-    degree at every step, kept as the reference for the bit-sliced one."""
+    degree at every step and tries every one of the ``starts`` starts,
+    kept as the reference for the bit-sliced one."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best = []
-    for start in order[: min(n, 24)]:
+    for start in order[: min(n, starts)]:
         clique = [start]
         cand = adj[start]
         while cand:
@@ -440,3 +443,49 @@ def test_greedy_clique_matches_the_reference_on_the_l8_search(monkeypatch):
             assert greedy_clique(adj, exceed=exceed) == _reference_greedy_clique(adj, exceed=exceed)
     # the last is the success lattice, whose graph the search tested
     assert calls[0][0] == adj
+
+
+@pytest.mark.parametrize("l", range(8, 25, 2))
+def test_greedy_clique_stops_after_one_start_on_the_success_graphs(l, monkeypatch):
+    # the quotient graph of search_periodic(l)'s success lattice, the
+    # closed-form basis pinned in test_coloring: t1 = (1 + c, 1 - c),
+    # t2 = (S, -S), S the span
+    s = span_even(l).span
+    c = 3 * l // 4 if l % 4 == 0 else 3 * l // 2 + 2
+    adj = quotient_conflicts(lattice_geometry(((1 + c, 1 - c), (s, -s))), l)
+    n = len(adj)
+    expected = _reference_greedy_clique(adj)
+    assert len(expected) == s
+    assert greedy_clique(adj) == greedy_clique(adj, exceed=s) == expected
+    assert _reference_greedy_clique(adj, exceed=s) == expected
+    # the first start alone reaches S, and so does the greedy colouring's
+    # class count: the stop fires before the second start
+    assert len(_reference_greedy_clique(adj, starts=1)) == s
+    others = [~(row | 1 << v) for v, row in enumerate(adj)]
+    assert _colour_classes((1 << n) - 1, others, n) == s
+    # the class count is computed once, and not at all when the first
+    # start already exceeds ``exceed``
+    counts = []
+
+    def spy(cand, others, cap):
+        counts.append(_colour_classes(cand, others, cap))
+        return counts[-1]
+
+    monkeypatch.setattr(solver, "_colour_classes", spy)
+    rows = _CountedRows(adj)
+    assert greedy_clique(rows) == expected and counts == [s]
+    full_reads, rows.reads = rows.reads, 0
+    assert len(greedy_clique(rows, exceed=s - 1)) == s and counts == [s]
+    # and the full search read no more rows than the one start that
+    # exceeded s - 1: it ran that start only
+    assert full_reads == rows.reads
+
+
+class _CountedRows(list):
+    """Bitmask rows that count their reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
