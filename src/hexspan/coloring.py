@@ -17,6 +17,12 @@ the handedness-preserving automorphisms):
   exact coloring problem on the quotient with wrap-around distances,
   solved by the branch-and-bound engine.
 
+Both searches walk the lattices in array passes, a block of whole
+determinants at a time: the normal forms are enumerated as arrays, the
+separation filter is a shortest-vector test in the grid's own norm
+N(i, j) = max(|i| + |j|, 2|i|) on Lagrange-reduced bases, and each
+admissible lattice gets one integer key for its point-group orbit.
+
 Periodic checks read one orbit table: the search with the ring-formula
 ball, ``verify_lattice`` with the BFS ball.  ``verify_window`` stays on
 the closed form, so the two verifiers share no distance code: it reads
@@ -28,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -189,8 +193,9 @@ def _orbit_index(geo: LatticeGeometry, rows: np.ndarray, offsets: np.ndarray) ->
     return cx * geo.d + cy
 
 
-# lookups per verify_lattice block, and pairs per verify_window chunk:
-# 128 KiB temporaries, at l = 40 twice as fast as 2**16
+# lookups per verify_lattice block, pairs per verify_window chunk, and
+# bases per lattice enumeration block: 128 KiB temporaries, at l = 40
+# twice as fast as 2**16
 _BLOCK_LOOKUPS = 1 << 14
 
 
@@ -232,43 +237,98 @@ def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
     return VerifyResult(not violations, violations, checked)
 
 
-def _separation_ok(bases: list[tuple[Vertex, Vertex]], l: int) -> np.ndarray:
-    """One verdict per basis: True iff no cell of the radius-l ball around
-    (0, 0) but the centre lies in its orbit, that is, no nonzero lattice
-    vector (an even translation, so an automorphism) moves any cell by l
-    or less.
+def _grid_norm(i, j):
+    """N(i, j) = max(|i| + |j|, 2|i|), elementwise: the distance by which
+    the even translation (i, j) moves every cell, ``distance_closed((0, 0),
+    (i, j))`` without its parity term, which is zero for i + j even.  N is
+    a norm; its unit ball is the hexagon with corners (0, +-1) and
+    (+-1/2, +-1/2)."""
+    i, j = np.abs(i), np.abs(j)
+    return np.maximum(i + j, 2 * i)
 
-    The orbit of (0, 0) is the lattice: even vectors, with -t for each t,
-    and -t is as far from (0, 0) as t.  So only one of each pair +-t of
-    nonzero even ball offsets is tested.  An offset (i, j) lies in the
-    lattice of t1 = (p1, q1), t2 = (p2, q2) iff its coordinates in that
-    basis are integers, that is (Cramer) iff both numerators
-    i*q2 - j*p2 and p1*j - q1*i are multiples of det = p1*q2 - p2*q1;
-    this holds for any basis, in normal form or not.  The bases are
-    decided together, at most ``_BLOCK_LOOKUPS`` membership tests at a
-    time, each block in one pass broadcast over a column of
-    (p1, q1, p2, q2) per basis.  ``InputError`` on a degenerate basis (det 0)."""
-    i, j = offsets = _ball_offsets(l)[0]
-    i, j = offsets[:, ((i + j) % 2 == 0) & ((i > 0) | (i == 0) & (j > 0))]
-    entries = np.array(bases, dtype=np.int64).reshape(-1, 4)
-    p1, q1, p2, q2 = entries.T[:, :, None]
-    det = p1 * q2 - p2 * q1
-    degenerate = np.flatnonzero(det == 0)
+
+def _separation_ok(bases, l: int) -> np.ndarray:
+    """One verdict per basis of even translations, given as pairs of
+    vectors or as a (k, 4) array of rows (p1, q1, p2, q2): True iff every
+    nonzero lattice vector (an even translation, so an automorphism) moves
+    every cell by more than l, that is iff the lattice's shortest nonzero
+    vector in the norm N of ``_grid_norm`` exceeds l.
+
+    All bases are Lagrange-reduced together in the quadratic form
+    Q(i, j) = 3i^2 + j^2, with B its bilinear form, in int64 arithmetic,
+    exact for entries below 10**8: swap so that Q(u) <= Q(v), then take
+    v -= m*u with m the integer nearest B(u, v)/Q(u), until m is 0.  Each
+    step shrinks Q(v) or ends the next one, and then Q(u) <= Q(v) and
+    |2B(u, v)| <= Q(u).  The
+    minimum of N over the lattice is then the least of N(u), N(v),
+    N(u + v) and N(u - v):
+    - Q(m*u + n*v) >= (m^2 - |mn| + n^2) * Q(u), by the two inequalities;
+    - 3/4 * N^2 <= Q <= N^2 (check |i| <= |j| and |i| > |j|);
+    - so a vector w = m*u + n*v with N(w) < N(u) has Q(w) <= N(w)^2 <
+      N(u)^2 <= 4/3 * Q(u), hence m^2 - |mn| + n^2 = 1, and w is +-u,
+      +-v or +-(u +- v).
+    The cost per basis does not grow with l, and any basis of a lattice,
+    in normal form or not, gets its verdict.  ``InputError`` on a
+    degenerate basis (det 0)."""
+    entries = np.array(bases, dtype=np.int64).reshape(-1, 4)  # a copy, reduced in place
+    ui, uj, vi, vj = entries.T
+    degenerate = np.flatnonzero(ui * vj - vi * uj == 0)
     if degenerate.size:
-        raise InputError(f"degenerate lattice basis {bases[degenerate[0]]}")
-    step = max(1, _BLOCK_LOOKUPS // max(i.size, 1))
-    ok = np.empty(len(entries), dtype=bool)
-    for first in range(0, len(entries), step):
-        block = slice(first, first + step)
-        d = det[block]
-        hit = (i * q2[block] - j * p2[block]) % d == 0
-        hit &= (p1[block] * j - q1[block] * i) % d == 0
-        ok[block] = ~hit.any(axis=1)
-    return ok
+        p1, q1, p2, q2 = entries[degenerate[0]].tolist()
+        raise InputError(f"degenerate lattice basis {((p1, q1), (p2, q2))}")
+    todo = np.arange(len(entries))
+    while todo.size:
+        a, b, c, d = ui[todo], uj[todo], vi[todo], vj[todo]
+        qu, qv = 3 * a * a + b * b, 3 * c * c + d * d
+        swap = qu > qv
+        a, b, c, d = (np.where(swap, c, a), np.where(swap, d, b),
+                      np.where(swap, a, c), np.where(swap, b, d))
+        qu = np.minimum(qu, qv)
+        m = (2 * (3 * a * c + b * d) + qu) // (2 * qu)
+        c, d = c - m * a, d - m * b
+        ui[todo], uj[todo], vi[todo], vj[todo] = a, b, c, d
+        todo = todo[m != 0]
+    shortest = np.minimum.reduce([_grid_norm(ui, uj), _grid_norm(vi, vj),
+                                  _grid_norm(ui + vi, uj + vj), _grid_norm(ui - vi, uj - vj)])
+    return shortest > l
 
 
-def _divisors(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if n % k == 0]
+def _sublattice_blocks(max_det: int, min_det: int = 0):
+    """``even_sublattices(max_det, min_det)`` in blocks of whole
+    determinant groups, each of at most ``_BLOCK_LOOKUPS`` bases unless one
+    group alone holds more: (dets, entries), int64 arrays of shape (k,)
+    and (k, 4), one row (p1, q1, p2, q2) per basis.
+
+    The pairs (n, a) with a | n come first, for every n of the range at
+    once, ordered by n and then a; each block then expands its pairs into
+    their d = n/a bases c = 0..d-1."""
+    lo, hi = max(1, (min_det + 1) // 2), max_det // 2
+    if hi < lo:
+        return
+    # the multiples n = a*k of each a with lo <= n <= hi: k runs up from
+    # k0, the least, by the pair's place in its run of one a
+    a = np.arange(1, hi + 1)
+    k0 = -(-lo // a)
+    count = np.maximum(hi // a - k0 + 1, 0)
+    first = np.cumsum(count) - count
+    a, k = np.repeat(a, count), np.repeat(k0 - first, count) + np.arange(count.sum())
+    n = a * k
+    order = np.lexsort((a, n))
+    n, a = n[order], a[order]
+    d = n // a
+    # the pair index and the base count at the end of each group of one n
+    pair_end = np.append(np.flatnonzero(np.diff(n)) + 1, len(n))
+    base_end = np.cumsum(d)[pair_end - 1]
+    done, group = 0, 0
+    while group < len(pair_end):
+        last = max(group, int(np.searchsorted(base_end, done + _BLOCK_LOOKUPS, "right")) - 1)
+        pairs = slice(pair_end[group - 1] if group else 0, pair_end[last])
+        pn, pa, pd = n[pairs], a[pairs], d[pairs]
+        which = np.repeat(np.arange(len(pd)), pd)
+        c = np.arange(len(which)) - np.repeat(np.cumsum(pd) - pd, pd)
+        pa, pd = pa[which], pd[which]
+        yield 2 * pn[which], np.stack([pa + c, pa - c, pd, -pd], axis=1)
+        done, group = int(base_end[last]), last + 1
 
 
 def even_sublattices(max_det: int, min_det: int = 0):
@@ -279,53 +339,121 @@ def even_sublattices(max_det: int, min_det: int = 0):
 
     In the even basis u1=(1,1), u2=(1,-1) the normal form is
     t1 = a*u1 + c*u2, t2 = d*u2 with a,d >= 1 and 0 <= c < d; the cell
-    determinant is then 2ad.
+    determinant is then 2ad.  Read from ``_sublattice_blocks``.
     """
-    for n in range(max(1, (min_det + 1) // 2), max_det // 2 + 1):
-        for a in _divisors(n):
-            d = n // a
-            for c in range(d):
-                t1 = (a + c, a - c)
-                t2 = (d, -d)
-                yield 2 * n, (t1, t2)
+    for dets, entries in _sublattice_blocks(max_det, min_det):
+        for det, (p1, q1, p2, q2) in zip(dets.tolist(), entries.tolist()):
+            yield det, ((p1, q1), (p2, q2))
+
+
+def _image(g: tuple[Vertex, Vertex], t: Vertex) -> Vertex:
+    """The even translation t under the linear map g, given as its images
+    of the even basis (1, 1) and (1, -1)."""
+    (p1, q1), (p2, q2) = g
+    s, r = (t[0] + t[1]) // 2, (t[0] - t[1]) // 2
+    return (s * p1 + r * p2, s * q1 + r * q2)
+
+
+# R, the 60-degree rotation R(i, j) = ((i - j)/2, (3i + j)/2), and M, the
+# mirror M(i, j) = (i, -j), as maps for ``_image``
+_ROTATE = ((0, 2), (1, 1))
+_MIRROR = ((1, -1), (1, 1))
+
+
+def _point_group() -> list[tuple[Vertex, Vertex]]:
+    """The 12 linear maps that R and M generate, in closure order; the
+    first is the identity.
+
+    Each lifts to an automorphism of the grid: R takes a right-handed cell
+    u to R(u) + (-2, -1) and a left-handed one to R(u - (1, 0)) + (-2, 0),
+    M takes them to M(u) + (-2, -2) and M(u - (1, 0)) + (-1, -2).  Such a
+    lift moves every orbit of a lattice L onto an orbit of g(L), so the
+    quotient graphs of L and g(L) are isomorphic and the separation
+    filter gives both the same verdict.  Both maps keep Q(i, j) =
+    3i^2 + j^2: Q((i - j)/2, (3i + j)/2) = 3i^2 + j^2, and M flips the
+    sign of j."""
+    group = [((1, 1), (1, -1))]
+    for g in group:  # grows while it is read
+        for step in (_ROTATE, _MIRROR):
+            h = (_image(step, g[0]), _image(step, g[1]))
+            if h not in group:
+                group.append(h)
+    return group
+
+
+_POINT_GROUP = _point_group()
+# one map of each pair +-g, as [g, k, :], the image under g of the even basis
+# vector k, the identity first: -g(L) = g(L), because -L = L, so these six
+# give every image
+_IMAGE_MAPS = np.array([g for n, g in enumerate(_POINT_GROUP)
+                        if tuple((-p, -q) for p, q in g) not in _POINT_GROUP[:n]], dtype=np.int64)
+
+# the base of the orbit key's digits, above every det, a and b it encodes
+_KEY_BASE = 1 << 21
+
+
+def _orbit_keys(entries: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each row (p1, q1, p2, q2) of a (k, 4) array, a basis of a lattice
+    of even translations with det below 2**21: the ``LatticeGeometry``
+    entries (a, b, d) of its lattice and its orbit key, the least of
+    (det * K + a) * K + b, K = ``_KEY_BASE``, over the normal forms of its
+    images under ``_POINT_GROUP``.  Images keep det, and an orbit is
+    the orbit of each of its lattices, so two lattices share a key iff the
+    point group maps one onto the other.
+
+    The normal forms, ``lattice_geometry``'s, come from one Euclid run
+    over all 6k image bases (x, y) at once, on the vectors themselves:
+    x, y = y, x - q*y with q = x_i // y_i keeps a basis of the image and
+    ends with y_i = 0, so that x = (+-a, +-b) and y = (0, +-d)."""
+    p1, q1, p2, q2 = entries.T
+    group = _IMAGE_MAPS[:, :, :, None]
+    # t = s*(1, 1) + r*(1, -1) goes to s*g(1, 1) + r*g(1, -1); the 6 images
+    # of each basis are flattened, map by map
+    (xi, xj), (yi, yj) = ((s * group[:, 0] + r * group[:, 1]).transpose(1, 0, 2).reshape(2, -1)
+                          for s, r in (((p1 + q1) // 2, (p1 - q1) // 2),
+                                       ((p2 + q2) // 2, (p2 - q2) // 2)))
+    todo = np.flatnonzero(yi)
+    while todo.size:
+        a, b, c, d = xi[todo], xj[todo], yi[todo], yj[todo]
+        q = a // c
+        xi[todo], xj[todo], yi[todo], yj[todo] = c, d, a - q * c, b - q * d
+        todo = todo[yi[todo] != 0]
+    a, d = np.abs(xi), np.abs(yj)
+    b = np.where(xi < 0, -xj, xj) % d
+    keys = ((a * d * _KEY_BASE + a) * _KEY_BASE + b).reshape(len(group), -1)
+    k = len(entries)
+    return a[:k], b[:k], d[:k], keys.min(axis=0)
 
 
 # the largest determinant the lattice searches enumerate: on a 2-vCPU Xeon
-# search_lattice(100, 2000) filters all 823,081 bases up to det 2000 in
-# 49 s, and search_periodic's default bound, 2 * span + 24, reaches 2000
-# at l = 50
+# search_lattice(100, 2000) enumerates and filters all 823,081 bases up
+# to det 2000 in about 0.2 s, at any l, and search_periodic's default
+# bound, 2 * span + 24, reaches 2000 at l = 50
 MAX_DET = 2000
-
-# the most separation-filter lookups a lattice search may need: the bases
-# up to determinant 2N number sum(sigma(n), n <= N) = sum(k * (N // k),
-# k <= N) <= N**2, and each looks up the half-ball, one of each pair +-t
-# of the even offsets within l, 3M(M + 1)/2 for M = l // 2 (ring k holds
-# 3k cells, and the even offsets are the even rings).  The bound of
-# search_lattice(100, 2000), which made 3.15e9 lookups in 49 s, is
-# 10**6 * 3,825 and is accepted; at l = 1000 it is about 100 times that
-MAX_FILTER_LOOKUPS = 4 * 10 ** 9
 
 
 def _admissible(l: int, min_det: int, max_det: int):
-    """(det, basis) of each lattice of ``even_sublattices(max_det,
-    min_det)`` that passes the separation filter, in that order; the bases
-    of one determinant are decided in one ``_separation_ok`` call.
+    """(det, basis, ``LatticeGeometry``, orbit key) of each lattice of
+    ``even_sublattices(max_det, min_det)`` that passes the separation
+    filter, in that order.  Each block of ``_sublattice_blocks`` is decided
+    in one ``_separation_ok`` call, and its admissible bases get their
+    normal forms and orbit keys (``_orbit_keys``) in one more array pass.
     ``ResourceGuard``, before any lattice is built, if ``max_det`` is above
-    ``MAX_DET`` or the filter's lookups may pass ``MAX_FILTER_LOOKUPS``."""
+    ``MAX_DET`` or l is above the BFS oracle's limit, which
+    ``verify_lattice`` would meet."""
     if max_det > MAX_DET:
         raise ResourceGuard(f"period lattices up to determinant {max_det} exceed the "
                             f"limit of {MAX_DET}")
-    m = l // 2
-    lookups = (max(max_det, 0) // 2) ** 2 * (3 * m * (m + 1) // 2)
-    if lookups > MAX_FILTER_LOOKUPS:
-        raise ResourceGuard(f"period lattices up to determinant {max_det} at l = {l} need up "
-                            f"to {lookups} separation lookups, above the limit of "
-                            f"{MAX_FILTER_LOOKUPS}")
-    for det, group in groupby(even_sublattices(max_det, min_det), key=itemgetter(0)):
-        bases = [basis for _, basis in group]
-        for basis, ok in zip(bases, _separation_ok(bases, l)):
-            if ok:
-                yield det, basis
+    _refuse_past_bfs_limit("l", l)
+    for dets, entries in _sublattice_blocks(max_det, min_det):
+        ok = _separation_ok(entries, l)
+        dets, entries = dets[ok], entries[ok]
+        if not len(entries):
+            continue
+        a, b, d, keys = (column.tolist() for column in _orbit_keys(entries))
+        for det, (p1, q1, p2, q2), *geo, key in zip(dets.tolist(), entries.tolist(),
+                                                    a, b, d, keys):
+            yield det, ((p1, q1), (p2, q2)), LatticeGeometry(*geo), key
 
 
 # search_lattice's default determinant bound
@@ -344,7 +472,7 @@ def search_lattice(l: int, max_det: int = SINGLE_COSET_MAX_DET) -> LatticeColori
     """
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    for det, basis in _admissible(l, 0, max_det):
+    for det, basis, _, _ in _admissible(l, 0, max_det):
         coloring = single_coset_coloring(l, basis)
         check = verify_lattice(coloring)
         if not check.valid:
@@ -421,47 +549,6 @@ def _covered(geo: LatticeGeometry, l: int) -> bool:
     return bool(np.bincount(row.ravel(), minlength=geo.det).all())
 
 
-def _image(g: tuple[Vertex, Vertex], t: Vertex) -> Vertex:
-    """The even translation t under the linear map g, given as its images
-    of the even basis (1, 1) and (1, -1)."""
-    (p1, q1), (p2, q2) = g
-    s, r = (t[0] + t[1]) // 2, (t[0] - t[1]) // 2
-    return (s * p1 + r * p2, s * q1 + r * q2)
-
-
-# R, the 60-degree rotation R(i, j) = ((i - j)/2, (3i + j)/2), and M, the
-# mirror M(i, j) = (i, -j), as maps for ``_image``
-_ROTATE = ((0, 2), (1, 1))
-_MIRROR = ((1, -1), (1, 1))
-
-
-def _point_group() -> list[tuple[Vertex, Vertex]]:
-    """The 12 linear maps that R and M generate, in closure order.
-
-    Each lifts to an automorphism of the grid: R takes a right-handed cell
-    u to R(u) + (-2, -1) and a left-handed one to R(u - (1, 0)) + (-2, 0),
-    M takes them to M(u) + (-2, -2) and M(u - (1, 0)) + (-1, -2).  Such a
-    lift moves every orbit of a lattice L onto an orbit of g(L), so the
-    quotient graphs of L and g(L) are isomorphic and the separation
-    filter gives both the same verdict."""
-    group = [((1, 1), (1, -1))]
-    for g in group:  # grows while it is read
-        for step in (_ROTATE, _MIRROR):
-            h = (_image(step, g[0]), _image(step, g[1]))
-            if h not in group:
-                group.append(h)
-    return group
-
-
-_POINT_GROUP = _point_group()
-
-
-def _orbit(basis: tuple[Vertex, Vertex]) -> set[LatticeGeometry]:
-    """The normal forms of the images of the lattice under the point group."""
-    return {lattice_geometry((_image(g, basis[0]), _image(g, basis[1])))
-            for g in _POINT_GROUP}
-
-
 @dataclass
 class PeriodicSearchResult:
     """Outcome of a periodic-coloring search that decided every lattice:
@@ -480,14 +567,14 @@ def search_periodic(l: int, colors: int | None = None,
                     max_det: int | None = None) -> PeriodicSearchResult:
     """Verified periodic coloring with at most ``colors`` colors (default:
     the span of even l): for each admissible period lattice (one that
-    passes the separation filter, decided per determinant by
-    ``_separation_ok``) of determinant ``colors`` to ``max_det`` (default
-    2 * colors + 24), in ``even_sublattices`` order, solve the quotient
-    coloring exactly with the color budget.  The first success wins, which
-    keeps the search deterministic.  ``ResourceGuard``, before any lattice
-    is built, if ``max_det`` is above ``MAX_DET``, and once DSATUR has
-    spent ``MAX_NODES`` nodes over the whole call: no verdict, never a
-    refutation.
+    passes the separation filter, decided by ``_admissible`` a block of
+    determinants at a time) of determinant ``colors`` to ``max_det``
+    (default 2 * colors + 24), in ``even_sublattices`` order, solve the
+    quotient coloring exactly with the color budget.  The first success
+    wins, which keeps the search deterministic.  ``ResourceGuard``, before
+    any lattice is built, if ``max_det`` is above ``MAX_DET`` or l above
+    the BFS oracle's limit, and once DSATUR has spent ``MAX_NODES`` nodes
+    over the whole call: no verdict, never a refutation.
 
     A lattice of det above ``colors`` with a complete quotient graph
     (``_covered``) is a clique of det cells, rejected without building the
@@ -500,7 +587,8 @@ def search_periodic(l: int, colors: int | None = None,
     was proven not colorable earlier in the same call (by a clique or an
     exhaustive DSATUR search) is passed over unbuilt; it counts in
     ``lattices_tried`` and logs "symmetric image of" the rejected basis.
-    No call keeps anything.
+    Each orbit is one integer key (``_orbit_keys``), so a rejection stores
+    one key and each lattice tried looks one up.  No call keeps anything.
 
     If ``colors`` is the smallest admissible determinant, the first
     lattice is ``search_lattice``'s; its quotient graph is complete
@@ -515,21 +603,19 @@ def search_periodic(l: int, colors: int | None = None,
     result = PeriodicSearchResult(l, target, None, "none")
     if max_det is None:
         max_det = 2 * target + 24
-    # the normal form of every image of a lattice proven not colorable ->
-    # that lattice's basis: one lookup per lattice tried, 12 forms per proof
-    rejected: dict[LatticeGeometry, tuple] = {}
+    # the orbit key of each lattice proven not colorable -> its basis
+    rejected: dict[int, tuple] = {}
     nodes_left = MAX_NODES
-    for det, basis in _admissible(l, target, max_det):
+    for det, basis, geo, key in _admissible(l, target, max_det):
         result.lattices_tried += 1
-        geo = lattice_geometry(basis)
         line = f"det {det} basis {basis}"
-        if geo in rejected:
-            result.log.append(f"{line}: symmetric image of {rejected[geo]}")
+        if key in rejected:
+            result.log.append(f"{line}: symmetric image of {rejected[key]}")
             continue
         adj = None if det > target and _covered(geo, l) else quotient_conflicts(geo, l)
         if adj is None or len(greedy_clique(adj, exceed=target)) > target:
             result.log.append(f"{line}: clique exceeds {target}")
-            rejected.update(dict.fromkeys(_orbit(basis), basis))
+            rejected[key] = basis
             continue
         try:
             solution, nodes = solve_coloring(adj, target, max_nodes=nodes_left)
@@ -538,7 +624,7 @@ def search_periodic(l: int, colors: int | None = None,
         nodes_left -= nodes
         if solution is None:
             result.log.append(f"{line}: not {target}-colorable")
-            rejected.update(dict.fromkeys(_orbit(basis), basis))
+            rejected[key] = basis
             continue
         cells = geo.cells()
         assignment = {cell: c + 1 for cell, c in zip(cells, solution)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import colorsys
 import math
+from operator import add
 
 from .coloring import LatticeColoring, WindowColoring
 from .errors import InputError, ResourceGuard
@@ -84,21 +85,24 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
         f'<!-- hexspan coloring, l={coloring.l}, {len(cells)} cells -->',
     ]
-    # corner offsets per handedness and fill per color, computed once
-    corners = [_corners(0.56 * SCALE, flip=hand == 1) for hand in (0, 1)]
+    # one %-template per polygon and per label, the corner offsets of each
+    # handedness flattened to (dx0, dy0, ..., dx5, dy5), and the fill of
+    # each color, all made once
+    polygon = ('<polygon points="' + " ".join(["%.2f,%.2f"] * 6)
+               + '" fill="%s" stroke="#333333" stroke-width="1"/>')
+    label = (f'<text x="%.2f" y="%.2f" font-size="{0.38 * SCALE:.1f}" text-anchor="middle" '
+             'font-family="monospace">%s</text>')
+    offsets = [[x for corner in _corners(0.56 * SCALE, flip=hand == 1) for x in corner]
+               for hand in (0, 1)]
     fill = {color: palette_color(color) for color in set(cells.values())}
-    font = f"{0.38 * SCALE:.1f}"
+    lift = 0.12 * SCALE
     for v in sorted(cells):
         px, py = placed[v]
         cx = (px - x0) * SCALE
         cy = height - (py - y0) * SCALE  # svg y grows downward
         color = cells[v]
-        pts = " ".join(f"{cx + dx:.2f},{cy + dy:.2f}" for dx, dy in corners[parity(v)])
-        lines.append(f'<polygon points="{pts}" fill="{fill[color]}" '
-                     f'stroke="#333333" stroke-width="1"/>')
+        lines.append(polygon % (*map(add, (cx, cy) * 6, offsets[parity(v)]), fill[color]))
         if labels:
-            lines.append(f'<text x="{cx:.2f}" y="{cy + 0.12 * SCALE:.2f}" '
-                         f'font-size="{font}" text-anchor="middle" '
-                         f'font-family="monospace">{color}</text>')
+            lines.append(label % (cx, cy + lift, color))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

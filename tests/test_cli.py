@@ -432,7 +432,7 @@ def test_search_lattice_refuses_a_determinant_past_the_limit(argv, det, monkeypa
     def fail(*args):
         raise AssertionError("lattice enumerated")
 
-    monkeypatch.setattr(coloring, "even_sublattices", fail)
+    monkeypatch.setattr(coloring, "_sublattice_blocks", fail)
     start = time.perf_counter()
     assert run(argv) == 3
     assert time.perf_counter() - start < 1.0
@@ -440,21 +440,14 @@ def test_search_lattice_refuses_a_determinant_past_the_limit(argv, det, monkeypa
             in capsys.readouterr().err)
 
 
-def test_search_lattice_refuses_a_filter_past_the_lookup_limit(monkeypatch, capsys):
-    # within the determinant limit, but 823,081 bases each looking up
-    # 375,750 half-ball offsets
-    import hexspan.coloring as coloring
-
-    def fail(*args):
-        raise AssertionError("lattice enumerated")
-
-    monkeypatch.setattr(coloring, "even_sublattices", fail)
+def test_search_lattice_filters_every_basis_up_to_the_determinant_limit(capsys):
+    # within the determinant limit the separation filter decides all 823,081
+    # bases, at a cost that does not grow with l; none passes at l = 1000,
+    # so the single-coset search finds nothing (exit 1)
     start = time.perf_counter()
-    assert run(["search-lattice", "1000", "--max-det", "2000"]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        "refused: period lattices up to determinant 2000 at l = 1000 need up to "
-        "375750000000 separation lookups, above the limit of 4000000000\n")
+    assert run(["search-lattice", "1000", "--max-det", "2000"]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out == "no single-coset lattice with det <= 2000\n"
 
 
 def test_search_lattice_at_the_determinant_limit(capsys):

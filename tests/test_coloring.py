@@ -55,8 +55,8 @@ even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
 
 @given(even_vectors, st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 3)]))
 def test_translation_distance_matches_bfs(t, v):
-    # an even translation moves every cell by d((0, 0), t), which is what
-    # _separation_ok reads off the closed form
+    # an even translation moves every cell by d((0, 0), t), the grid norm
+    # N(t) that _separation_ok minimises over the lattice
     if t == (0, 0):
         return
     assert distance_closed((0, 0), t) == distance_bfs(v, translate(v, t))
@@ -86,6 +86,27 @@ def test_lattice_geometry_canonical():
             assert (i, j) == geo.canonical((int(x), int(y)))
 
 
+def _triple_loop_sublattices(max_det, min_det=0):
+    # even_sublattices as it was written before it enumerated arrays: one
+    # basis at a time, n = det/2, then each divisor a of n, then c < n/a
+    for n in range(max(1, (min_det + 1) // 2), max_det // 2 + 1):
+        for a in (k for k in range(1, n + 1) if n % k == 0):
+            d = n // a
+            for c in range(d):
+                yield 2 * n, ((a + c, a - c), (d, -d))
+
+
+def test_array_enumeration_matches_the_triple_loop():
+    for max_det, min_det in ((300, 0), (300, 133), (301, 134), (90, 90), (2, 0), (1, 0),
+                             (0, 0), (-4, 0), (40, 60)):
+        assert (list(even_sublattices(max_det, min_det))
+                == list(_triple_loop_sublattices(max_det, min_det))), (max_det, min_det)
+    # every entry is a Python int, so bases print as they always have
+    det, basis = next(even_sublattices(4, 4))
+    assert type(det) is int and {type(x) for t in basis for x in t} == {int}
+    assert f"{basis}" == "((1, 1), (2, -2))"
+
+
 def test_even_sublattice_enumeration_order_and_parity():
     seq = list(even_sublattices(16))
     dets = [det for det, _ in seq]
@@ -102,32 +123,40 @@ def test_even_sublattices_start_at_the_least_determinant(monkeypatch):
     full = list(even_sublattices(90))
     for least in (0, 1, 33, 34, 35, 90, 91):
         assert list(even_sublattices(90, least)) == [x for x in full if x[0] >= least]
-    # determinants below the least one are not enumerated at all
-    seen = []
-    divisors = coloring_module._divisors
-    monkeypatch.setattr(coloring_module, "_divisors", lambda n: seen.append(n) or divisors(n))
-    list(even_sublattices(90, 33))
-    assert seen == list(range(17, 46))
+    # determinants below the least one are not enumerated at all: in blocks
+    # of one determinant, the first block is det 34's, and the blocks hold
+    # dets 34..90, one each
+    monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", 1)
+    blocks = list(coloring_module._sublattice_blocks(90, 33))
+    assert [set(dets.tolist()) for dets, _ in blocks] == [{2 * n} for n in range(17, 46)]
+    assert [len(entries) for _, entries in blocks] == [sum(n // a for a in range(1, n + 1)
+                                                           if n % a == 0)
+                                                       for n in range(17, 46)]
 
 
-def test_each_determinant_is_filtered_in_one_call(monkeypatch):
+def test_each_enumeration_block_is_filtered_in_one_call(monkeypatch):
     expected = _searched(8).log
     calls = []
     separation_ok = coloring_module._separation_ok
     monkeypatch.setattr(coloring_module, "_separation_ok",
                         lambda bases, l: calls.append(bases) or separation_ok(bases, l))
     assert search_periodic(8).log == expected
-    # dets 34..66, the last holding the success: one call each, with every
-    # basis of that det in even_sublattices order
-    dets = [2 * n for n in range(17, 34)]
-    assert calls == [[basis for det, basis in even_sublattices(det, det)] for det in dets]
-    # 685 bases; the filter called once per basis stopped at the success,
-    # the 644th, and the 41 after it in det 66 are the price of one pass
-    assert sum(map(len, calls)) == 685
+    # dets 34..90, up to the default bound 2 * 33 + 24, fit one block of
+    # 1,466 bases, decided in one call as a (1466, 4) array in
+    # even_sublattices order; the success is the 644th of them
+    assert len(calls) == 1
+    assert calls[0].shape == (1466, 4)
+    assert calls[0].tolist() == [[*t1, *t2] for det, (t1, t2) in even_sublattices(90, 34)]
+    # in blocks of one determinant, one call per det up to the success's
+    calls.clear()
+    monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", 1)
+    assert search_periodic(8).log == expected
+    assert [len(bases) for bases in calls] == [len(list(even_sublattices(det, det)))
+                                               for det in range(34, 67, 2)]
 
 
 def test_lattice_searches_refuse_a_determinant_past_the_limit(monkeypatch):
-    monkeypatch.setattr(coloring_module, "even_sublattices", None)  # never reached
+    monkeypatch.setattr(coloring_module, "_sublattice_blocks", None)  # never reached
     for search in (lambda: search_periodic(8, colors=10 ** 9),
                    lambda: search_periodic(8, max_det=2001),
                    lambda: search_lattice(8, 2001)):
@@ -135,20 +164,20 @@ def test_lattice_searches_refuse_a_determinant_past_the_limit(monkeypatch):
             search()
 
 
-def test_lattice_searches_refuse_a_filter_past_the_lookup_limit(monkeypatch):
-    # (2000 // 2)**2 bases times 3M(M + 1)/2 half-ball offsets, M = l // 2:
-    # 3,978 at l = 103 is accepted, 4,134 at l = 104 refused, as is l = 1000
-    monkeypatch.setattr(coloring_module, "even_sublattices", lambda *args: iter(()))
-    assert search_lattice(100, 2000) is None
-    assert search_lattice(103, 2000) is None
+def test_lattice_searches_filter_every_basis_up_to_the_determinant_limit():
+    # the filter's cost does not grow with l: all 823,081 bases up to det
+    # 2000 are decided at l = 100 and l = 1000 alike, well within 2 s, and
+    # none passes (by Minkowski's packing bound, a lattice separated at even
+    # l has det >= 3(l + 2)**2 / 8)
+    for search in (lambda: search_lattice(100, 2000), lambda: search_lattice(1000, 2000),
+                   lambda: search_periodic(104, colors=1000, max_det=2000).coloring):
+        start = time.perf_counter()
+        assert search() is None
+        assert time.perf_counter() - start < 2.0
     assert search_lattice(1000, -2000) is None  # no bases at all
-    for search in (lambda: search_lattice(104, 2000),
-                   lambda: search_lattice(1000, 2000),
-                   lambda: search_periodic(104, colors=1000, max_det=2000)):
-        with pytest.raises(ResourceGuard, match="4134000000 separation lookups|375750000000 "
-                                                "separation lookups") as exc:
-            search()
-        assert "above the limit of 4000000000" in str(exc.value)
+    # l is refused past the BFS oracle's limit before any lattice is built
+    with pytest.raises(ResourceGuard, match="l 1001 exceeds the BFS oracle limit of 1000"):
+        next(_admissible(1001, 0, 2))
 
 
 def _plain_graph(n, related):
@@ -186,7 +215,7 @@ def test_conflict_graphs_match_plain_pair_scans(monkeypatch):
     # complete graphs, so both ends are sampled
     cases = []
     for l, min_det in ((4, 0), (4, 22), (6, 0), (8, 0), (8, 66), (10, 96)):
-        admissible = (basis for det, basis in _admissible(l, min_det, 200))
+        admissible = (basis for det, basis, _, _ in _admissible(l, min_det, 200))
         cases += [(l, basis) for basis in islice(admissible, 3)]
     # thin domains where every ball wraps its orbits many times: one column
     # (a = 1) and strips two rows high (d = 2); the conflict rule does not
@@ -245,17 +274,74 @@ def test_separation_matches_the_box_scan():
 
 
 def test_separation_verdicts_do_not_depend_on_the_block_size(monkeypatch):
-    # the 252 bases of det 192 at l = 12 (63 lookups each): in blocks of
-    # one basis (below 63 lookups too), of 15 bases with a short last
-    # block, and all 252 at once
-    bases = [basis for det, basis in even_sublattices(192, 192)]
-    assert len(bases) == 252
-    expected = [_box_scan_separation_ok(basis, 12) for basis in bases]
-    assert 0 < sum(expected) < len(bases)
-    for block in (1, 7, 15 * 63, 1 << 20):
+    # the enumeration in blocks of one determinant (a block size of 1, 4 or
+    # 7; 4 holds dets 2 and 4 exactly), of several (945), and of all of
+    # them at once (2**20): the same bases in the same order, and the same
+    # search
+    expected = list(even_sublattices(200))
+    log = _searched(8).log
+    sizes = {det: len(list(group)) for det, group in groupby(expected, key=itemgetter(0))}
+    for block, count in ((1, 100), (4, 99), (7, 99), (945, 10), (1 << 20, 1)):
         monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", block)
-        assert _separation_ok(bases, 12).tolist() == expected, block
+        blocks = [dets.tolist() for dets, _ in coloring_module._sublattice_blocks(200)]
+        # whole determinants, as many as fit, and one alone when it does not
+        assert len(blocks) == count
+        assert all(len(b) <= block or len(set(b)) == 1 for b in blocks)
+        assert all(x[-1] < y[0] and len(x) + sizes[y[0]] > block
+                   for x, y in zip(blocks, blocks[1:]))
+        assert list(even_sublattices(200)) == expected, block
+        assert search_periodic(8).log == log, block
     assert _separation_ok([], 12).shape == (0,)
+    assert _separation_ok(np.zeros((0, 4), dtype=np.int64), 12).shape == (0,)
+
+
+def test_the_grid_norm_is_the_distance_of_even_translations():
+    # N(t) = distance_closed((0, 0), t) for every even t in a box, and the
+    # BFS oracle's distance from both handednesses on a window
+    i, j = np.meshgrid(np.arange(-40, 41), np.arange(-60, 61), indexing="ij")
+    even = (i + j) % 2 == 0
+    norms = coloring_module._grid_norm(i[even], j[even])
+    assert norms.tolist() == [distance_closed((0, 0), (int(a), int(b)))
+                              for a, b in zip(i[even], j[even])]
+    assert (norms % 2 == 0).all()
+    for t in ((a, b) for a in range(-6, 7) for b in range(-9, 10) if (a + b) % 2 == 0):
+        n = int(coloring_module._grid_norm(*t))
+        assert n == distance_bfs((0, 0), t) == distance_bfs((1, 0), translate((1, 0), t)), t
+
+
+def _q(t):
+    return 3 * t[0] ** 2 + t[1] ** 2
+
+
+def test_the_reduction_form_is_invariant_under_the_point_group():
+    # Q(i, j) = 3i^2 + j^2 is kept by all 12 maps, and 3/4 N^2 <= Q <= N^2
+    for t in ((i, j) for i in range(-15, 16) for j in range(-15, 16) if (i + j) % 2 == 0):
+        assert {_q(_image(g, t)) for g in _POINT_GROUP} == {_q(t)}, t
+        n = int(coloring_module._grid_norm(*t))
+        assert 3 * n * n <= 4 * _q(t) <= 4 * n * n, t
+
+
+def _orbit(basis):
+    # the normal forms of the lattice's images under the point group, as
+    # search_periodic once stored them, 12 per rejection
+    return {lattice_geometry((_image(g, basis[0]), _image(g, basis[1]))) for g in _POINT_GROUP}
+
+
+@pytest.mark.parametrize("l", [4, 8, 12])
+def test_orbit_keys_name_point_group_orbits(l):
+    # every admissible lattice up to det 150: its geometry is its normal
+    # form, and two lattices share a key iff one is the other's image
+    lattices = list(_admissible(l, 0, 150))
+    assert len({key for *_, key in lattices}) > 1
+    for det, basis, geo, key in lattices:
+        assert geo == lattice_geometry(basis) and geo.det == det
+    for det, group in groupby(lattices, key=itemgetter(0)):
+        group = list(group)
+        orbits = [_orbit(basis) for _, basis, _, _ in group]
+        for (_, _, geo, key), orbit in zip(group, orbits):
+            assert geo in orbit
+            assert {other for _, _, other, k in group if k == key} == {
+                other for _, _, other, _ in group if other in orbit}, (l, geo)
 
 
 wide_even_vectors = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
@@ -267,9 +353,9 @@ wide_even_vectors = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter
 @example((30, -30), (-29, 27), 16)
 @settings(max_examples=300, deadline=None)
 def test_separation_matches_the_box_scan_on_any_basis(t1, t2, l):
-    # bases far from normal form: the Cramer membership test holds for any
-    # basis, so both orders and both orientations of one lattice get the
-    # box scan's verdict, decided here in one call
+    # bases far from normal form: the reduction finds the lattice's shortest
+    # vector from any basis, so both orders and both orientations of one
+    # lattice get the box scan's verdict, decided here in one call
     (p1, q1), (p2, q2) = t1, t2
     assume(p1 * q2 - p2 * q1 != 0)
     forms = [(t1, t2), (t2, t1), (t1, (-p2, -q2)), (t2, (-p1, -q1))]
@@ -277,7 +363,7 @@ def test_separation_matches_the_box_scan_on_any_basis(t1, t2, l):
 
 
 def test_separation_refuses_a_degenerate_basis():
-    # the determinant is checked before any membership test, so numpy never
+    # the determinant is checked before any reduction step, so numpy never
     # divides by zero, whatever its error settings
     good = ((7, -5), (33, -33))
     for degenerate in (((2, 0), (4, 0)), ((1, 1), (-3, -3)), ((0, 0), (2, 0))):
@@ -286,6 +372,10 @@ def test_separation_refuses_a_degenerate_basis():
             _separation_ok([good, degenerate, good], 8)
         with pytest.raises(InputError, match=message):
             lattice_geometry(degenerate)
+        # rows (p1, q1, p2, q2), as the enumeration hands them over
+        rows = np.array([[*t1, *t2] for t1, t2 in (good, degenerate)])
+        with pytest.raises(InputError, match=message):
+            _separation_ok(rows, 8)
     assert _separation_ok([good], 8).tolist() == [True]
 
 
@@ -445,7 +535,7 @@ def test_search_periodic_logs_pinned(l):
 def _tried_lattices(l):
     # the lattices search_periodic(l) tries, in its order, up to its success
     target = span_even(l).span
-    admissible = (basis for det, basis in _admissible(l, target, 2 * target + 24))
+    admissible = (basis for det, basis, _, _ in _admissible(l, target, 2 * target + 24))
     return list(islice(admissible, _searched(l).lattices_tried))
 
 
