@@ -193,9 +193,10 @@ def _orbit_index(geo: LatticeGeometry, rows: np.ndarray, offsets: np.ndarray) ->
     return cx * geo.d + cy
 
 
-# lookups per verify_lattice block, pairs per verify_window chunk, and
-# bases per lattice enumeration block: 128 KiB temporaries, at l = 40
-# twice as fast as 2**16
+# lookups per verify_lattice block, cells x rows per verify_window block,
+# pairs per verify_window chunk, and bases per lattice enumeration block:
+# 128 KiB temporaries (256 KiB for verify_window's (lo, hi) run tables),
+# at l = 40 twice as fast as 2**16
 _BLOCK_LOOKUPS = 1 << 14
 
 
@@ -544,9 +545,12 @@ def _covered(geo: LatticeGeometry, l: int) -> bool:
     right-handed cell and (1, 0) to every left-handed one.  The inversion
     (i, j) -> (1 - i, -j), a grid automorphism that swaps handedness,
     takes the ball around (0, 0) onto that around (1, 0) and orbits onto
-    orbits (-L = L), so this one row decides every row."""
-    row = _orbit_index(geo, np.zeros(1, dtype=np.int64), _ball_offsets(l)[0])
-    return bool(np.bincount(row.ravel(), minlength=geo.det).all())
+    orbits (-L = L), so this one row decides every row: the ball offsets
+    themselves, reduced to the domain."""
+    a, b, d = geo.a, geo.b, geo.d
+    ox, oy = _ball_offsets(l)[0]
+    s = ox // a
+    return bool(np.bincount((ox - s * a) * d + (oy - s * b) % d, minlength=geo.det).all())
 
 
 @dataclass
@@ -650,7 +654,8 @@ def materialize_window(coloring: LatticeColoring, radius: int) -> WindowColoring
     return WindowColoring(coloring.l, {v: coloring.color_of(v) for v in cells})
 
 
-# rows of a distance graph per distance matrix: the reuse battery's
+# rows per distance matrix in window_conflicts and the CLI's _widest (not
+# verify_window, whose blocks follow _BLOCK_LOOKUPS): the reuse battery's
 # largest graph, its p = 12 annulus, has 594 cells; its whole 594 x 594
 # int64 matrix and the bool matrix read off it (3.2 MB) would outweigh
 # the finished bitmask graph (67 KB) more than forty times
@@ -770,8 +775,10 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     Cells are keyed in a compressed layout and sorted, so that u's
     candidates in each row of its box are one run of keys, found by
     ``searchsorted``.  The same run of a color-major index lists the
-    candidates of u's color, and only those pairs are measured, ``_BLOCK``
-    cells and at most ``_BLOCK_LOOKUPS`` pairs at a time.  When the cap is
+    candidates of u's color, and only those pairs are measured: in blocks
+    of cells whose (cells x rows) run tables hold at most ``_BLOCK_LOOKUPS``
+    entries, so that a window of a few thousand cells at small l is one
+    block, and at most ``_BLOCK_LOOKUPS`` pairs at a time.  When the cap is
     hit, ``checked`` counts the candidates up to the 1000th clash.
     ``ResourceGuard`` if l is above the BFS oracle's limit, the bound that
     lattice files have too."""
@@ -798,10 +805,11 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     own = np.searchsorted(rows, ii)
     top = np.searchsorted(rows, ii + reach_i, "right")
     ahead = np.arange(int((top - own).max()))
+    step = max(1, _BLOCK_LOOKUPS // ahead.size)
     violations: list[Violation] = []
     checked = 0
-    for first in range(0, n, _BLOCK):
-        u = slice(first, first + _BLOCK)
+    for first in range(0, n, step):
+        u = slice(first, first + step)
         r = own[u, None] + ahead
         # a row past top gets a centre below every key: an empty run
         centre = np.where(r < top[u, None], np.take(rows, r, mode="clip") * width + jj[u, None],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import colorsys
 import math
-from operator import add
 
 from .coloring import LatticeColoring, WindowColoring
 from .errors import InputError, ResourceGuard
@@ -52,6 +51,7 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     its fundamental domain tiled ``tile`` x ``tile`` times, so the
     periodic structure is visible; ``ResourceGuard`` if that would draw
     more than ``MAX_TILED_CELLS`` cells, checked before any is placed.
+    ``InputError`` for a window coloring without cells.
     """
     if tile < 1:
         raise InputError(f"tile must be >= 1, got {tile}")
@@ -72,37 +72,50 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     else:
         cells = dict(coloring.assignment)
 
-    placed = {v: cell_position(v) for v in cells}
-    xs = [p[0] for p in placed.values()]
-    ys = [p[1] for p in placed.values()]
+    if not cells:
+        raise InputError("the coloring has no cells to draw")
+    # a cell's x follows from its column and handedness, its y from its row
+    # and handedness: one cell of each places all of them
+    columns = {(i, (i + j) % 2): (i, j) for i, j in cells}  # (i, parity)
+    rows = {(j, (i + j) % 2): (i, j) for i, j in cells}
+    px = {key: cell_position(v)[0] for key, v in columns.items()}
+    py = {key: cell_position(v)[1] for key, v in rows.items()}
     pad = 1.2
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    width = (max(xs) - min(xs) + 2 * pad) * SCALE
-    height = (max(ys) - min(ys) + 2 * pad) * SCALE
+    x0, y0 = min(px.values()) - pad, min(py.values()) - pad
+    width = (max(px.values()) - min(px.values()) + 2 * pad) * SCALE
+    height = (max(py.values()) - min(py.values()) + 2 * pad) * SCALE
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
         f'<!-- hexspan coloring, l={coloring.l}, {len(cells)} cells -->',
     ]
-    # one %-template per polygon and per label, the corner offsets of each
-    # handedness flattened to (dx0, dy0, ..., dx5, dy5), and the fill of
-    # each color, all made once
-    polygon = ('<polygon points="' + " ".join(["%.2f,%.2f"] * 6)
+    # every coordinate is formatted once: each column's corner x strings
+    # (and its label x) are filled into a polygon (and label) template,
+    # whose "%s" fields left for y, fill and color each cell fills from
+    # its row's corner y strings (and label y) and its color's fill
+    polygon = ('<polygon points="' + " ".join(["%s,%s"] * 6)
                + '" fill="%s" stroke="#333333" stroke-width="1"/>')
-    label = (f'<text x="%.2f" y="%.2f" font-size="{0.38 * SCALE:.1f}" text-anchor="middle" '
+    label = (f'<text x="%s" y="%s" font-size="{0.38 * SCALE:.1f}" text-anchor="middle" '
              'font-family="monospace">%s</text>')
-    offsets = [[x for corner in _corners(0.56 * SCALE, flip=hand == 1) for x in corner]
-               for hand in (0, 1)]
-    fill = {color: palette_color(color) for color in set(cells.values())}
+    corners = [_corners(0.56 * SCALE, flip=hand == 1) for hand in (0, 1)]
+    shape, text = {}, {}
+    for (i, hand), x in px.items():
+        cx = (x - x0) * SCALE
+        shape[i, hand] = polygon % (
+            *(s for dx, _ in corners[hand] for s in ("%.2f" % (cx + dx), "%s")), "%s")
+        text[i, hand] = label % ("%.2f" % cx, "%s", "%s")
     lift = 0.12 * SCALE
-    for v in sorted(cells):
-        px, py = placed[v]
-        cx = (px - x0) * SCALE
-        cy = height - (py - y0) * SCALE  # svg y grows downward
-        color = cells[v]
-        lines.append(polygon % (*map(add, (cx, cy) * 6, offsets[parity(v)]), fill[color]))
+    corner_y, label_y = {}, {}
+    for (j, hand), y in py.items():
+        cy = height - (y - y0) * SCALE  # svg y grows downward
+        corner_y[j, hand] = tuple("%.2f" % (cy + dy) for _, dy in corners[hand])
+        label_y[j, hand] = "%.2f" % (cy + lift)
+    fill = {color: palette_color(color) for color in set(cells.values())}
+    for (i, j), color in sorted(cells.items()):
+        hand = (i + j) % 2
+        lines.append(shape[i, hand] % (*corner_y[j, hand], fill[color]))
         if labels:
-            lines.append(label % (cx, cy + lift, color))
+            lines.append(text[i, hand] % (label_y[j, hand], color))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -746,14 +746,27 @@ def test_render_is_deterministic(tmp_path):
 
 def test_render_output_pinned():
     # sha256 of the SVG text: the l = 8 search's coloring at the default
-    # tile 3 with labels, and an 11-colour window coloring
+    # tile 3 with labels, and without them, and at tiles 1 and 2; an
+    # 11-colour window coloring, and the same moved far from the origin
     lattice = search_periodic(8).coloring
     window = exact_window_span(4, 3, 11).coloring
-    for coloring, digest in (
-            (lattice, "f73cce9535d1aaf3bd699402d54624a376d823e2a6563bdd88dbf4c26a0fa482"),
-            (window, "85d2349f57cd691caf0f7717415d847ef93146592629fd6ffd9721f5cc0fd613")):
-        svg = render_svg(coloring, tile=3, labels=True)
+    far = WindowColoring(4, {(i + 10 ** 9 + 1, j - 3 * 10 ** 9): c
+                             for (i, j), c in window.assignment.items()})
+    for coloring, options, digest in (
+            (lattice, {}, "f73cce9535d1aaf3bd699402d54624a376d823e2a6563bdd88dbf4c26a0fa482"),
+            (window, {}, "85d2349f57cd691caf0f7717415d847ef93146592629fd6ffd9721f5cc0fd613"),
+            (lattice, {"labels": False},
+             "11aa002135bc95e257e20fd010292a4528cb06c662fa01ccfedac580daa4bb3f"),
+            (lattice, {"tile": 1}, "3722f6a2c543d7bf65bd6a13ff6733136f8262bb64bbca46d4f9de98021d0144"),
+            (lattice, {"tile": 2}, "7b8afbfb382c3537ace57a5e71be63f65885db3700a1476d5f5cf3f43c8cfffc"),
+            (far, {}, "b84751f51af92ae560f4010ab18f6f63fb449d014722498a50cf0ec26f5acab6")):
+        svg = render_svg(coloring, **{"tile": 3, "labels": True, **options})
         assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
+
+
+def test_render_refuses_a_window_without_cells():
+    with pytest.raises(InputError, match="no cells to draw"):
+        render_svg(WindowColoring(4, {}))
 
 
 def test_render_malformed_exit_2(tmp_path, capsys):

@@ -1080,6 +1080,40 @@ def test_verify_window_past_the_cap_on_a_wide_box():
     assert peak < 8 * 2 ** 20, peak
 
 
+# block sizes: 1 lookup (one cell and one pair at a time), 7 (two or three
+# cells at l <= 3), 64 (blocks of 16 cells at l = 4, the cap hit past the first),
+# and 2**20 (every window here in one block, the wide box in three)
+_LOOKUP_BLOCKS = [1, 7, 64, 2 ** 20]
+_CAPPED_BALL = WindowColoring(4, dict.fromkeys(ball((0, 0), 12), 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows(), st.sampled_from(_LOOKUP_BLOCKS))
+@example(_CAPPED_BALL, 1)
+@example(_CAPPED_BALL, 7)
+@example(_CAPPED_BALL, 64)
+@example(_CAPPED_BALL, 2 ** 20)
+def test_verify_window_does_not_depend_on_the_block_size(window, block):
+    with mock.patch.object(coloring_module, "_BLOCK_LOOKUPS", block):
+        result = verify_window(window)
+    assert result.to_dict() == _pairwise_verify_window(window).to_dict()
+
+
+@lru_cache(maxsize=None)
+def _wide_box():
+    # the window of test_verify_window_past_the_cap_on_a_wide_box, and its
+    # pairwise verdict
+    window = WindowColoring(200, dict.fromkeys(ball((0, 0), 100), 1))
+    return window, _pairwise_verify_window(window).to_dict()
+
+
+@pytest.mark.parametrize("block", _LOOKUP_BLOCKS)
+def test_verify_window_past_the_cap_on_a_wide_box_in_any_block_size(block):
+    window, expected = _wide_box()
+    with mock.patch.object(coloring_module, "_BLOCK_LOOKUPS", block):
+        assert verify_window(window).to_dict() == expected
+
+
 def test_coloring_file_round_trip_lattice():
     coloring = single_coset_coloring(4, ((6, 6), (6, -6)))
     text = write_coloring(coloring)
