@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .coloring import (
-    _BLOCK,
     SINGLE_COSET_MAX_DET,
     ColoringFormatError,
     LatticeColoring,
@@ -35,7 +34,8 @@ from .coloring import (
     write_coloring_file,
 )
 from .errors import InputError, ResourceGuard
-from .grid import _refuse_past_bfs_limit, distance_bfs, distance_closed, pairwise_distances
+from .grid import (_BLOCK_ENTRIES, _refuse_past_bfs_limit, distance_bfs, distance_closed,
+                   pairwise_distances)
 from .render import render_svg
 from .reuse import _refuse_large_p, run_checks
 from .rings import build_clique, build_ring, build_shell
@@ -64,15 +64,11 @@ def _cmd_distance(args) -> int:
     return 0 if closed == oracle else 1
 
 
-def _refuse_far_ring(k: int) -> None:
-    """Rings farther out than the BFS limit are refused, as distances are:
-    ring 1000 has 3,000 cells, while `ring 1000000` took more than 3 s
-    and `shell 1000000 3` 3.5 s and 820 MB on a 2-vCPU Xeon."""
-    _refuse_past_bfs_limit("ring radius", k)
-
-
 def _cmd_ring(args) -> int:
-    _refuse_far_ring(args.k)
+    # rings farther out than the BFS limit are refused, as distances are:
+    # ring 1000 has 3,000 cells, while `ring 1000000` took more than 3 s
+    # and `shell 1000000 3` 3.5 s and 820 MB on a 2-vCPU Xeon
+    _refuse_past_bfs_limit("ring radius", args.k)
     ring = build_ring((args.center[0], args.center[1]), args.k)
     _emit(args, {
         "command": "ring", "k": args.k, "center": list(ring.center),
@@ -86,15 +82,17 @@ def _cmd_ring(args) -> int:
 
 
 def _widest(cells, center) -> int:
-    """Largest distance between two of ``cells``, _BLOCK rows at a time:
-    the whole matrix grows as len(cells)**2.  The cells are measured
-    moved by the even translation, an automorphism, that takes ``center``
-    to (0, 0) or (0, 1), so that int64 holds them whatever the centre."""
+    """Largest distance between two of ``cells``, in blocks of rows of at
+    most ``_BLOCK_ENTRIES`` entries (or one row): the whole matrix grows as
+    len(cells)**2.  The cells are measured moved by the even translation,
+    an automorphism, that takes ``center`` to (0, 0) or (0, 1), so that
+    int64 holds them whatever the centre."""
     ci, cj = center
     cj -= (ci + cj) % 2
     cells = np.array([(i - ci, j - cj) for i, j in cells], dtype=np.int64)
-    return max(int(pairwise_distances(cells[first:first + _BLOCK], cells).max())
-               for first in range(0, len(cells), _BLOCK))
+    step = max(1, _BLOCK_ENTRIES // len(cells))
+    return max(int(pairwise_distances(cells[first:first + step], cells).max())
+               for first in range(0, len(cells), step))
 
 
 def _cmd_clique(args) -> int:
@@ -117,7 +115,7 @@ def _cmd_clique(args) -> int:
 
 
 def _cmd_shell(args) -> int:
-    _refuse_far_ring(args.k)
+    _refuse_past_bfs_limit("ring radius", args.k)  # as `ring` refuses
     shell = build_shell((0, 0), args.k, args.h)
     members = sorted(shell.members)
     _emit(args, {

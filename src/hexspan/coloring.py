@@ -21,7 +21,11 @@ Both searches walk the lattices in array passes, a block of whole
 determinants at a time: the normal forms are enumerated as arrays, the
 separation filter is a shortest-vector test in the grid's own norm
 N(i, j) = max(|i| + |j|, 2|i|) on Lagrange-reduced bases, and each
-admissible lattice gets one integer key for its point-group orbit.
+admissible lattice gets one integer key for its point-group orbit.  A
+normal form comes from one algorithm, a Euclid run on the basis vectors:
+over arrays of bases in ``_orbit_keys``, on one basis in
+``lattice_geometry``.  Every numpy temporary, of lookups, bases, pairs or
+distance rows, is cut to the one block budget ``grid._BLOCK_ENTRIES``.
 
 Periodic checks read one orbit table: the search with the ring-formula
 ball, ``verify_lattice`` with the BFS ball.  ``verify_window`` stays on
@@ -39,8 +43,9 @@ import numpy as np
 
 from .errors import InputError, ResourceGuard
 from .grid import (
+    _BLOCK_ENTRIES,
     Vertex,
-    _handed_fields,
+    _handed_field,
     _refuse_past_bfs_limit,
     distance_closed_array,
     is_even_translation,
@@ -50,19 +55,6 @@ from .grid import (
 from .rings import ball, ball_size
 from .solver import MAX_NODES, bitmask_edges, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = a*x + b*y; a loop, so that the
-    entries of a coloring file cannot exhaust the recursion limit."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    s = 1 if a >= 0 else -1
-    return abs(a), s * x0, s * y0
 
 
 @dataclass(frozen=True)
@@ -99,16 +91,21 @@ class LatticeGeometry:
 
 
 def lattice_geometry(basis: tuple[Vertex, Vertex]) -> LatticeGeometry:
+    """The normal form of the lattice that ``basis`` spans: ``_orbit_keys``'s
+    Euclid run on this one basis (x, y), in Python ints, so that the
+    entries of a coloring file are exact at any size.  x, y = y, x - q*y
+    with q = x_i // y_i keeps a basis and ends with y_i = 0, so that
+    x = (+-a, +-b) and y = (0, +-d).  ``InputError`` on a degenerate basis
+    (det 0)."""
     (p1, q1), (p2, q2) = basis
-    det = p1 * q2 - p2 * q1
-    if det == 0:
+    if p1 * q2 - p2 * q1 == 0:
         raise InputError(f"degenerate lattice basis {basis}")
-    det = abs(det)
-    g, alpha, beta = _egcd(p1, p2)
-    a = abs(g)
-    b = alpha * q1 + beta * q2
-    d = det // a
-    return LatticeGeometry(a, b % d, d)
+    (xi, xj), (yi, yj) = basis
+    while yi:
+        q = xi // yi
+        xi, xj, yi, yj = yi, yj, xi - q * yi, xj - q * yj
+    d = abs(yj)
+    return LatticeGeometry(abs(xi), (-xj if xi < 0 else xj) % d, d)
 
 
 @dataclass
@@ -193,13 +190,6 @@ def _orbit_index(geo: LatticeGeometry, rows: np.ndarray, offsets: np.ndarray) ->
     return cx * geo.d + cy
 
 
-# lookups per verify_lattice block, cells x rows per verify_window block,
-# pairs per verify_window chunk, and bases per lattice enumeration block:
-# 128 KiB temporaries (256 KiB for verify_window's (lo, hi) run tables),
-# at l = 40 twice as fast as 2**16
-_BLOCK_LOOKUPS = 1 << 14
-
-
 def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
     """Full periodic check: domain cell u clashes with k, of its color, if
     canonical(u + o) = k for some o != 0 in the BFS ball of u's handedness
@@ -220,7 +210,7 @@ def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
     checked = 0
     for hand, (offsets, dist) in enumerate(_bfs_ball(l)):
         own = rows[parity(np.divmod(rows, geo.d)) == hand, None]
-        step = max(1, _BLOCK_LOOKUPS // max(dist.size, 1))
+        step = max(1, _BLOCK_ENTRIES // max(dist.size, 1))
         for start in range(0, len(own), step):
             u = own[start:start + step]
             index = _orbit_index(geo, u[:, 0], offsets)
@@ -296,7 +286,7 @@ def _separation_ok(bases, l: int) -> np.ndarray:
 
 def _sublattice_blocks(max_det: int, min_det: int = 0):
     """``even_sublattices(max_det, min_det)`` in blocks of whole
-    determinant groups, each of at most ``_BLOCK_LOOKUPS`` bases unless one
+    determinant groups, each of at most ``_BLOCK_ENTRIES`` bases unless one
     group alone holds more: (dets, entries), int64 arrays of shape (k,)
     and (k, 4), one row (p1, q1, p2, q2) per basis.
 
@@ -322,7 +312,7 @@ def _sublattice_blocks(max_det: int, min_det: int = 0):
     base_end = np.cumsum(d)[pair_end - 1]
     done, group = 0, 0
     while group < len(pair_end):
-        last = max(group, int(np.searchsorted(base_end, done + _BLOCK_LOOKUPS, "right")) - 1)
+        last = max(group, int(np.searchsorted(base_end, done + _BLOCK_ENTRIES, "right")) - 1)
         pairs = slice(pair_end[group - 1] if group else 0, pair_end[last])
         pn, pa, pd = n[pairs], a[pairs], d[pairs]
         which = np.repeat(np.arange(len(pd)), pd)
@@ -402,10 +392,10 @@ def _orbit_keys(entries: np.ndarray) -> tuple[np.ndarray, ...]:
     the orbit of each of its lattices, so two lattices share a key iff the
     point group maps one onto the other.
 
-    The normal forms, ``lattice_geometry``'s, come from one Euclid run
-    over all 6k image bases (x, y) at once, on the vectors themselves:
-    x, y = y, x - q*y with q = x_i // y_i keeps a basis of the image and
-    ends with y_i = 0, so that x = (+-a, +-b) and y = (0, +-d)."""
+    The normal forms come from ``lattice_geometry``'s Euclid run, made over
+    all 6k image bases (x, y) at once in int64 arrays, on the vectors
+    themselves: x, y = y, x - q*y with q = x_i // y_i keeps a basis of the
+    image and ends with y_i = 0, so that x = (+-a, +-b) and y = (0, +-d)."""
     p1, q1, p2, q2 = entries.T
     group = _IMAGE_MAPS[:, :, :, None]
     # t = s*(1, 1) + r*(1, -1) goes to s*g(1, 1) + r*g(1, -1); the 6 images
@@ -503,7 +493,7 @@ def _bfs_ball(l: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     ``parity``): (2, m) offsets nearest first, and their distances;
     read-only, one pair per l."""
     out = []
-    for field_ in _handed_fields(l):
+    for field_ in (_handed_field(True, l), _handed_field(False, l)):
         xs, ys = np.nonzero((field_ > 0) & (field_ <= l))
         order = np.argsort(field_[xs, ys], kind="stable")
         offsets = np.stack([xs - (l + 1) // 2, ys - l])[:, order]
@@ -522,11 +512,11 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     lies in the orbit of v: the orbit table of u's row, with the
     ring-formula ball offsets of its handedness, lists v.  The rule is
     exact, and symmetric because the lattice acts by automorphisms.  Every
-    row is read, in blocks of rows of at most ``_BLOCK_LOOKUPS`` lookups."""
+    row is read, in blocks of rows of at most ``_BLOCK_ENTRIES`` lookups."""
     a, b, d, n = geo.a, geo.b, geo.d, geo.det
     if not (is_even_translation((a, b)) and is_even_translation((0, d))):
         raise InputError(f"{geo} is not a lattice of even translations")
-    step = max(1, _BLOCK_LOOKUPS // ball_size(l))
+    step = max(1, _BLOCK_ENTRIES // ball_size(l))
     adj: list[int] = []
     for first in range(0, n, step):
         u = np.arange(first, min(first + step, n))
@@ -547,10 +537,8 @@ def _covered(geo: LatticeGeometry, l: int) -> bool:
     takes the ball around (0, 0) onto that around (1, 0) and orbits onto
     orbits (-L = L), so this one row decides every row: the ball offsets
     themselves, reduced to the domain."""
-    a, b, d = geo.a, geo.b, geo.d
-    ox, oy = _ball_offsets(l)[0]
-    s = ox // a
-    return bool(np.bincount((ox - s * a) * d + (oy - s * b) % d, minlength=geo.det).all())
+    cx, cy = geo.canonical(_ball_offsets(l)[0])
+    return bool(np.bincount(cx * geo.d + cy, minlength=geo.det).all())
 
 
 @dataclass
@@ -654,22 +642,19 @@ def materialize_window(coloring: LatticeColoring, radius: int) -> WindowColoring
     return WindowColoring(coloring.l, {v: coloring.color_of(v) for v in cells})
 
 
-# rows per distance matrix in window_conflicts and the CLI's _widest (not
-# verify_window, whose blocks follow _BLOCK_LOOKUPS): the reuse battery's
-# largest graph, its p = 12 annulus, has 594 cells; its whole 594 x 594
-# int64 matrix and the bool matrix read off it (3.2 MB) would outweigh
-# the finished bitmask graph (67 KB) more than forty times
-_BLOCK = 64
-
-
 def window_conflicts(cells: list[Vertex], l: int) -> list[int]:
-    """Bitmask graph over ``cells`` joining pairs at distance <= l, built
-    ``_BLOCK`` rows at a time, so that no distance matrix holds more than
-    _BLOCK x len(cells) entries."""
+    """Bitmask graph over ``cells`` joining pairs at distance <= l, built in
+    blocks of rows, so that no distance matrix holds more than
+    ``_BLOCK_ENTRIES`` entries (or one row, if a row alone holds more):
+    the reuse battery's largest graph, its p = 12 annulus, has 594 cells,
+    and its whole 594 x 594 int64 matrix and the bool matrix read off it
+    (3.2 MB) would outweigh the finished bitmask graph (67 KB) more than
+    forty times."""
     arr = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    step = max(1, _BLOCK_ENTRIES // max(len(arr), 1))
     adj: list[int] = []
-    for first in range(0, len(arr), _BLOCK):
-        adj += bitmask_graph(pairwise_distances(arr[first:first + _BLOCK], arr) <= l, first)
+    for first in range(0, len(arr), step):
+        adj += bitmask_graph(pairwise_distances(arr[first:first + step], arr) <= l, first)
     return adj
 
 
@@ -776,9 +761,9 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     candidates in each row of its box are one run of keys, found by
     ``searchsorted``.  The same run of a color-major index lists the
     candidates of u's color, and only those pairs are measured: in blocks
-    of cells whose (cells x rows) run tables hold at most ``_BLOCK_LOOKUPS``
+    of cells whose (cells x rows) run tables hold at most ``_BLOCK_ENTRIES``
     entries, so that a window of a few thousand cells at small l is one
-    block, and at most ``_BLOCK_LOOKUPS`` pairs at a time.  When the cap is
+    block, and at most ``_BLOCK_ENTRIES`` pairs at a time.  When the cap is
     hit, ``checked`` counts the candidates up to the 1000th clash.
     ``ResourceGuard`` if l is above the BFS oracle's limit, the bound that
     lattice files have too."""
@@ -805,7 +790,7 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
     own = np.searchsorted(rows, ii)
     top = np.searchsorted(rows, ii + reach_i, "right")
     ahead = np.arange(int((top - own).max()))
-    step = max(1, _BLOCK_LOOKUPS // ahead.size)
+    step = max(1, _BLOCK_ENTRIES // ahead.size)
     violations: list[Violation] = []
     checked = 0
     for first in range(0, n, step):
@@ -821,8 +806,8 @@ def verify_window(coloring: WindowColoring) -> VerifyResult:
         # the runs, in (u, row) order, hold their pairs in (u, v) order;
         # pair p lies in run k = the first with ends[k] > p
         ends = np.cumsum(stop - start)
-        for p0 in range(0, int(ends[-1]), _BLOCK_LOOKUPS):
-            p = np.arange(p0, min(p0 + _BLOCK_LOOKUPS, int(ends[-1])))
+        for p0 in range(0, int(ends[-1]), _BLOCK_ENTRIES):
+            p = np.arange(p0, min(p0 + _BLOCK_ENTRIES, int(ends[-1])))
             k = np.searchsorted(ends, p, "right")
             a, b = first + k // ahead.size, by_color[stop[k] - ends[k] + p] % (n + 1)
             dist = distance_closed_array(ii[a], jj[a], ii[b], jj[b])

@@ -130,10 +130,13 @@ def distance_closed(u: Vertex, v: Vertex) -> int:
     return 2 * di + parity(west) - parity(east)
 
 
-# entries per block of a large ``distance_closed_array`` result: each
-# block's temporaries stay in cache, and at 1396 x 1396 the call peaks at
-# its 15.6 MB result plus about 1 MB, where one block took three times it
-_BLOCK_ENTRIES = 1 << 16
+# the package's one block budget, in entries per numpy temporary: a large
+# ``distance_closed_array`` result is filled in blocks of this many entries
+# (at 1396 x 1396 the call peaks at its 15.6 MB result plus 0.4 MB, where
+# one block took three times it), and the coloring module's lookup tables,
+# pair chunks and distance rows and the CLI's widest-pair scan are cut to
+# it: 128 KiB int64 temporaries that stay in cache
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _closed_form(i1, j1, i2, j2, out=None):
@@ -344,11 +347,6 @@ def _handed_field(right: bool, radius: int) -> np.ndarray:
     over the box ((radius+1)//2, radius), refused above the BFS limit."""
     _refuse_past_bfs_limit("radius", radius)
     return _whole_field(right, (radius + 1) // 2, radius)
-
-
-def _handed_fields(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_handed_field`` from (0, 0) and from (1, 0), indexed by ``parity``."""
-    return _handed_field(True, radius), _handed_field(False, radius)
 
 
 def distance_within(u: Vertex, v: Vertex, radius: int) -> int | None:

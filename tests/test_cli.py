@@ -22,7 +22,7 @@ from hexspan.errors import InputError
 from hexspan.render import render_svg
 from hexspan.grid import pairwise_distances
 from hexspan.rings import ball, build_ring
-from hexspan.solver import ResourceGuard, solve_coloring
+from hexspan.solver import ResourceGuard, bitmask_graph, solve_coloring
 
 
 def test_span_json(capsys):
@@ -552,6 +552,28 @@ def test_clique_command_at_p_300(capsys):
     assert time.perf_counter() - start < 5.0
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 135451 and payload["max_pairwise_distance"] == 600
+
+
+# windows, centred and not, at a few l, and the reuse battery's annuli
+# (rings p+1..2p-1) at its conflict distance 2p, for p = 4..6
+_BLOCKED_SCANS = ([(ball(centre, r), l) for centre, r in (((0, 0), 0), ((0, 0), 1),
+                                                         ((0, 0), 5), ((3, -2), 4))
+                   for l in (1, 4, 8)]
+                  + [([v for k in range(p + 1, 2 * p) for v in build_ring((0, 0), k).members],
+                      2 * p) for p in (4, 5, 6)])
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2 ** 20])
+def test_blocked_scans_do_not_depend_on_the_block_size(block, monkeypatch):
+    # one row at a time, a few rows, and every window here in one block:
+    # window_conflicts and the clique command's widest pair read the whole
+    # distance matrix, unblocked
+    monkeypatch.setattr("hexspan.coloring._BLOCK_ENTRIES", block)
+    monkeypatch.setattr(cli, "_BLOCK_ENTRIES", block)
+    for cells, l in _BLOCKED_SCANS:
+        whole = pairwise_distances(cells)
+        assert window_conflicts(cells, l) == bitmask_graph(whole <= l), (len(cells), l)
+        assert cli._widest(cells, (0, 0)) == whole.max(), len(cells)
 
 
 def test_search_lattice_command(tmp_path, capsys):

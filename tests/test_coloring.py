@@ -86,6 +86,30 @@ def test_lattice_geometry_canonical():
             assert (i, j) == geo.canonical((int(x), int(y)))
 
 
+huge_ints = st.integers(-10 ** 30, 10 ** 30)
+
+
+@given(st.tuples(st.tuples(huge_ints, huge_ints), st.tuples(huge_ints, huge_ints)))
+@example(((-2, 4), (0, 6)))  # Euclid ends with x_i < 0: b is -4 mod 6 = 2
+@settings(max_examples=300)
+def test_lattice_geometry_is_the_normal_form_by_definition(basis):
+    # checked against the definition, not against _orbit_keys, which runs
+    # the same Euclid: (a, b) and (0, d) with a, d > 0 and 0 <= b < d span
+    # a lattice of det a*d that holds both basis vectors (canonical sends
+    # them to the origin), so a*d = |det| makes it the basis's lattice;
+    # both vector orders and both signs give that one normal form
+    (p1, q1), (p2, q2) = basis
+    det = p1 * q2 - p2 * q1
+    assume(det != 0)
+    t1, t2, m1, m2 = (p1, q1), (p2, q2), (-p1, -q1), (-p2, -q2)
+    forms = [(t1, t2), (t2, t1), (m1, t2), (t2, m1), (t1, m2), (m2, t1), (m1, m2), (m2, m1)]
+    geo = lattice_geometry(basis)
+    assert {lattice_geometry(form) for form in forms} == {geo}
+    assert geo.a > 0 and geo.d > 0 and 0 <= geo.b < geo.d
+    assert geo.a * geo.d == geo.det == abs(det)
+    assert geo.canonical(t1) == geo.canonical(t2) == (0, 0)
+
+
 def _triple_loop_sublattices(max_det, min_det=0):
     # even_sublattices as it was written before it enumerated arrays: one
     # basis at a time, n = det/2, then each divisor a of n, then c < n/a
@@ -126,7 +150,7 @@ def test_even_sublattices_start_at_the_least_determinant(monkeypatch):
     # determinants below the least one are not enumerated at all: in blocks
     # of one determinant, the first block is det 34's, and the blocks hold
     # dets 34..90, one each
-    monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", 1)
+    monkeypatch.setattr(coloring_module, "_BLOCK_ENTRIES", 1)
     blocks = list(coloring_module._sublattice_blocks(90, 33))
     assert [set(dets.tolist()) for dets, _ in blocks] == [{2 * n} for n in range(17, 46)]
     assert [len(entries) for _, entries in blocks] == [sum(n // a for a in range(1, n + 1)
@@ -149,7 +173,7 @@ def test_each_enumeration_block_is_filtered_in_one_call(monkeypatch):
     assert calls[0].tolist() == [[*t1, *t2] for det, (t1, t2) in even_sublattices(90, 34)]
     # in blocks of one determinant, one call per det up to the success's
     calls.clear()
-    monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", 1)
+    monkeypatch.setattr(coloring_module, "_BLOCK_ENTRIES", 1)
     assert search_periodic(8).log == expected
     assert [len(bases) for bases in calls] == [len(list(even_sublattices(det, det)))
                                                for det in range(34, 67, 2)]
@@ -227,7 +251,7 @@ def test_conflict_graphs_match_plain_pair_scans(monkeypatch):
         assert quotient_conflicts(geo, l) == expected, (l, basis)
         # one row per block: every block boundary, both handednesses
         with monkeypatch.context() as m:
-            m.setattr(coloring_module, "_BLOCK_LOOKUPS", 1)
+            m.setattr(coloring_module, "_BLOCK_ENTRIES", 1)
             assert quotient_conflicts(geo, l) == expected, (l, basis)
     cells = ball((0, 0), 5)
     n = len(cells)
@@ -237,10 +261,10 @@ def test_conflict_graphs_match_plain_pair_scans(monkeypatch):
         n, lambda a, b: distance_closed(cells[a], cells[b]) >= 5)
 
 
-def test_translated_rows_match_the_orbit_table_on_sparse_quotients():
-    # the rows of quotient_conflicts, once translated and now read from the
-    # orbit table, against the pair-scan reference on sparse quotients at
-    # small l up to det 120, admissible or not
+def test_quotient_conflicts_match_the_pair_scan_on_sparse_quotients():
+    # quotient_conflicts, read from the orbit table, against the pair-scan
+    # reference on sparse quotients at small l up to det 120, admissible or
+    # not
     for l in (4, 6):
         for det, basis in islice(even_sublattices(120), 0, None, 9):
             geo = lattice_geometry(basis)
@@ -282,7 +306,7 @@ def test_separation_verdicts_do_not_depend_on_the_block_size(monkeypatch):
     log = _searched(8).log
     sizes = {det: len(list(group)) for det, group in groupby(expected, key=itemgetter(0))}
     for block, count in ((1, 100), (4, 99), (7, 99), (945, 10), (1 << 20, 1)):
-        monkeypatch.setattr(coloring_module, "_BLOCK_LOOKUPS", block)
+        monkeypatch.setattr(coloring_module, "_BLOCK_ENTRIES", block)
         blocks = [dets.tolist() for dets, _ in coloring_module._sublattice_blocks(200)]
         # whole determinants, as many as fit, and one alone when it does not
         assert len(blocks) == count
@@ -717,7 +741,7 @@ def test_verify_lattice_matches_the_box_walk(data):
                                              st.sampled_from(palette)), max_size=3)):
         assignment = {cell: b if c == a else c for cell, c in assignment.items()}
     mutant = LatticeColoring(base.l, base.basis, assignment)
-    with mock.patch.object(coloring_module, "_BLOCK_LOOKUPS",
+    with mock.patch.object(coloring_module, "_BLOCK_ENTRIES",
                            data.draw(st.sampled_from([1, 500, 1 << 14]))):
         result = verify_lattice(mutant)
     _assert_matches_the_box_walk(mutant, result)
@@ -1094,7 +1118,7 @@ _CAPPED_BALL = WindowColoring(4, dict.fromkeys(ball((0, 0), 12), 1))
 @example(_CAPPED_BALL, 64)
 @example(_CAPPED_BALL, 2 ** 20)
 def test_verify_window_does_not_depend_on_the_block_size(window, block):
-    with mock.patch.object(coloring_module, "_BLOCK_LOOKUPS", block):
+    with mock.patch.object(coloring_module, "_BLOCK_ENTRIES", block):
         result = verify_window(window)
     assert result.to_dict() == _pairwise_verify_window(window).to_dict()
 
@@ -1110,7 +1134,7 @@ def _wide_box():
 @pytest.mark.parametrize("block", _LOOKUP_BLOCKS)
 def test_verify_window_past_the_cap_on_a_wide_box_in_any_block_size(block):
     window, expected = _wide_box()
-    with mock.patch.object(coloring_module, "_BLOCK_LOOKUPS", block):
+    with mock.patch.object(coloring_module, "_BLOCK_ENTRIES", block):
         assert verify_window(window).to_dict() == expected
 
 

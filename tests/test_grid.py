@@ -447,7 +447,7 @@ def test_large_boxes_are_swept_for_their_call_alone(monkeypatch):
 
 def test_handed_fields_are_the_shared_sweeps():
     grid._whole_field.cache_clear()
-    right, left = grid._handed_fields(6)
+    right, left = grid._handed_field(True, 6), grid._handed_field(False, 6)
     assert grid._whole_field.cache_info().currsize == 2
     assert right is grid._whole_field(True, 3, 6) and left is grid._whole_field(False, 3, 6)
     assert not right.flags.writeable and not left.flags.writeable
@@ -459,7 +459,8 @@ def test_handed_fields_are_the_shared_sweeps():
     assert grid._whole_field.cache_info().currsize == 2
     assert whole is not left and whole.flags.writeable and np.array_equal(whole, left)
     # above the BFS limit both refuse before sweeping
-    for refused in (lambda: grid._handed_fields(1001), lambda: distance_within((0, 0), (0, 1), 1001)):
+    for refused in (lambda: grid._handed_field(False, 1001),
+                    lambda: distance_within((0, 0), (0, 1), 1001)):
         with pytest.raises(ResourceGuard, match="BFS oracle limit of 1000"):
             refused()
     assert grid._whole_field.cache_info().currsize == 2

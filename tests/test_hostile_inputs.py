@@ -9,12 +9,15 @@ the table: it stops only at its node budget, about 37 s in.
 ``test_the_search_below_the_span_stops_at_its_node_budget`` runs it with
 a smaller budget."""
 
+import ast
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hexspan
 from hexspan import coloring
 from hexspan.cli import run
 from hexspan.solver import solve_coloring
@@ -137,3 +140,14 @@ def test_hostile_refusals_survive_optimize_flag(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[3, 3, 2, 3, 3, 3]"
     assert not any(line.startswith("internal") for line in proc.stderr.splitlines())
+
+
+def test_no_module_of_the_package_asserts():
+    # python -O strips assert statements, so every check in the package
+    # must be a real raise; the python -O subprocess tests run a few of them
+    modules = sorted(Path(hexspan.__file__).parent.rglob("*.py"))
+    assert {"cli.py", "coloring.py", "grid.py"} <= {path.name for path in modules}
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"
