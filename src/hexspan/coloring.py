@@ -53,7 +53,7 @@ from .grid import (
     parity,
 )
 from .rings import ball, ball_size
-from .solver import MAX_NODES, bitmask_edges, bitmask_graph, greedy_clique, solve_coloring
+from .solver import MAX_NODES, bitmask_graph, greedy_clique, solve_coloring
 from .spans import span_even
 
 
@@ -721,14 +721,16 @@ def exact_window_span(l: int, radius: int, budget: int) -> WindowSearchResult:
 
 def export_dimacs(l: int, radius: int) -> str:
     """DIMACS edge-format text of the l-th power graph of the radius
-    window (``_window``'s limits): all cells, one edge per pair at distance <= l."""
+    window (``_window``'s limits): all cells, one edge per pair at distance <= l.
+    The edges are read off the whole distance matrix, at most
+    ``MAX_WINDOW_CELLS`` squared entries (320 KB)."""
     cells = sorted(_window(l, radius))
-    edges = bitmask_edges(window_conflicts(cells, l))
+    a, b = np.nonzero(np.triu(pairwise_distances(cells) <= l, 1))
     lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
              "c vertex ids map to cells as:"]
     lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
-    lines.append(f"p edge {len(cells)} {len(edges)}")
-    lines += [f"e {a + 1} {b + 1}" for a, b in edges]
+    lines.append(f"p edge {len(cells)} {len(a)}")
+    lines += [f"e {u + 1} {v + 1}" for u, v in zip(a.tolist(), b.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -13,17 +13,20 @@ in use.  The search is fully deterministic (DSATUR: Brélaz, CACM 1979).
 The state is held in bitsets over the vertices, in the manner of San
 Segundo et al.'s bit-parallel clique search (Computers & OR, 2011):
 ``uncolored``; ``blocked[c]``, the vertices with a neighbor colored c;
-and the saturations as bit-sliced counters (plane i holds bit i of
-every count), to which coloring v with c adds ``adj[v] & ~blocked[c]``
-by ripple carry.  The pick narrows ``uncolored`` plane by plane from the
-top to the greatest saturation s; each tied candidate u then counts its
-uncolored neighbors, ``(adj[u] & uncolored).bit_count()``, on the spot.
-The pick sees s of the k = min(used + 1, budget) colors it may take, so
-k - s are free: with none the search backtracks at once, else the color
-scan stops at the (k - s)-th.  Ties cost O(ties * n / 64) word
-operations per node: cheap on the dense window and quotient graphs
-(about three ties per node), slow on very sparse ones (an edgeless
-graph or a star on 1,500 vertices: 0.4 s on a 2-vCPU Xeon).
+and the saturations as bit-sliced counters (one plane per bit of every
+count, the top plane first), to which coloring v with c adds
+``adj[v] & ~blocked[c]`` by ripple carry.  The pick narrows
+``uncolored`` plane by plane from the top to the greatest saturation s;
+if more than one candidate is left, each tied candidate u then counts
+its uncolored neighbors, ``(adj[u] & uncolored).bit_count()``, on the
+spot.  The pick sees s of the k = min(used + 1, budget) colors it may
+take, so k - s are free: with none the search backtracks at once, else
+the color scan stops at the lowest free color.  A vertex backtracked to
+resumes its scan above its last color, skipping the colors still
+blocked.  Ties cost O(ties * n / 64) word operations per node: cheap on
+the dense window and quotient graphs (about three ties per node), slow
+on very sparse ones (an edgeless graph or a star on 1,500 vertices:
+0.4 s on a 2-vCPU Xeon).
 Resource limits raise ``ResourceGuard``: a guarded run refuses, and
 never returns a wrong verdict.
 
@@ -60,17 +63,6 @@ def bitmask_graph(related: np.ndarray, first: int = 0) -> list[int]:
     np.fill_diagonal(rows[:, first:], False)
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def bitmask_edges(adj: list[int]) -> list[tuple[int, int]]:
-    """The edges (a, b), a < b, of the bitmask graph ``adj``, ascending."""
-    edges = []
-    for a, row in enumerate(adj):
-        m = row >> (a + 1)   # bit k: vertex a + 1 + k
-        while m:
-            edges.append((a, a + (m & -m).bit_length()))
-            m &= m - 1
-    return edges
 
 
 def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
@@ -236,11 +228,15 @@ def solve_coloring(adj: list[int], budget: int,
     when impossible, and the number of search nodes visited.
 
     The depth-first search runs over an explicit stack with one frame
-    per colored vertex: the vertex, its color, the colors still to try,
-    the number of colors in use before it, and the saturation planes and
-    ``blocked`` row it replaced, so undoing a color is restoring them.
-    Every visit to a partial coloring is one node; past ``max_nodes`` the
-    search raises ``ResourceGuard``: undecided, never infeasible.
+    per colored vertex: the vertex, its color, how many of its free
+    colors are left to try, the number k of colors it could take, and
+    the saturation planes and ``blocked`` row it replaced, so undoing a
+    color is restoring them.  A frame holds a count, not the colors
+    themselves: once every frame above it is undone, the rows are as
+    they were at its pick, and its next color is the next one above its
+    last that they leave free.  A full coloring is read off the frames.
+    Every visit to a partial coloring is one node; past ``max_nodes``
+    the search raises ``ResourceGuard``: undecided, never infeasible.
     """
     n = len(adj)
     if budget < 0:
@@ -250,70 +246,72 @@ def solve_coloring(adj: list[int], budget: int,
     if budget == 0:
         return None, 0
     budget = min(budget, n)         # n colors always suffice
-    colors = [-1] * n
     uncolored = (1 << n) - 1
     blocked = [0] * budget          # vertices with a neighbor colored c
-    sat = [0] * budget.bit_length()  # a saturation never exceeds budget
+    # a saturation never exceeds budget; the top plane comes first
+    sat = [0] * budget.bit_length()
+    low_plane = len(sat) - 1
     stack: list[tuple] = []
-    used = 0
+    k = 1                           # colors the next vertex may take: min(used + 1, budget)
     nodes = 0
     while True:
         nodes += 1
         if nodes > max_nodes:
             raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
         if not uncolored:
+            colors = [0] * n
+            for frame in stack:
+                colors[frame[0]] = frame[1]
             return colors, nodes
         # greatest saturation s: from the top plane down, keep the
         # candidates with the bit set whenever some have it
         cand = uncolored
         s = 0
-        for plane in reversed(sat):
+        for plane in sat:
             s += s
             if cand & plane:
                 cand &= plane
                 s += 1
-        # ties: most uncolored neighbors, then lowest index
-        best = -1
-        while cand:
-            low = cand & -cand
-            d = (adj[low.bit_length() - 1] & uncolored).bit_count()
-            if d > best:
-                best, bit = d, low
-            cand ^= low
+        if cand & (cand - 1):
+            # ties: most uncolored neighbors, then lowest index
+            best = -1
+            while cand:
+                low = cand & -cand
+                d = (adj[low.bit_length() - 1] & uncolored).bit_count()
+                if d > best:
+                    best, bit = d, low
+                cand ^= low
+        else:
+            bit = cand
         v = bit.bit_length() - 1
-        # v sees s of the colors it may take; the rest are free
-        free = min(used + 1, budget) - s
-        avail = c = 0
-        while free:
-            if not blocked[c] & bit:
-                avail |= 1 << c
-                free -= 1
-            c += 1
-        # out of colors for v: undo the deepest colored vertex and move on
-        # to its next color, until some vertex has one left
-        while not avail:
+        # v sees s of the k colors it may take; the rest are free
+        free = k - s
+        c = -1
+        # out of colors for v: undo the deepest colored vertex, until one
+        # has a color left to try
+        while not free:
             if not stack:
                 return None, nodes
-            v, c, avail, used, sat, row = stack.pop()
+            v, c, free, k, sat, row = stack.pop()
             blocked[c] = row
-            colors[v] = -1
             bit = 1 << v
             uncolored |= bit
-        # give v its lowest remaining color and descend
-        c = (avail & -avail).bit_length() - 1
-        avail &= avail - 1
-        stack.append((v, c, avail, used, sat, blocked[c]))
-        colors[v] = c
+        # give v its lowest free color above c and descend
+        c += 1
+        while blocked[c] & bit:
+            c += 1
+        stack.append((v, c, free - 1, k, sat, blocked[c]))
         uncolored ^= bit
         m = adj[v]
         # saturation += 1 where c is new, by ripple carry on a copy
         sat, carry = sat[:], m & ~blocked[c]
-        i = 0
+        i = low_plane
         while carry:
             sat[i], carry = sat[i] ^ carry, sat[i] & carry
-            i += 1
+            i -= 1
         blocked[c] |= m
-        used = max(used, c + 1)
+        if c + 1 == k < budget:     # v opened color c: one more may follow
+            k += 1
 
 
 def brute_force_chromatic(adj: list[int]) -> int:

@@ -257,8 +257,8 @@ def test_export_dimacs_l4_r3_edge_count():
 
 
 def _dimacs_by_pair_probe(l, radius):
-    # the export as it was written before it walked set bits: every pair
-    # (a, b), a < b, probed in the bitmask graph
+    # a second route to the export: every pair (a, b), a < b, probed in
+    # the bitmask graph
     cells = sorted(ball((0, 0), radius))
     adj = window_conflicts(cells, l)
     n = len(cells)
@@ -276,6 +276,16 @@ def _dimacs_by_pair_probe(l, radius):
 def test_export_dimacs_matches_the_pair_probe(l):
     for radius in range(8):
         assert export_dimacs(l, radius) == _dimacs_by_pair_probe(l, radius)
+
+
+@pytest.mark.parametrize("l, radius, digest", [
+    (8, 7, "1bcd87a810b6920bdbe81cc9de6a27ed79ee95a3c56bd3fb4f6b34810eacc519"),
+    (4, 11, "86b77de3f9efea7cd5db7862a58f2438a316ad5e27928adf272a0a46d15b276d"),
+])
+def test_export_dimacs_text_pinned(l, radius, digest):
+    # the text as the bitmask-graph export wrote it, byte for byte
+    text = export_dimacs(l, radius)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_export_dimacs_guard():

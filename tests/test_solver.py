@@ -317,6 +317,42 @@ def test_largest_pinned_window_colors_as_the_reference_solver():
     assert solve_coloring(adj, 33) == expected
 
 
+# every window-exact decision that reaches DSATUR; the others exceed
+# their budget with a clique
+@pytest.mark.parametrize("l, radius, budget", [
+    (4, 7, 11), (4, 8, 11), (4, 9, 11), (4, 10, 11), (4, 11, 11),
+    (6, 6, 20), (6, 7, 20), (6, 8, 20), (6, 9, 20), (6, 10, 20), (6, 11, 20),
+    (8, 7, 33),
+    (8, 5, 31), (8, 6, 31), (8, 7, 31), (8, 8, 31), (8, 9, 31), (8, 10, 31), (8, 11, 31),
+])
+def test_window_decisions_as_the_reference_solver(l, radius, budget):
+    adj = window_conflicts(ball((0, 0), radius), l)
+    assert solve_coloring(adj, budget) == _reference_solve_coloring(adj, budget, MAX_NODES)
+
+
+@pytest.mark.slow
+def test_l8_radius7_window_is_not_32_colorable_for_the_reference_solver():
+    # the machine half of the l = 8 span, decided by both solvers
+    adj = window_conflicts(ball((0, 0), 7), 8)
+    expected = _reference_solve_coloring(adj, 32, MAX_NODES)
+    assert expected == (None, 470836)
+    assert solve_coloring(adj, 32) == expected
+
+
+def test_a_backtracked_vertex_skips_its_blocked_colors():
+    # with vertices 0, 2 and 6 colored 0, 1 and 2, vertex 3 takes color 0;
+    # when the search comes back to it, color 1 is blocked by its neighbor
+    # 2, so its next color is 2, not 1
+    edges = [(0, 2), (0, 4), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 6), (3, 5), (4, 5)]
+    adj = [0] * 7
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    expected = ([0, 0, 1, 2, 2, 1, 2], 13)
+    assert _reference_solve_coloring(adj, 3, 100) == expected
+    assert solve_coloring(adj, 3) == expected
+
+
 def _star(n):
     return [(1 << n) - 2] + [1] * (n - 1)
 
