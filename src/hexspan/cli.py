@@ -8,7 +8,8 @@ multi-domain search stopped at the node limit is undecided, never
 refuted), 4 an internal check failed or any other exception (a bug in
 the package, such as a spread witness the BFS recheck rejects).  Every
 subcommand takes --json for machine-readable output with a
-schema-version field.
+schema-version field.  Commands parse, call the library and print: every
+limit is the library's but ``distance``'s, whose message names the distance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coloring import (
-    SINGLE_COSET_MAX_DET,
+    MAX_DET,
     ColoringFormatError,
     LatticeColoring,
     exact_window_span,
@@ -65,10 +66,6 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_ring(args) -> int:
-    # rings farther out than the BFS limit are refused, as distances are:
-    # ring 1000 has 3,000 cells, while `ring 1000000` took more than 3 s
-    # and `shell 1000000 3` 3.5 s and 820 MB on a 2-vCPU Xeon
-    _refuse_past_bfs_limit("ring radius", args.k)
     ring = build_ring((args.center[0], args.center[1]), args.k)
     _emit(args, {
         "command": "ring", "k": args.k, "center": list(ring.center),
@@ -96,8 +93,6 @@ def _widest(cells, center) -> int:
 
 
 def _cmd_clique(args) -> int:
-    # refuse, as `distance` does, a ball whose diameter 2p passes the BFS limit
-    _refuse_past_bfs_limit("clique diameter", 2 * args.p)
     clique = build_clique((args.center[0], args.center[1]), args.p)
     # no pair is farther apart than 2p (both lie within p of the centre),
     # and a pair at 2p has both cells on ring p: the ring's widest pair
@@ -115,7 +110,6 @@ def _cmd_clique(args) -> int:
 
 
 def _cmd_shell(args) -> int:
-    _refuse_past_bfs_limit("ring radius", args.k)  # as `ring` refuses
     shell = build_shell((0, 0), args.k, args.h)
     members = sorted(shell.members)
     _emit(args, {
@@ -135,26 +129,18 @@ def _cmd_span(args) -> int:
 
 
 def _cmd_check_observations(args) -> int:
-    if args.p is not None:
-        if args.p_min is not None or args.p_max is not None:
-            raise InputError("--p cannot be combined with --p-min or --p-max")
-        ps = [args.p]
-    else:
-        p_min = 4 if args.p_min is None else args.p_min
-        p_max = 12 if args.p_max is None else args.p_max
-        ps = range(p_min, p_max + 1)
-        if not ps:
-            raise InputError(f"empty p range: --p-min {p_min} > --p-max {p_max}")
+    ps = range(args.p_min, args.p_max + 1)
+    if not ps:
+        raise InputError(f"empty p range: --p-min {args.p_min} > --p-max {args.p_max}")
     _refuse_large_p(ps[-1])  # before any p of the range is checked
-    all_ok = True
     reports = []
     for p in ps:
         for report in run_checks(p):
             reports.append(report)
-            all_ok &= report.ok
             if not args.json:
                 extra = f" ({len(report.counterexamples)} counterexamples)" if not report.ok else ""
                 print(f"p={p} {report.check}: {report.verdict}{extra}")
+    all_ok = all(report.ok for report in reports)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "command": "check-observations",
                           "p": list(ps), "verdict": "pass" if all_ok else "fail",
@@ -176,7 +162,7 @@ def _cmd_search_lattice(args) -> int:
         text = (f"no periodic coloring with {result.target} colors found "
                 f"(examined {result.lattices_tried} lattices)")
     else:
-        max_det = SINGLE_COSET_MAX_DET if args.max_det is None else args.max_det
+        max_det = MAX_DET if args.max_det is None else args.max_det
         coloring = search_lattice(args.l, max_det)
         payload.update({"max_index": max_det, "mode": "single-coset"})
         text = f"no single-coset lattice with det <= {max_det}"
@@ -289,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check-observations", _cmd_check_observations,
             "verify all reuse bounds and counting certificates")
-    p.add_argument("--p", type=int, default=None, help="check this p alone")
-    p.add_argument("--p-min", type=int, default=None, help="first p of the range (default: 4)")
-    p.add_argument("--p-max", type=int, default=None, help="last p of the range (default: 12)")
+    p.add_argument("--p-min", type=int, default=4, help="first p of the range (default: 4)")
+    p.add_argument("--p-max", type=int, default=12, help="last p of the range (default: 12)")
 
     p = add("search-lattice", _cmd_search_lattice, "search periodic colorings")
     p.add_argument("l", type=int)
@@ -302,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: span formula)")
     p.add_argument("--max-det", type=int, default=None,
                    help="largest period-lattice determinant to try (default: "
-                        f"{SINGLE_COSET_MAX_DET} single-coset, 2 * colors + 24 multi-domain)")
+                        f"{MAX_DET} single-coset, 2 * colors + 24 multi-domain)")
     p.add_argument("--out", type=str, default=None, help="write the coloring file here")
 
     p = add("verify-coloring", _cmd_verify_coloring, "verify a coloring file")
@@ -331,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -416,9 +416,9 @@ def _orbit_keys(entries: np.ndarray) -> tuple[np.ndarray, ...]:
     return a[:k], b[:k], d[:k], keys.min(axis=0)
 
 
-# the largest determinant the lattice searches enumerate: on a 2-vCPU Xeon
-# search_lattice(100, 2000) enumerates and filters all 823,081 bases up
-# to det 2000 in about 0.2 s, at any l, and search_periodic's default
+# the largest determinant the lattice searches enumerate, search_lattice's
+# default: on a 2-vCPU Xeon search_lattice(100) filters all 823,081 bases
+# up to det 2000 in about 0.2 s, at any l, and search_periodic's default
 # bound, 2 * span + 24, reaches 2000 at l = 50
 MAX_DET = 2000
 
@@ -447,11 +447,7 @@ def _admissible(l: int, min_det: int, max_det: int):
             yield det, ((p1, q1), (p2, q2)), LatticeGeometry(*geo), key
 
 
-# search_lattice's default determinant bound
-SINGLE_COSET_MAX_DET = 200
-
-
-def search_lattice(l: int, max_det: int = SINGLE_COSET_MAX_DET) -> LatticeColoring | None:
+def search_lattice(l: int, max_det: int = MAX_DET) -> LatticeColoring | None:
     """Smallest single-coset periodic coloring valid for separation l.
 
     Enumerates sublattices of the even translation lattice in normal
@@ -476,8 +472,7 @@ def search_lattice(l: int, max_det: int = SINGLE_COSET_MAX_DET) -> LatticeColori
 def _ball_offsets(l: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of the radius-l ball around a right-handed cell and around
     a left-handed cell, as (2, m) arrays indexed by ``parity``;
-    ``ResourceGuard`` above the BFS oracle's limit, as for ``_bfs_ball``."""
-    _refuse_past_bfs_limit("l", l)
+    ``ball`` refuses l above the BFS oracle's limit."""
     out = []
     for rep in ((0, 0), (1, 0)):
         offsets = np.array([(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]).T
@@ -587,9 +582,9 @@ def search_periodic(l: int, colors: int | None = None,
     (checked for l = 1..30), so DSATUR, all saturations and degrees tied,
     colors the cells in domain order, as ``single_coset_coloring`` does.
     """
-    target = span_even(l).span if colors is None else colors
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
+    target = span_even(l).span if colors is None else colors
     if target < 1:
         raise InputError(f"colors must be >= 1, got {target}")
     result = PeriodicSearchResult(l, target, None, "none")

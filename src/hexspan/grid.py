@@ -41,7 +41,8 @@ distance among the flagged cells, which is where a sweep stopped at
 the flagged cells would leave it.  The oracle criterion's 1,396 sources
 thus share two sweeps, and ``distance_within`` reads the same memo.
 ``bfs_distances`` sweeps for its call alone and stops at its targets'
-level, as a far target leaves most of a whole box unread.
+level, as a far target leaves most of a whole box unread.  Both refuse,
+before any box-sized array is built, a box past ``_refuse_box``'s.
 
 ``distance_field`` keeps the w x h box as one Python int, a bitboard:
 bit x*h + y stands for box cell (x, y) = (i - si + di_max, j - sj + dj_max),
@@ -94,6 +95,16 @@ def _refuse_past_bfs_limit(what: str, value: int) -> None:
     ``DISTANCE_BFS_LIMIT``."""
     if value > DISTANCE_BFS_LIMIT:
         raise ResourceGuard(f"{what} {value} exceeds the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
+
+
+def _refuse_box(di_max: int, dj_max: int) -> None:
+    """``ResourceGuard`` for a box wider than a distance at the BFS limit L
+    needs: a target within L has reach 2|di| + |dj| + 1 <= 3L/2 + 1."""
+    reach = 3 * DISTANCE_BFS_LIMIT // 2 + 1
+    box = ((reach + 1) // 2, reach)
+    if di_max > box[0] or dj_max > box[1]:
+        raise ResourceGuard(f"BFS box of half-widths ({di_max}, {dj_max}) exceeds the {box} "
+                            f"box of the BFS oracle limit of {DISTANCE_BFS_LIMIT}")
 
 
 def parity(v: Vertex) -> int:
@@ -217,6 +228,7 @@ def bfs_distances(source: Vertex, targets) -> dict[Vertex, int]:
     si, sj = source
     reach = max(2 * abs(i - si) + abs(j - sj) + 1 for i, j in cells)
     di_max = (reach + 1) // 2
+    _refuse_box(di_max, reach)
     rows = np.array([i - si + di_max for i, _ in cells])
     cols = np.array([j - sj + reach for _, j in cells])
     stop = np.zeros((2 * di_max + 1, 2 * reach + 1), dtype=bool)
@@ -326,6 +338,7 @@ def distance_field(source: Vertex, di_max: int, dj_max: int,
     di_max, dj_max = operator.index(di_max), operator.index(dj_max)
     if di_max < 0 or dj_max < 0:
         raise InputError(f"box half-widths must be >= 0, got {di_max}, {dj_max}")
+    _refuse_box(di_max, dj_max)
     shape = (2 * di_max + 1, 2 * dj_max + 1)
     if stop_mask is not None and (not isinstance(stop_mask, np.ndarray)
                                   or stop_mask.shape != shape or stop_mask.dtype != bool):

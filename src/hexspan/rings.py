@@ -12,6 +12,10 @@ and reuse sets (cells of a target region far enough from a source for
 its color to recur) are computed by brute force from the distance
 oracle rather than from printed coordinates, so the definitions stay
 normative and the formulas act only as cross-checks.
+
+A ring radius (``build_ring``, ``ball``) or a clique diameter 2p past the
+BFS oracle's limit, 1000, is refused (``ResourceGuard``) before any cell
+is built: ring 1000000 took more than 3 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InputError
-from .grid import Vertex, distance_closed, is_right, pairwise_distances
+from .grid import Vertex, _refuse_past_bfs_limit, distance_closed, is_right, pairwise_distances
 
 
 def _ring_offsets(k: int) -> list[list[tuple[int, int]]]:
@@ -73,6 +77,7 @@ def build_ring(center: Vertex, k: int) -> Ring:
     """The radius-k ring around ``center`` (either handedness), cached."""
     if k < 1:
         raise InputError(f"ring radius must be >= 1, got {k}")
+    _refuse_past_bfs_limit("ring radius", k)
     arc_offsets = _ring_offsets(k)
     a, b = center
     flip = 1 if is_right(center) else -1
@@ -98,6 +103,7 @@ class DistanceClique:
 def build_clique(center: Vertex, p: int) -> DistanceClique:
     if p < 1:
         raise InputError(f"clique parameter must be >= 1, got {p}")
+    _refuse_past_bfs_limit("clique diameter", 2 * p)
     return DistanceClique(center, p, tuple(ball(center, p)))
 
 
@@ -112,6 +118,7 @@ def ball(center: Vertex, radius: int) -> list[Vertex]:
     """Cells within graph distance ``radius`` of ``center``."""
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
+    _refuse_past_bfs_limit("ring radius", radius)
     out = [center]
     for k in range(1, radius + 1):
         out.extend(build_ring(center, k).members)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from hexspan import cli
+from hexspan import cli, rings
 from hexspan.cli import export_dimacs, run
 from hexspan.coloring import (
     WindowColoring,
@@ -72,8 +72,7 @@ def test_rings_past_the_bfs_limit_are_refused_before_they_are_built(argv, monkey
     def fail(*args):
         raise AssertionError("ring built")
 
-    monkeypatch.setattr(cli, "build_ring", fail)
-    monkeypatch.setattr(cli, "build_shell", fail)
+    monkeypatch.setattr(rings, "_ring_offsets", fail)
     assert run(argv) == 3
     assert f"ring radius {argv[1]} exceeds the BFS oracle limit of 1000" in capsys.readouterr().err
 
@@ -87,7 +86,7 @@ def test_rings_at_the_bfs_limit_are_built(capsys):
 
 def test_check_observations_single_ring_bounds(capsys):
     # p=4 includes a genuine shell-reuse breach, so overall verdict fails
-    assert run(["check-observations", "--p", "4", "--json"]) == 1
+    assert run(["check-observations", "--p-min", "4", "--p-max", "4", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     by_id = {}
     for rep in payload["reports"]:
@@ -107,7 +106,7 @@ def test_internal_check_failure_exit_4(monkeypatch, capsys):
 
     monkeypatch.setattr(reuse, "compatibility_masks", lambda cells, sep: [
         ((1 << len(cells)) - 1) & ~(1 << a) for a in range(len(cells))])
-    assert run(["check-observations", "--p", "5"]) == 4
+    assert run(["check-observations", "--p-min", "5", "--p-max", "5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal check failed: ")
     assert "closer than 11" in err
@@ -407,7 +406,8 @@ def test_exit_code_by_exception_type(monkeypatch, capsys, exc, code, prefix):
 
 def test_argument_checks_exit_2(tmp_path, capsys):
     out = tmp_path / "x.dimacs"
-    for argv in (["ring", "0"], ["clique", "0"], ["check-observations", "--p", "3"],
+    for argv in (["ring", "0"], ["clique", "0"],
+                 ["check-observations", "--p-min", "3", "--p-max", "3"],
                  ["search-lattice", "0"], ["exact-window", "0", "--radius", "1",
                                            "--budget", "3"],
                  ["search-lattice", "0", "--multi-domain", "--colors", "4"],
@@ -474,8 +474,8 @@ def test_search_lattice_at_the_determinant_limit(capsys):
 
 
 @pytest.mark.parametrize("argv, p", [
-    (["check-observations", "--p", "100000"], 100000),
-    (["check-observations", "--p", "25", "--json"], 25),
+    (["check-observations", "--p-min", "100000", "--p-max", "100000"], 100000),
+    (["check-observations", "--p-min", "25", "--p-max", "25", "--json"], 25),
     # a range is refused by its top, before its first p is checked
     (["check-observations", "--p-min", "4", "--p-max", str(10 ** 12)], 10 ** 12),
 ])
@@ -533,10 +533,10 @@ def test_clique_command_scans_the_ball_below_2p_on_the_ring(p, monkeypatch, caps
 
 def test_clique_command_refuses_a_diameter_past_the_bfs_limit(monkeypatch, capsys):
     # clique 501 has diameter 1002; its 377,254-cell ball is never built
-    def fail(center, p):
+    def fail(center, radius):
         raise AssertionError("ball built")
 
-    monkeypatch.setattr(cli, "build_clique", fail)
+    monkeypatch.setattr(rings, "ball", fail)
     assert run(["clique", "501"]) == 3
     assert "BFS oracle limit of 1000" in capsys.readouterr().err
 
@@ -833,18 +833,30 @@ def test_check_observations_empty_p_range_exit_2(capsys):
         assert captured.err.startswith("error: empty p range")
 
 
-@pytest.mark.parametrize("bound", [["--p-min", "7"], ["--p-max", "6"],
-                                   ["--p-min", "7", "--p-max", "6"]])
-def test_check_observations_p_excludes_a_range(bound, monkeypatch, capsys):
-    # --p once won silently over a range; now neither is checked
+def test_the_p_option_is_gone(monkeypatch, capsys):
+    # one p is --p-min P --p-max P; --p is a prefix of both
     def fail(*args):
         raise AssertionError("battery run")
 
     monkeypatch.setattr(cli, "run_checks", fail)
-    assert run(["check-observations", "--p", "5", *bound]) == 2
+    assert run(["check-observations", "--p", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --p cannot be combined with --p-min or --p-max\n"
+    assert "ambiguous option: --p could match --p-min, --p-max" in captured.err
+
+
+def test_check_observations_text_output(capsys):
+    # one line per report, its counterexample count on each failure, and
+    # the overall verdict last; the refuted deep-union census fails p = 4
+    assert run(["check-observations", "--p-min", "4", "--p-max", "4", "--json"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert run(["check-observations", "--p-min", "4", "--p-max", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "p=4 shell-reuse: fail (6 counterexamples)" in lines
+    assert lines == [f"p=4 {r['id']}: {r['verdict']}"
+                     + (f" ({len(r['counterexamples'])} counterexamples)"
+                        if r["verdict"] == "fail" else "")
+                     for r in reports] + ["overall: fail"]
 
 
 @pytest.mark.parametrize("bounds, ps", [
@@ -858,3 +870,16 @@ def test_check_observations_range_defaults(bounds, ps, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda p: [])
     assert run(["check-observations", *bounds, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["p"] == ps
+
+
+@pytest.mark.parametrize("l, colors, argv", [
+    (-1, None, ["search-lattice", "-1", "--multi-domain"]),
+    (0, None, ["search-lattice", "0", "--multi-domain"]),
+    (-1, 5, ["search-lattice", "-1", "--colors", "5"]),
+])
+def test_search_periodic_checks_l_before_its_default_target(l, colors, argv, capsys):
+    # l >= 1 is checked before the span of l, odd or below 8, is asked for
+    with pytest.raises(InputError, match=f"^l must be >= 1, got {l}$"):
+        search_periodic(l, colors=colors)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: l must be >= 1, got {l}\n"

@@ -1242,3 +1242,38 @@ def test_window_file_write_read_write_is_a_fixed_point(l, assignment):
     back = read_coloring(text)
     assert isinstance(back, WindowColoring)
     assert write_coloring(back) == text
+
+
+def test_verify_lattice_stops_at_the_100th_violation():
+    # one color over a det-100 domain at l = 4: the first block, the 50
+    # right-handed cells against their 30 ball offsets, already holds 100
+    basis = ((10, 0), (0, 10))
+    cells = lattice_geometry(basis).cells()
+    result = verify_lattice(LatticeColoring(4, basis, dict.fromkeys(cells, 1)))
+    assert not result.valid
+    assert len(result.violations) == 100
+    assert result.checked == 50 * 30
+
+
+def test_verify_window_of_no_cells():
+    assert verify_window(WindowColoring(3, {})) == VerifyResult(True, [], 0)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("hexcolor v1\nl x\nwindow\ncell 0 0 1\n", 2, "bad integer 'x'"),
+    ("hexcolor v1\nl 3\nlattice 2 0 a 2\ncell 0 0 1\n", 3,
+     "lattice entries must be integers"),
+    ("hexcolor v1\nl 3\n", 1, "missing 'lattice' or 'window' line"),
+])
+def test_coloring_file_errors_name_their_line(text, line, message):
+    with pytest.raises(ColoringFormatError, match=f"^line {line}: {message}$") as err:
+        read_coloring(text)
+    assert err.value.line_no == line
+
+
+def test_materialize_window_refuses_a_radius_past_the_bfs_limit():
+    coloring = single_coset_coloring(8, ((6, 0), (3, 3)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuard, match="ring radius 1001 exceeds the BFS oracle limit"):
+        materialize_window(coloring, 1001)
+    assert time.perf_counter() - start < 0.1

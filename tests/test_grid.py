@@ -563,3 +563,41 @@ def test_bfs_distances_guard_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "missed a target" in proc.stdout
+
+
+class _Admitted(Exception):
+    """Raised in place of a sweep: the box was admitted."""
+
+
+def test_bfs_boxes_past_the_limit_are_refused_before_they_are_built(monkeypatch):
+    # a target within the limit of 1000 has reach 2|di| + |dj| + 1 <= 1501,
+    # so boxes up to half-widths (751, 1501) are swept and wider ones are
+    # refused without a box-sized array or bitboard
+    assert distance_bfs((0, 0), (0, 1000)) == 1000
+
+    def admitted(east, di_max, dj_max, waiting=None):
+        raise _Admitted(di_max, dj_max)
+
+    monkeypatch.setattr(grid, "_sweep", admitted)
+    for sweep, box in ((lambda: distance_bfs((0, 0), (500, 500)), (751, 1501)),
+                       (lambda: distance_bfs((1, 0), (751, 0)), (751, 1501)),
+                       (lambda: distance_bfs((0, 0), (0, -1500)), (751, 1501)),
+                       (lambda: distance_field((0, 0), 751, 1501), (751, 1501))):
+        with pytest.raises(_Admitted) as exc:
+            sweep()
+        assert exc.value.args == box
+    tracemalloc.start()
+    try:
+        for refused in (lambda: distance_bfs((0, 0), (10 ** 6, 0)),
+                        lambda: distance_bfs((0, 0), (751, 0)),
+                        lambda: distance_bfs((0, 0), (0, 1501)),
+                        lambda: bfs_distances((0, 0), [(0, 1), (-751, 0)]),
+                        lambda: distance_field((0, 0), 10 ** 6, 10 ** 6),
+                        lambda: distance_field((0, 0), 752, 0),
+                        lambda: distance_field((0, 0), 0, 1502)):
+            with pytest.raises(ResourceGuard, match="box of the BFS oracle limit of 1000"):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak

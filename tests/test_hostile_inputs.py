@@ -31,7 +31,7 @@ COMMANDS = [
     "clique N", "clique 2 --center N 0", "clique 2 --center 0 N",
     "shell N 1", "shell 5 N",
     "span N",
-    "check-observations --p N",
+    "check-observations --p-min N --p-max N",
     "check-observations --p-min N --p-max 5",
     "check-observations --p-min 4 --p-max N",
     "search-lattice N", "search-lattice N --multi-domain",
@@ -129,8 +129,8 @@ def test_hostile_refusals_survive_optimize_flag(tmp_path):
     huge = str(10 ** 30)
     (tmp_path / "lattice.col").write_text(LATTICE.replace("l 3", f"l {huge}"))
     argvs = [["distance", "0", "0", "0", huge],
-             ["check-observations", "--p", huge],
-             ["check-observations", "--p", "5", "--p-min", "7"],
+             ["check-observations", "--p-min", huge, "--p-max", huge],
+             ["check-observations", "--p-min", "7", "--p-max", "5"],
              ["search-lattice", "8", "--max-det", huge],
              ["exact-window", "4", "--radius", huge, "--budget", "11"],
              ["verify-coloring", str(tmp_path / "lattice.col")]]

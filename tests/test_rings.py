@@ -1,5 +1,9 @@
+import time
+
 import pytest
 
+from hexspan import rings
+from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import bfs_distances, distance_closed, parity
 from hexspan.rings import (
     ball,
@@ -208,3 +212,24 @@ def test_clique_left_center():
     dm = bfs_distances((1, 0), clique.members)
     assert max(dm.values()) == 3
     assert pairwise_distances(list(clique.members)).max() == 6
+
+
+def test_rings_balls_and_cliques_past_the_bfs_limit_are_refused_at_once(monkeypatch):
+    # a ring radius or clique diameter past the limit of 1000 is refused
+    # before any ring is built
+    def fail(k):
+        raise AssertionError("ring built")
+
+    monkeypatch.setattr(rings, "_ring_offsets", fail)
+    for refused, what in ((lambda: build_ring((0, 0), 1001), "ring radius 1001"),
+                          (lambda: ball((0, 0), 10 ** 6), "ring radius 1000000"),
+                          (lambda: build_clique((0, 0), 501), "clique diameter 1002")):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuard, match=f"^{what} exceeds the BFS oracle limit of 1000$"):
+            refused()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_ball_refuses_a_negative_radius():
+    with pytest.raises(InputError, match="radius must be >= 0, got -1"):
+        ball((0, 0), -1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hexspan import coloring, solver
 from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
+from hexspan.errors import InputError
 from hexspan.rings import ball
 from hexspan.solver import (
     MAX_NODES,
@@ -525,3 +526,8 @@ class _CountedRows(list):
     def __getitem__(self, k):
         self.reads += 1
         return super().__getitem__(k)
+
+
+def test_negative_budget_is_an_input_error():
+    with pytest.raises(InputError, match="budget must be >= 0"):
+        solve_coloring([0, 0], -1)
