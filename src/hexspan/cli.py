@@ -95,11 +95,9 @@ def _widest(cells, center) -> int:
 def _cmd_clique(args) -> int:
     clique = build_clique((args.center[0], args.center[1]), args.p)
     # no pair is farther apart than 2p (both lie within p of the centre),
-    # and a pair at 2p has both cells on ring p: the ring's widest pair
-    # decides when it reaches 2p, and only below that is the ball scanned
+    # and ring p holds centre +- (0, p), 2p apart down one column: the
+    # ring's widest pair is the clique's
     widest = _widest(build_ring(clique.center, args.p).members, clique.center)
-    if widest < 2 * args.p:
-        widest = _widest(clique.members, clique.center)
     _emit(args, {
         "command": "clique", "p": args.p, "center": list(clique.center),
         "size": len(clique.members), "max_pairwise_distance": widest,

@@ -417,9 +417,9 @@ def _orbit_keys(entries: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # the largest determinant the lattice searches enumerate, search_lattice's
-# default: on a 2-vCPU Xeon search_lattice(100) filters all 823,081 bases
-# up to det 2000 in about 0.2 s, at any l, and search_periodic's default
-# bound, 2 * span + 24, reaches 2000 at l = 50
+# default: on a 2-vCPU Xeon the filter takes about 0.2 s over all 823,081
+# bases up to it, at any l; search_lattice's packing bound passes it at
+# l = 72, and search_periodic's default, 2 * span + 24, at l = 50
 MAX_DET = 2000
 
 
@@ -456,10 +456,18 @@ def search_lattice(l: int, max_det: int = MAX_DET) -> LatticeColoring | None:
     As in ``search_periodic``, ``verify_lattice`` checks the coloring
     first, and a rejection raises ``AssertionError``.  Pure and
     deterministic.  ``ResourceGuard`` if ``max_det`` is above ``MAX_DET``.
+
+    The walk starts at the packing bound ceil(3 l'^2 / 8), l' the least
+    even number above l, below which no lattice passes: N (``_grid_norm``)
+    is even on even translations, so separation, min N > l, means min N >=
+    l'; the open hexagons N(x - w) < l'/2 around the points w of L are then
+    disjoint, and each has area 3/2 (l'/2)^2 = 3 l'^2 / 8, so det L is at
+    least that.  A ``max_det`` below the bound enumerates nothing.
     """
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    for det, basis, _, _ in _admissible(l, 0, max_det):
+    even = l + 2 - l % 2
+    for det, basis, _, _ in _admissible(l, -(-3 * even * even // 8), max_det):
         coloring = single_coset_coloring(l, basis)
         check = verify_lattice(coloring)
         if not check.valid:
@@ -523,17 +531,17 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     return adj
 
 
-def _covered(geo: LatticeGeometry, l: int) -> bool:
-    """True iff the quotient graph is complete: the radius-l ball around
-    (0, 0) meets all det orbits.  Each orbit-table row lists its own cell,
-    and even translations permute the orbits, carrying (0, 0) to every
-    right-handed cell and (1, 0) to every left-handed one.  The inversion
-    (i, j) -> (1 - i, -j), a grid automorphism that swaps handedness,
-    takes the ball around (0, 0) onto that around (1, 0) and orbits onto
-    orbits (-L = L), so this one row decides every row: the ball offsets
-    themselves, reduced to the domain."""
+def _missed(geo: LatticeGeometry, l: int) -> np.ndarray:
+    """Domain indices of the orbits that the radius-l ball around (0, 0)
+    misses: its orbit-table row, the ball offsets reduced to the domain.
+    Even translations permute the orbits, carrying (0, 0) to every
+    right-handed cell and (1, 0) to every left-handed one; the inversion
+    (i, j) -> (1 - i, -j), a grid automorphism, swaps the two balls and
+    maps orbits onto orbits (-L = L).  So every vertex of the quotient
+    graph has m = len(row) non-neighbours: m = 0 is K_det, and m = 1 is
+    K_det minus a perfect matching, of clique and chromatic number det/2."""
     cx, cy = geo.canonical(_ball_offsets(l)[0])
-    return bool(np.bincount(cx * geo.d + cy, minlength=geo.det).all())
+    return np.flatnonzero(np.bincount(cx * geo.d + cy, minlength=geo.det) == 0)
 
 
 @dataclass
@@ -563,11 +571,12 @@ def search_periodic(l: int, colors: int | None = None,
     the BFS oracle's limit, and once DSATUR has spent ``MAX_NODES`` nodes
     over the whole call: no verdict, never a refutation.
 
-    A lattice of det above ``colors`` with a complete quotient graph
-    (``_covered``) is a clique of det cells, rejected without building the
-    graph: at the span of even l = 8..40 only the success lattice's graph
-    is built.  Other graphs face ``greedy_clique``, then DSATUR.  Both
-    rejections log "clique exceeds" the target.
+    The orbit row (``_missed``) gives each vertex's m non-neighbours.  For
+    m <= 1 the clique and chromatic numbers are det/(m + 1), so a lattice
+    of det above (m + 1) * ``colors`` is rejected unbuilt and any other
+    goes straight to DSATUR: at the span of even l = 8..40 only the
+    success lattice's graph (m = 1) is built.  Graphs with m >= 2 face
+    ``greedy_clique``, then DSATUR.  Both rejections log "clique exceeds".
 
     Lattices that the point group of the grid (``_point_group``) maps onto
     each other have isomorphic quotient graphs, so a lattice whose image
@@ -599,8 +608,9 @@ def search_periodic(l: int, colors: int | None = None,
         if key in rejected:
             result.log.append(f"{line}: symmetric image of {rejected[key]}")
             continue
-        adj = None if det > target and _covered(geo, l) else quotient_conflicts(geo, l)
-        if adj is None or len(greedy_clique(adj, exceed=target)) > target:
+        m = len(_missed(geo, l))
+        adj = None if m <= 1 and det > (m + 1) * target else quotient_conflicts(geo, l)
+        if adj is None or m > 1 and len(greedy_clique(adj, exceed=target)) > target:
             result.log.append(f"{line}: clique exceeds {target}")
             rejected[key] = basis
             continue

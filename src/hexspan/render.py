@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import colorsys
 import math
+import sys
 
 from .coloring import LatticeColoring, WindowColoring
 from .errors import InputError, ResourceGuard
@@ -51,7 +52,8 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     its fundamental domain tiled ``tile`` x ``tile`` times, so the
     periodic structure is visible; ``ResourceGuard`` if that would draw
     more than ``MAX_TILED_CELLS`` cells, checked before any is placed.
-    ``InputError`` for a window coloring without cells.
+    ``InputError`` for a window coloring without cells, and for cells or
+    colors past the range of a float, whose canvas could not be drawn.
     """
     if tile < 1:
         raise InputError(f"tile must be >= 1, got {tile}")
@@ -78,6 +80,11 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     # and handedness: one cell of each places all of them
     columns = {(i, (i + j) % 2): (i, j) for i, j in cells}  # (i, parity)
     rows = {(j, (i + j) % 2): (i, j) for i, j in cells}
+    # positions, the canvas (under 4 * SCALE times the farthest coordinate)
+    # and hues are floats, so a coloring past their range is refused first
+    far = max(abs(k) for k, _ in (*columns, *rows)) * 4 * int(SCALE)
+    if max(far, max(cells.values())) > sys.float_info.max:
+        raise InputError("the coloring's cells or colors lie past the range a drawing can hold")
     px = {key: cell_position(v)[0] for key, v in columns.items()}
     py = {key: cell_position(v)[1] for key, v in rows.items()}
     pad = 1.2

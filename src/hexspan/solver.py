@@ -36,14 +36,10 @@ instead of recounting every candidate at every pick: a start costs
 O(deg(start) * log deg) word operations on n-bit rows, not
 O(clique size * deg) popcounts.
 
-Both clique routines bound the clique number by ``_colour_classes``,
+``_max_clique_bits`` bounds the clique number by ``_colour_classes``,
 the class count of a greedy colouring (a clique takes at most one
-vertex per class; San Segundo et al.).  ``greedy_clique`` stops before
-a later start once its best clique has reached that count for the
-whole graph: a start only replaces the best clique by a strictly
-larger one, and none is larger, so the clique returned is the one all
-24 starts would return.  On the quotient graph of a periodic search's
-success lattice the count is the chromatic number, and one start runs.
+vertex per class; San Segundo et al.); ``greedy_clique`` has no such
+stop.
 """
 
 from __future__ import annotations
@@ -84,24 +80,11 @@ def greedy_clique(adj: list[int], *, exceed: int | None = None) -> list[int]:
     the lowest bit left; shrinking ``cand`` borrow-subtracts the rows of
     the vertices it drops.  A start thus makes O(deg(start)) row updates
     of O(log deg) word operations each, where recounting every candidate
-    at every step costs O(clique size * deg) popcounts.
-
-    Before the second start and each later one, the search stops if the
-    best clique has as many vertices as a greedy colouring of the whole
-    graph has classes (``_colour_classes``, computed once, and only if a
-    second start would run).  No clique is larger than that count and a
-    start replaces the best clique only by a strictly larger one, so the
-    clique returned is the same as without the stop."""
+    at every step costs O(clique size * deg) popcounts."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best: list[int] = []
-    bound = n
-    for k, start in enumerate(order[: min(n, 24)]):
-        if k == 1:
-            others = [~(row | 1 << v) for v, row in enumerate(adj)]
-            bound = _colour_classes((1 << n) - 1, others, n)
-        if len(best) >= bound:
-            break
+    for start in order[: min(n, 24)]:
         clique = [start]
         cand = adj[start]
         planes = [0] * cand.bit_count().bit_length()

@@ -10,9 +10,11 @@ import pytest
 from hexspan import cli, rings
 from hexspan.cli import export_dimacs, run
 from hexspan.coloring import (
+    LatticeColoring,
     WindowColoring,
     exact_window_span,
     materialize_window,
+    search_lattice,
     search_periodic,
     single_coset_coloring,
     window_conflicts,
@@ -20,7 +22,7 @@ from hexspan.coloring import (
 )
 from hexspan.errors import InputError
 from hexspan.render import render_svg
-from hexspan.grid import pairwise_distances
+from hexspan.grid import distance_closed, pairwise_distances
 from hexspan.rings import ball, build_ring
 from hexspan.solver import ResourceGuard, bitmask_graph, solve_coloring
 
@@ -516,19 +518,16 @@ def test_clique_command_matches_the_all_pairs_scan(p, capsys):
     assert payload["max_pairwise_distance"] == pairwise_distances(ball((0, 0), p)).max() == 2 * p
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 40])
-def test_clique_command_scans_the_ball_below_2p_on_the_ring(p, monkeypatch, capsys):
-    # a ring that misses the widest pair sends the command to the whole
-    # ball, which is still scanned in bounded memory
-    monkeypatch.setattr(cli, "build_ring", lambda center, k: build_ring(center, k - 1))
-    tracemalloc.start()
-    try:
-        assert run(["clique", str(p), "--json"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert json.loads(capsys.readouterr().out)["max_pairwise_distance"] == 2 * p
-    assert peak < 16 * 2 ** 20, peak
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 40, 500])
+def test_the_ring_holds_a_pair_at_the_clique_diameter(p):
+    # ring p holds centre +- (0, p), 2p apart down one column, and no two
+    # cells of the ball are farther apart: the clique command reads its
+    # widest pair off the ring alone
+    for center in ((0, 0), (1, 0), (7, -4), (10 ** 20 + 1, -7)):
+        members = set(build_ring(center, p).members)
+        top, bottom = (center[0], center[1] + p), (center[0], center[1] - p)
+        assert top in members and bottom in members
+        assert distance_closed(top, bottom) == 2 * p
 
 
 def test_clique_command_refuses_a_diameter_past_the_bfs_limit(monkeypatch, capsys):
@@ -799,6 +798,40 @@ def test_render_output_pinned():
 def test_render_refuses_a_window_without_cells():
     with pytest.raises(InputError, match="no cells to draw"):
         render_svg(WindowColoring(4, {}))
+
+
+def _past_a_float():
+    # valid colorings whose drawing needs a float past about 1.8e308: the
+    # l = 8 single-coset coloring on an equivalent basis with 401-digit
+    # entries, a window with a cell 10**400 columns away, and one with the
+    # color 10**400
+    single = search_lattice(8)
+    (p1, q1), (p2, q2) = single.basis
+    far = 10 ** 400
+    basis = ((p1 + far * p2, q1 + far * q2), (p2, q2))
+    return [LatticeColoring(8, basis, single.assignment),
+            WindowColoring(1, {(0, 0): 1, (far, 0): 1}),
+            WindowColoring(1, {(0, 0): far, (0, 1): 1})]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_render_refuses_a_valid_coloring_past_a_float(case, tmp_path, capsys):
+    src, out = tmp_path / "big.col", tmp_path / "big.svg"
+    src.write_text(write_coloring(_past_a_float()[case]))
+    assert run(["verify-coloring", str(src)]) == 0
+    capsys.readouterr()
+    assert run(["render", str(src), "--out", str(out)]) == 2
+    assert "past the range a drawing can hold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_refuses_a_canvas_past_a_float():
+    # each position fits a float, but the canvas between them does not
+    for far in ((10 ** 307, 0), (0, 10 ** 308)):
+        with pytest.raises(InputError, match="past the range a drawing can hold"):
+            render_svg(WindowColoring(1, {(0, 0): 1, far: 1}))
+    # a little nearer, the same two cells are drawn
+    assert render_svg(WindowColoring(1, {(0, 0): 1, (10 ** 306, 0): 1})).count("<polygon") == 2
 
 
 def test_render_malformed_exit_2(tmp_path, capsys):

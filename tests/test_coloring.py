@@ -46,6 +46,7 @@ from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import distance_bfs, distance_closed, neighbors, translate
 from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
+from hexspan.solver import greedy_clique
 from hexspan.spans import span_even
 
 even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
@@ -192,8 +193,9 @@ def test_lattice_searches_filter_every_basis_up_to_the_determinant_limit():
     # the filter's cost does not grow with l: all 823,081 bases up to det
     # 2000 are decided at l = 100 and l = 1000 alike, well within 2 s, and
     # none passes (by Minkowski's packing bound, a lattice separated at even
-    # l has det >= 3(l + 2)**2 / 8)
-    for search in (lambda: search_lattice(100, 2000), lambda: search_lattice(1000, 2000),
+    # l has det >= 3(l + 2)**2 / 8, so search_lattice itself starts past 2000)
+    for search in (lambda: next(_admissible(100, 0, 2000), None),
+                   lambda: next(_admissible(1000, 0, 2000), None),
                    lambda: search_periodic(104, colors=1000, max_det=2000).coloring):
         start = time.perf_counter()
         assert search() is None
@@ -472,15 +474,21 @@ def _pairwise_verify_window(coloring):
 
 @lru_cache(maxsize=None)
 def _searched_and_graphs(l):
-    # search_periodic(l), and how many quotient graphs it built
-    built = []
+    # search_periodic(l), how many quotient graphs it built, and how many
+    # of them met the greedy clique
+    built, cliques = [], []
 
     def counting(geo, l_):
         built.append(geo)
         return quotient_conflicts(geo, l_)
 
-    with mock.patch.object(coloring_module, "quotient_conflicts", counting):
-        return search_periodic(l), len(built)
+    def clique_counting(adj, *, exceed=None):
+        cliques.append(adj)
+        return greedy_clique(adj, exceed=exceed)
+
+    with mock.patch.object(coloring_module, "quotient_conflicts", counting), \
+            mock.patch.object(coloring_module, "greedy_clique", clique_counting):
+        return search_periodic(l), len(built), len(cliques)
 
 
 def _searched(l):
@@ -534,9 +542,11 @@ def test_search_periodic_results_pinned_up_to_l40(l, tried):
 def test_search_periodic_builds_one_quotient_graph(l):
     # every lattice rejected before the success has a complete quotient
     # graph, decided from one orbit row, and the others tried are images of
-    # those under the point group: only the success's graph is built
-    res, graphs = _searched_and_graphs(l)
-    assert res.coloring is not None and graphs == 1
+    # those under the point group: only the success's graph is built, and
+    # its orbit row, one missed coset, sends it to DSATUR without the
+    # greedy clique
+    res, graphs, cliques = _searched_and_graphs(l)
+    assert res.coloring is not None and graphs == 1 and cliques == 0
 
 
 # sha256 of "\n".join(search_periodic(l).log): every lattice tried, in
@@ -569,11 +579,23 @@ def _is_complete(adj):
 
 
 def _assert_covering_is_completeness(geo, l):
-    complete = _is_complete(quotient_conflicts(geo, l))
-    assert coloring_module._covered(geo, l) == complete
+    adj = quotient_conflicts(geo, l)
+    complete = _is_complete(adj)
+    missed = coloring_module._missed(geo, l).tolist()
+    assert (not missed) == complete
+    # (0, 0)'s non-neighbours are the missed cosets, and every vertex has
+    # as many
+    full = (1 << geo.det) - 1
+    assert full ^ adj[0] == sum(1 << k for k in [0] + missed)
+    assert all((full ^ row).bit_count() == len(missed) + 1 for row in adj)
     # the row of (0, 1), domain index 1, left-handed, agrees with (0, 0)'s
     row = coloring_module._orbit_index(geo, np.array([1]), coloring_module._ball_offsets(l)[1])
     assert (len(np.unique(row)) == geo.det) == complete
+    if len(missed) == 1:
+        # K_det minus a perfect matching: every greedy clique has det/2 cells
+        half = geo.det // 2
+        assert len(greedy_clique(adj)) == half
+        assert all(len(greedy_clique(adj, exceed=t)) == half for t in range(half))
     return complete
 
 
@@ -584,7 +606,7 @@ def test_covering_row_decides_quotient_completeness():
             verdicts.add(_assert_covering_is_completeness(lattice_geometry(basis), l))
     # the success lattice is the one incomplete graph of each search
     assert verdicts == {True, False}
-    for l in (2, 4, 6):
+    for l in (2, 3, 4, 5, 6):
         verdicts = {_assert_covering_is_completeness(lattice_geometry(basis), l)
                     for det, basis in even_sublattices(120)}
         assert verdicts == {True, False}, l
@@ -849,6 +871,33 @@ def test_single_coset_search_l8():
 
 def test_search_lattice_none_when_bound_too_small():
     assert search_lattice(8, 20) is None
+
+
+def _packing_bound(l):
+    # ceil(3 l'^2 / 8), l' the least even number above l
+    even = l + 2 - l % 2
+    return -(-3 * even * even // 8)
+
+
+@pytest.mark.slow
+def test_search_lattice_starts_at_the_packing_bound():
+    # the walk from det 0 first admits a lattice at the bound, for every
+    # l up to 71, the last whose bound is at most 2000: no lattice below it
+    # passes, and one at it does
+    for l in range(1, 72):
+        det, basis, _, _ = next(_admissible(l, 0, 2000))
+        best = search_lattice(l)
+        assert det == best.det == _packing_bound(l), l
+        assert best.basis == basis, l
+    assert _packing_bound(72) == _packing_bound(73) == 2054
+
+
+def test_search_lattice_enumerates_nothing_below_the_packing_bound(monkeypatch):
+    # det 38 at l = 8 is the bound; up to 36, and at l = 72, 100 and 1000
+    # up to 2000, nothing is built or filtered
+    monkeypatch.setattr(coloring_module, "_separation_ok", None)
+    for l, max_det in ((8, 36), (8, 37), (72, 2000), (100, 2000), (1000, 2000)):
+        assert search_lattice(l, max_det) is None, l
 
 
 def test_search_periodic_exact_span_l8():

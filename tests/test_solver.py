@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexspan import coloring, solver
+from hexspan import coloring
 from hexspan.coloring import lattice_geometry, quotient_conflicts, window_conflicts
 from hexspan.errors import InputError
 from hexspan.rings import ball
 from hexspan.solver import (
     MAX_NODES,
     ResourceGuard,
-    _colour_classes,
     brute_force_chromatic,
     greedy_clique,
     solve_coloring,
@@ -388,14 +387,13 @@ def test_same_search_as_the_reference_solver_on_window_like_graphs(graph):
     assert solve_coloring(adj, budget, max_nodes=cap) == expected
 
 
-def _reference_greedy_clique(adj, *, exceed=None, starts=24):
+def _reference_greedy_clique(adj, *, exceed=None):
     """The greedy clique that recounts every candidate's in-candidate
-    degree at every step and tries every one of the ``starts`` starts,
-    kept as the reference for the bit-sliced one."""
+    degree at every step, kept as the reference for the bit-sliced one."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     best = []
-    for start in order[: min(n, starts)]:
+    for start in order[: min(n, 24)]:
         clique = [start]
         cand = adj[start]
         while cand:
@@ -465,11 +463,12 @@ def test_greedy_clique_matches_the_reference_on_the_l8_search(monkeypatch):
 
     monkeypatch.setattr(coloring, "greedy_clique", spy)
     result = coloring.search_periodic(8)
-    # the other 127 lattices tried are symmetric images of rejected ones,
-    # and the 35 rejected ones have complete quotient graphs, rejected
-    # without a graph: only the success lattice's graph meets the clique
+    # the other 127 lattices tried are symmetric images of rejected ones;
+    # the 35 rejected ones have complete quotient graphs, and the success
+    # lattice's graph is K_66 minus a perfect matching: the orbit row
+    # decides all 36, and no graph meets the greedy clique
     assert result.lattices_tried == 163
-    assert len(calls) == 1 and calls[0][1] == 33
+    assert calls == []
     # the 36 graphs, success included, that are not symmetric images
     bases = [ast.literal_eval(line.split("basis ")[1].split(":")[0])
              for line in result.log if "symmetric image of" not in line]
@@ -478,54 +477,27 @@ def test_greedy_clique_matches_the_reference_on_the_l8_search(monkeypatch):
         adj = quotient_conflicts(lattice_geometry(basis), 8)
         for exceed in (None, 33):
             assert greedy_clique(adj, exceed=exceed) == _reference_greedy_clique(adj, exceed=exceed)
-    # the last is the success lattice, whose graph the search tested
-    assert calls[0][0] == adj
+    # the last is the success lattice, whose clique is the 33 colours it takes
+    assert len(greedy_clique(adj)) == 33
 
 
 @pytest.mark.parametrize("l", range(8, 25, 2))
-def test_greedy_clique_stops_after_one_start_on_the_success_graphs(l, monkeypatch):
+def test_greedy_clique_finds_the_span_on_the_success_graphs(l):
     # the quotient graph of search_periodic(l)'s success lattice, the
     # closed-form basis pinned in test_coloring: t1 = (1 + c, 1 - c),
-    # t2 = (S, -S), S the span
+    # t2 = (S, -S), S the span.  Its orbit row misses one coset, so the
+    # graph is K_2S minus a perfect matching: every greedy pick drops only
+    # its partner, and each of the 24 starts ends at S cells
     s = span_even(l).span
     c = 3 * l // 4 if l % 4 == 0 else 3 * l // 2 + 2
-    adj = quotient_conflicts(lattice_geometry(((1 + c, 1 - c), (s, -s))), l)
-    n = len(adj)
+    geo = lattice_geometry(((1 + c, 1 - c), (s, -s)))
+    assert len(coloring._missed(geo, l)) == 1
+    adj = quotient_conflicts(geo, l)
     expected = _reference_greedy_clique(adj)
     assert len(expected) == s
     assert greedy_clique(adj) == greedy_clique(adj, exceed=s) == expected
     assert _reference_greedy_clique(adj, exceed=s) == expected
-    # the first start alone reaches S, and so does the greedy colouring's
-    # class count: the stop fires before the second start
-    assert len(_reference_greedy_clique(adj, starts=1)) == s
-    others = [~(row | 1 << v) for v, row in enumerate(adj)]
-    assert _colour_classes((1 << n) - 1, others, n) == s
-    # the class count is computed once, and not at all when the first
-    # start already exceeds ``exceed``
-    counts = []
-
-    def spy(cand, others, cap):
-        counts.append(_colour_classes(cand, others, cap))
-        return counts[-1]
-
-    monkeypatch.setattr(solver, "_colour_classes", spy)
-    rows = _CountedRows(adj)
-    assert greedy_clique(rows) == expected and counts == [s]
-    full_reads, rows.reads = rows.reads, 0
-    assert len(greedy_clique(rows, exceed=s - 1)) == s and counts == [s]
-    # and the full search read no more rows than the one start that
-    # exceeded s - 1: it ran that start only
-    assert full_reads == rows.reads
-
-
-class _CountedRows(list):
-    """Bitmask rows that count their reads by index."""
-
-    reads = 0
-
-    def __getitem__(self, k):
-        self.reads += 1
-        return super().__getitem__(k)
+    assert len(greedy_clique(adj, exceed=s - 1)) == s
 
 
 def test_negative_budget_is_an_input_error():
