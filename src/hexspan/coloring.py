@@ -27,11 +27,11 @@ over arrays of bases in ``_orbit_keys``, on one basis in
 ``lattice_geometry``.  Every numpy temporary, of lookups, bases, pairs or
 distance rows, is cut to the one block budget ``grid._BLOCK_ENTRIES``.
 
-Periodic checks read one orbit table: the search with the ring-formula
-ball, ``verify_lattice`` with the BFS ball.  ``verify_window`` stays on
-the closed form, so the two verifiers share no distance code: it reads
-each cell's candidates as runs of sorted keys, and measures only the
-pairs of one color.
+The search translates one orbit row, ``_missed``, to every domain cell;
+``verify_lattice`` reads each repeated color's row over its own BFS ball.
+``verify_window`` stays on the closed form, so the two verifiers share no
+distance code: it reads each cell's candidates as runs of sorted keys, and
+measures only the pairs of one color.
 """
 
 from __future__ import annotations
@@ -182,23 +182,16 @@ class VerifyResult:
                 "violations": [v.to_dict() for v in self.violations]}
 
 
-def _orbit_index(geo: LatticeGeometry, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The orbit table: [r, m] is the domain index of canonical(u + o) for
-    domain cell u = divmod(rows[r], d) and offset o = offsets[:, m]."""
-    xs, ys = np.divmod(rows, geo.d)
-    cx, cy = geo.canonical((xs[:, None] + offsets[0], ys[:, None] + offsets[1]))
-    return cx * geo.d + cy
-
-
 def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
     """Full periodic check: domain cell u clashes with k, of its color, if
     canonical(u + o) = k for some o != 0 in the BFS ball of u's handedness
     (k = u, separation, is checked from (0, 0) only).  Only cells whose
-    color repeats are looked up, in blocks of rows; a pair is reported
-    once, from its lower index, at its nearest ball cell.  ``checked``
-    counts lookups; the check stops at 100 violations.  ``InputError`` if
-    the assignment does not cover the domain, ``ResourceGuard`` if l is
-    above the BFS limit."""
+    color repeats are looked up, in blocks of rows, each over its own
+    ball rather than translated from one row; a pair is reported once,
+    from its lower index, at its nearest ball cell.  ``checked`` counts
+    lookups; the check stops at 100 violations.  ``InputError`` if the
+    assignment does not cover the domain, ``ResourceGuard`` if l is above
+    the BFS limit."""
     l, geo, assignment = coloring.l, coloring.geometry, coloring.assignment
     cells = geo.cells()
     if assignment.keys() != set(cells):
@@ -213,7 +206,9 @@ def verify_lattice(coloring: LatticeColoring) -> VerifyResult:
         step = max(1, _BLOCK_ENTRIES // max(dist.size, 1))
         for start in range(0, len(own), step):
             u = own[start:start + step]
-            index = _orbit_index(geo, u[:, 0], offsets)
+            xs, ys = np.divmod(u, geo.d)
+            cx, cy = geo.canonical((xs + offsets[0], ys + offsets[1]))
+            index = cx * geo.d + cy
             checked += index.size
             hits = (code[index] == code[u]) & ((index > u) | (index == 0) & (u == 0))
             nearest: dict[tuple[int, int], int] = {}
@@ -477,16 +472,12 @@ def search_lattice(l: int, max_det: int = MAX_DET) -> LatticeColoring | None:
 
 
 @lru_cache(maxsize=32)
-def _ball_offsets(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the radius-l ball around a right-handed cell and around
-    a left-handed cell, as (2, m) arrays indexed by ``parity``;
-    ``ball`` refuses l above the BFS oracle's limit."""
-    out = []
-    for rep in ((0, 0), (1, 0)):
-        offsets = np.array([(i - rep[0], j - rep[1]) for i, j in ball(rep, l)]).T
-        offsets.flags.writeable = False
-        out.append(offsets)
-    return out[0], out[1]
+def _ball_offsets(l: int) -> np.ndarray:
+    """The radius-l ball around (0, 0), as a read-only (2, m) array of
+    offsets; ``ball`` refuses l above the BFS oracle's limit."""
+    offsets = np.array(ball((0, 0), l)).T
+    offsets.flags.writeable = False
+    return offsets
 
 
 @lru_cache(maxsize=32)
@@ -512,35 +503,37 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     even translations.
 
     Domain cells u and v conflict iff some cell within distance l of u
-    lies in the orbit of v: the orbit table of u's row, with the
-    ring-formula ball offsets of its handedness, lists v.  The rule is
-    exact, and symmetric because the lattice acts by automorphisms.  Every
-    row is read, in blocks of rows of at most ``_BLOCK_ENTRIES`` lookups."""
+    lies in the orbit of v: exact, and symmetric as the lattice acts by
+    automorphisms.  By ``_missed``, u conflicts with all orbits but its
+    own and those of u + w (u right-handed) or u - w (left-handed), w over
+    the row, read in blocks of at most ``_BLOCK_ENTRIES`` entries (or one
+    row)."""
     a, b, d, n = geo.a, geo.b, geo.d, geo.det
     if not (is_even_translation((a, b)) and is_even_translation((0, d))):
         raise InputError(f"{geo} is not a lattice of even translations")
-    step = max(1, _BLOCK_ENTRIES // ball_size(l))
+    wx, wy = np.divmod(_missed(geo, l), d)
+    step = max(1, _BLOCK_ENTRIES // n)
     adj: list[int] = []
     for first in range(0, n, step):
-        u = np.arange(first, min(first + step, n))
-        related = np.zeros((len(u), n), dtype=bool)
-        for hand, offsets in enumerate(_ball_offsets(l)):
-            mine = np.flatnonzero(parity(np.divmod(u, d)) == hand)
-            related[mine[:, None], _orbit_index(geo, u[mine], offsets)] = True
+        x, y = np.divmod(np.arange(first, min(first + step, n))[:, None], d)
+        sign = 1 - 2 * parity((x, y))
+        cx, cy = geo.canonical((x + sign * wx, y + sign * wy))
+        related = np.ones((len(x), n), dtype=bool)
+        related[np.arange(len(x))[:, None], cx * d + cy] = False
         adj += bitmask_graph(related, first)
     return adj
 
 
 def _missed(geo: LatticeGeometry, l: int) -> np.ndarray:
-    """Domain indices of the orbits that the radius-l ball around (0, 0)
-    misses: its orbit-table row, the ball offsets reduced to the domain.
-    Even translations permute the orbits, carrying (0, 0) to every
-    right-handed cell and (1, 0) to every left-handed one; the inversion
-    (i, j) -> (1 - i, -j), a grid automorphism, swaps the two balls and
-    maps orbits onto orbits (-L = L).  So every vertex of the quotient
-    graph has m = len(row) non-neighbours: m = 0 is K_det, and m = 1 is
-    K_det minus a perfect matching, of clique and chromatic number det/2."""
-    cx, cy = geo.canonical(_ball_offsets(l)[0])
+    """The orbit row: domain indices of the orbits that the radius-l ball
+    around (0, 0) misses, its offsets reduced to the domain.  An even
+    translation t carries the ball and the orbit of w to those around t
+    and of t + w; the inversion (i, j) -> (1 - i, -j), a grid automorphism,
+    then an even translation carry them to those around a left-handed u
+    and of u - w (-L = L).  So every vertex of the quotient graph has
+    m = len(row) non-neighbours: m = 0 is K_det, and m = 1 is K_det minus
+    a perfect matching, of clique and chromatic number det/2."""
+    cx, cy = geo.canonical(_ball_offsets(l))
     return np.flatnonzero(np.bincount(cx * geo.d + cy, minlength=geo.det) == 0)
 
 

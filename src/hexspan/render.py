@@ -52,8 +52,9 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     its fundamental domain tiled ``tile`` x ``tile`` times, so the
     periodic structure is visible; ``ResourceGuard`` if that would draw
     more than ``MAX_TILED_CELLS`` cells, checked before any is placed.
-    ``InputError`` for a window coloring without cells, and for cells or
-    colors past the range of a float, whose canvas could not be drawn.
+    ``InputError`` for a window coloring without cells, and for cells
+    spread, or colors, past the range of a float, whose canvas could not
+    be drawn.  The drawing is the same wherever the cells lie.
     """
     if tile < 1:
         raise InputError(f"tile must be >= 1, got {tile}")
@@ -77,12 +78,16 @@ def render_svg(coloring: LatticeColoring | WindowColoring, tile: int = 3,
     if not cells:
         raise InputError("the coloring has no cells to draw")
     # a cell's x follows from its column and handedness, its y from its row
-    # and handedness: one cell of each places all of them
-    columns = {(i, (i + j) % 2): (i, j) for i, j in cells}  # (i, parity)
-    rows = {(j, (i + j) % 2): (i, j) for i, j in cells}
-    # positions, the canvas (under 4 * SCALE times the farthest coordinate)
-    # and hues are floats, so a coloring past their range is refused first
-    far = max(abs(k) for k, _ in (*columns, *rows)) * 4 * int(SCALE)
+    # and handedness: one cell of each places all of them, moved in exact
+    # ints by the even translation (an automorphism) that takes the least
+    # column and row next to (0, 0), so no float holds a far coordinate
+    ci, cj = min(i for i, _ in cells), min(j for _, j in cells)
+    cj -= (ci + cj) % 2
+    columns = {(i, (i + j) % 2): (i - ci, j - cj) for i, j in cells}  # (i, parity)
+    rows = {(j, (i + j) % 2): (i - ci, j - cj) for i, j in cells}
+    # positions, the canvas (under 4 * SCALE times the drawing's spread) and
+    # hues are floats, so a coloring past their range is refused first
+    far = max(k for v in (*columns.values(), *rows.values()) for k in v) * 4 * int(SCALE)
     if max(far, max(cells.values())) > sys.float_info.max:
         raise InputError("the coloring's cells or colors lie past the range a drawing can hold")
     px = {key: cell_position(v)[0] for key, v in columns.items()}

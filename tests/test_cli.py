@@ -795,6 +795,17 @@ def test_render_output_pinned():
         assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
+def test_render_draws_a_window_the_same_wherever_it_lies():
+    # an even translation is an automorphism, so the window moved by one,
+    # as far as (2 * 10**400, 0), draws the bytes of the window unmoved
+    window = exact_window_span(4, 3, 11).coloring
+    svg = render_svg(window)
+    for ti, tj in ((1, 1), (2 * 10 ** 15, 0), (10 ** 16, 10 ** 16), (2 * 10 ** 17, 0),
+                   (-(10 ** 20) - 1, 3), (2 * 10 ** 400, 0)):
+        moved = WindowColoring(4, {(i + ti, j + tj): c for (i, j), c in window.assignment.items()})
+        assert render_svg(moved) == svg, (ti, tj)
+
+
 def test_render_refuses_a_window_without_cells():
     with pytest.raises(InputError, match="no cells to draw"):
         render_svg(WindowColoring(4, {}))

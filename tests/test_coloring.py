@@ -46,7 +46,7 @@ from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import distance_bfs, distance_closed, neighbors, translate
 from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
-from hexspan.solver import greedy_clique
+from hexspan.solver import bitmask_graph, greedy_clique
 from hexspan.spans import span_even
 
 even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
@@ -264,13 +264,41 @@ def test_conflict_graphs_match_plain_pair_scans(monkeypatch):
 
 
 def test_quotient_conflicts_match_the_pair_scan_on_sparse_quotients():
-    # quotient_conflicts, read from the orbit table, against the pair-scan
+    # quotient_conflicts, translated from one orbit row, against the pair-scan
     # reference on sparse quotients at small l up to det 120, admissible or
     # not
     for l in (4, 6):
         for det, basis in islice(even_sublattices(120), 0, None, 9):
             geo = lattice_geometry(basis)
             assert quotient_conflicts(geo, l) == _pair_scan_quotient(geo, l), (l, basis)
+
+
+@lru_cache(maxsize=None)
+def _handed_balls(l):
+    # the ring-formula ball's offsets around (0, 0) and around (1, 0), as
+    # one (2, 2, size) array indexed by handedness
+    return np.array([[(i - h, j) for i, j in ball((h, 0), l)] for h in (0, 1)]).transpose(0, 2, 1)
+
+
+def _orbit_table_quotient(geo, l):
+    # the reference quotient graph: each domain cell's orbit table over the
+    # ball of its own handedness, with no orbit row and no inversion
+    n, d = geo.det, geo.d
+    x, y = np.divmod(np.arange(n)[:, None], d)
+    offsets = _handed_balls(l)[(x + y)[:, 0] % 2]
+    cx, cy = geo.canonical((x + offsets[:, 0], y + offsets[:, 1]))
+    related = np.zeros((n, n), dtype=bool)
+    related[np.arange(n)[:, None], cx * d + cy] = True
+    return bitmask_graph(related)
+
+
+@pytest.mark.parametrize("l", range(1, 11))
+def test_quotient_conflicts_match_the_orbit_table(l):
+    # every seventh lattice up to det 120, admissible or not, from an
+    # offset that moves with l
+    for det, basis in islice(even_sublattices(120), l % 7, None, 7):
+        geo = lattice_geometry(basis)
+        assert quotient_conflicts(geo, l) == _orbit_table_quotient(geo, l), (l, basis)
 
 
 def _box_scan_separation_ok(basis, l):
@@ -579,7 +607,10 @@ def _is_complete(adj):
 
 
 def _assert_covering_is_completeness(geo, l):
+    # the graph translated from the row is the orbit table's, each row
+    # read over its own handed ball
     adj = quotient_conflicts(geo, l)
+    assert adj == _orbit_table_quotient(geo, l)
     complete = _is_complete(adj)
     missed = coloring_module._missed(geo, l).tolist()
     assert (not missed) == complete
@@ -588,9 +619,6 @@ def _assert_covering_is_completeness(geo, l):
     full = (1 << geo.det) - 1
     assert full ^ adj[0] == sum(1 << k for k in [0] + missed)
     assert all((full ^ row).bit_count() == len(missed) + 1 for row in adj)
-    # the row of (0, 1), domain index 1, left-handed, agrees with (0, 0)'s
-    row = coloring_module._orbit_index(geo, np.array([1]), coloring_module._ball_offsets(l)[1])
-    assert (len(np.unique(row)) == geo.det) == complete
     if len(missed) == 1:
         # K_det minus a perfect matching: every greedy clique has det/2 cells
         half = geo.det // 2
