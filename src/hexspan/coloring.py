@@ -15,7 +15,7 @@ the handedness-preserving automorphisms):
 * multi-domain: colors are assigned cell by cell over the fundamental
   domain of L and repeat with period L.  Finding an assignment is an
   exact coloring problem on the quotient with wrap-around distances,
-  solved by the branch-and-bound engine.
+  solved from the orbit row alone or by the branch-and-bound engine.
 
 Both searches walk the lattices in array passes, a block of whole
 determinants at a time: the normal forms are enumerated as arrays, the
@@ -505,21 +505,18 @@ def quotient_conflicts(geo: LatticeGeometry, l: int) -> list[int]:
     Domain cells u and v conflict iff some cell within distance l of u
     lies in the orbit of v: exact, and symmetric as the lattice acts by
     automorphisms.  By ``_missed``, u conflicts with all orbits but its
-    own and those of u + w (u right-handed) or u - w (left-handed), w over
-    the row, read in blocks of at most ``_BLOCK_ENTRIES`` entries (or one
-    row)."""
+    own and those of its ``_translated`` row, read in blocks of at most
+    ``_BLOCK_ENTRIES`` entries (or one row)."""
     a, b, d, n = geo.a, geo.b, geo.d, geo.det
     if not (is_even_translation((a, b)) and is_even_translation((0, d))):
         raise InputError(f"{geo} is not a lattice of even translations")
-    wx, wy = np.divmod(_missed(geo, l), d)
+    row = _missed(geo, l)
     step = max(1, _BLOCK_ENTRIES // n)
     adj: list[int] = []
     for first in range(0, n, step):
-        x, y = np.divmod(np.arange(first, min(first + step, n))[:, None], d)
-        sign = 1 - 2 * parity((x, y))
-        cx, cy = geo.canonical((x + sign * wx, y + sign * wy))
-        related = np.ones((len(x), n), dtype=bool)
-        related[np.arange(len(x))[:, None], cx * d + cy] = False
+        u = np.arange(first, min(first + step, n))
+        related = np.ones((len(u), n), dtype=bool)
+        related[np.arange(len(u))[:, None], _translated(geo, u, row)] = False
         adj += bitmask_graph(related, first)
     return adj
 
@@ -530,11 +527,38 @@ def _missed(geo: LatticeGeometry, l: int) -> np.ndarray:
     translation t carries the ball and the orbit of w to those around t
     and of t + w; the inversion (i, j) -> (1 - i, -j), a grid automorphism,
     then an even translation carry them to those around a left-handed u
-    and of u - w (-L = L).  So every vertex of the quotient graph has
-    m = len(row) non-neighbours: m = 0 is K_det, and m = 1 is K_det minus
-    a perfect matching, of clique and chromatic number det/2."""
+    and of u - w (-L = L), as ``_translated`` does.  So every vertex of the
+    quotient graph has m = len(row) non-neighbours: m = 0 is K_det, and
+    m = 1 is K_det minus a perfect matching, of clique and chromatic number
+    det/2, each cell paired with its one non-neighbour.
+
+    DSATUR with a budget of at least det/(m + 1) colors these graphs as
+    ``_paired_coloring`` does.  Only partners share a color, so of the
+    k = min(used + 1, budget) colors a vertex may take it sees every used
+    one, or all but its partner's once that is colored.  While a pair is
+    untouched, each pick is thus the lowest vertex of the lowest such pair
+    (ties go to the lowest index), and it opens a color; then each vertex
+    left takes its partner's, its lowest free color: n + 1 nodes."""
     cx, cy = geo.canonical(_ball_offsets(l))
     return np.flatnonzero(np.bincount(cx * geo.d + cy, minlength=geo.det) == 0)
+
+
+def _translated(geo: LatticeGeometry, u: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``_missed``'s row moved to the domain cells u, as (len(u), m) domain
+    indices: canonical(u + w), or canonical(u - w) for a left-handed u."""
+    (x, y), (wx, wy) = np.divmod(u[:, None], geo.d), np.divmod(row, geo.d)
+    sign = 1 - 2 * parity((x, y))
+    cx, cy = geo.canonical((x + sign * wx, y + sign * wy))
+    return cx * geo.d + cy
+
+
+def _paired_coloring(geo: LatticeGeometry, row: np.ndarray) -> list[int]:
+    """0-based colors, in domain order, for a ``_missed`` row of m <= 1
+    cells: one per cell and its ``_translated`` partner, if any, numbered
+    in the order of the pairs' lowest cells."""
+    cells = np.arange(geo.det)
+    pairs = np.column_stack((cells, _translated(geo, cells, row)))
+    return np.unique(pairs.min(axis=1), return_inverse=True)[1].tolist()
 
 
 @dataclass
@@ -566,10 +590,13 @@ def search_periodic(l: int, colors: int | None = None,
 
     The orbit row (``_missed``) gives each vertex's m non-neighbours.  For
     m <= 1 the clique and chromatic numbers are det/(m + 1), so a lattice
-    of det above (m + 1) * ``colors`` is rejected unbuilt and any other
-    goes straight to DSATUR: at the span of even l = 8..40 only the
-    success lattice's graph (m = 1) is built.  Graphs with m >= 2 face
-    ``greedy_clique``, then DSATUR.  Both rejections log "clique exceeds".
+    of det above (m + 1) * ``colors`` is rejected, and any other is colored
+    from its row by ``_paired_coloring``, DSATUR's own coloring, with no
+    graph built: at the span of even l = 8..40 DSATUR never runs, and the
+    smallest admissible det's lattice, ``search_lattice``'s, has m = 0 (l =
+    1..30), its cells colored in domain order as ``single_coset_coloring``
+    does.  Graphs with m >= 2 face ``greedy_clique``, then DSATUR.  Both
+    rejections log "clique exceeds".
 
     Lattices that the point group of the grid (``_point_group``) maps onto
     each other have isomorphic quotient graphs, so a lattice whose image
@@ -578,11 +605,6 @@ def search_periodic(l: int, colors: int | None = None,
     ``lattices_tried`` and logs "symmetric image of" the rejected basis.
     Each orbit is one integer key (``_orbit_keys``), so a rejection stores
     one key and each lattice tried looks one up.  No call keeps anything.
-
-    If ``colors`` is the smallest admissible determinant, the first
-    lattice is ``search_lattice``'s; its quotient graph is complete
-    (checked for l = 1..30), so DSATUR, all saturations and degrees tied,
-    colors the cells in domain order, as ``single_coset_coloring`` does.
     """
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
@@ -601,17 +623,23 @@ def search_periodic(l: int, colors: int | None = None,
         if key in rejected:
             result.log.append(f"{line}: symmetric image of {rejected[key]}")
             continue
-        m = len(_missed(geo, l))
-        adj = None if m <= 1 and det > (m + 1) * target else quotient_conflicts(geo, l)
-        if adj is None or m > 1 and len(greedy_clique(adj, exceed=target)) > target:
+        row = _missed(geo, l)
+        m = len(row)
+        adj = quotient_conflicts(geo, l) if m > 1 else None
+        if (det > (m + 1) * target if adj is None
+                else len(greedy_clique(adj, exceed=target)) > target):
             result.log.append(f"{line}: clique exceeds {target}")
             rejected[key] = basis
             continue
-        try:
-            solution, nodes = solve_coloring(adj, target, max_nodes=nodes_left)
-        except ResourceGuard:
-            raise ResourceGuard(f"periodic search exceeded {MAX_NODES} nodes at {line}") from None
-        nodes_left -= nodes
+        if adj is None:
+            solution = _paired_coloring(geo, row)
+        else:
+            try:
+                solution, nodes = solve_coloring(adj, target, max_nodes=nodes_left)
+            except ResourceGuard:
+                raise ResourceGuard(
+                    f"periodic search exceeded {MAX_NODES} nodes at {line}") from None
+            nodes_left -= nodes
         if solution is None:
             result.log.append(f"{line}: not {target}-colorable")
             rejected[key] = basis

@@ -693,19 +693,20 @@ def test_search_lattice_mode_names_the_coloring(tmp_path, capsys):
 
 
 def test_search_lattice_undecided_is_not_refuted(monkeypatch, capsys):
-    # the first lattice that reaches DSATUR hits the node limit: the search
-    # proves nothing, so it refuses (exit 3) and prints no verdict
+    # the first lattice that reaches DSATUR, below the span of l = 8, hits
+    # the node limit: the search proves nothing, so it refuses (exit 3) and
+    # prints no verdict
     def out_of_nodes(adj, budget, max_nodes):
         raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
 
     monkeypatch.setattr("hexspan.coloring.solve_coloring", out_of_nodes)
-    argv = ["search-lattice", "8", "--multi-domain", "--max-det", "66"]
+    argv = ["search-lattice", "8", "--multi-domain", "--colors", "32", "--max-det", "110"]
     for json_flag in ([], ["--json"]):
         assert run(argv + json_flag) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("refused: periodic search exceeded 5000000 nodes at "
-                                "det 66 basis ((7, -5), (33, -33))\n")
+                                "det 100 basis ((9, -7), (50, -50))\n")
     # a search that decides every lattice and finds none still exits 1
     assert run(["search-lattice", "8", "--multi-domain", "--colors", "32",
                 "--max-det", "40", "--json"]) == 1

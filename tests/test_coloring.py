@@ -27,6 +27,8 @@ from hexspan.coloring import (
     _ROTATE,
     _admissible,
     _image,
+    _missed,
+    _paired_coloring,
     _separation_ok,
     even_sublattices,
     exact_window_span,
@@ -46,7 +48,7 @@ from hexspan.errors import InputError, ResourceGuard
 from hexspan.grid import distance_bfs, distance_closed, neighbors, translate
 from hexspan.reuse import compatibility_masks
 from hexspan.rings import ball
-from hexspan.solver import bitmask_graph, greedy_clique
+from hexspan.solver import bitmask_graph, greedy_clique, solve_coloring
 from hexspan.spans import span_even
 
 even_vectors = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
@@ -502,9 +504,9 @@ def _pairwise_verify_window(coloring):
 
 @lru_cache(maxsize=None)
 def _searched_and_graphs(l):
-    # search_periodic(l), how many quotient graphs it built, and how many
-    # of them met the greedy clique
-    built, cliques = [], []
+    # search_periodic(l), and how many quotient graphs it built, how many
+    # met the greedy clique and how many DSATUR colored
+    built, cliques, solved = [], [], []
 
     def counting(geo, l_):
         built.append(geo)
@@ -514,9 +516,14 @@ def _searched_and_graphs(l):
         cliques.append(adj)
         return greedy_clique(adj, exceed=exceed)
 
+    def solve_counting(adj, budget, max_nodes):
+        solved.append(adj)
+        return solve_coloring(adj, budget, max_nodes)
+
     with mock.patch.object(coloring_module, "quotient_conflicts", counting), \
-            mock.patch.object(coloring_module, "greedy_clique", clique_counting):
-        return search_periodic(l), len(built), len(cliques)
+            mock.patch.object(coloring_module, "greedy_clique", clique_counting), \
+            mock.patch.object(coloring_module, "solve_coloring", solve_counting):
+        return search_periodic(l), len(built), len(cliques), len(solved)
 
 
 def _searched(l):
@@ -570,11 +577,67 @@ def test_search_periodic_results_pinned_up_to_l40(l, tried):
 def test_search_periodic_builds_one_quotient_graph(l):
     # every lattice rejected before the success has a complete quotient
     # graph, decided from one orbit row, and the others tried are images of
-    # those under the point group: only the success's graph is built, and
-    # its orbit row, one missed coset, sends it to DSATUR without the
-    # greedy clique
-    res, graphs, cliques = _searched_and_graphs(l)
-    assert res.coloring is not None and graphs == 1 and cliques == 0
+    # those under the point group; the success's orbit row, one missed
+    # coset, colors it by the pairing: at the span no quotient graph is
+    # built, no greedy clique taken and no DSATUR search run
+    res, graphs, cliques, solves = _searched_and_graphs(l)
+    assert res.coloring is not None and graphs == cliques == solves == 0
+
+
+# sha256 of repr(sorted(search_periodic(l).coloring.assignment.items())),
+# taken while DSATUR still colored the span lattices
+SPAN_COLORING_DIGESTS = {
+    8: "03cbaed361c197da4a8de4891e20858362f61616feb9feebeb51acf94dfd14b6",
+    10: "5a9eac492ba64131b44684dd765e14ba8f91ed6dd15f2a8113784cd990dd6ef3",
+    12: "83474cec97b64c58e98041504b4a000904dae62248b4b00eb3483e8c47fa9699",
+    14: "a3aa610361ae3bcf0eb867502fb08b2118f8ebff608b4a0472cc096caf0c3f0f",
+    16: "3c5cebf3d016b5c0ceefc49e0fcd48d44bb5907bbd95bf66d72e6beab5251c51",
+    18: "a0f7fe434ac09d160fa8ffb578f0bcccdb43f32f580bfc7c3776026f9a7b2513",
+    20: "33311b64410409b217bfbc9f512013098554f1840976edde8ec46fe636002d95",
+    22: "84813ddd40f1bbe9963d130977cb921eddaba120d7f4013bb39d744c51d70fd3",
+    24: "b9283e2633776ab8923e600dc746bfbaeff6382e4ab73d518dc330a4b1af25fb",
+}
+
+
+@pytest.mark.parametrize("l", sorted(SPAN_COLORING_DIGESTS))
+def test_search_periodic_colorings_pinned(l):
+    text = repr(sorted(_searched(l).coloring.assignment.items()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SPAN_COLORING_DIGESTS[l]
+
+
+@pytest.mark.parametrize("l", [l if l <= 24 else pytest.param(l, marks=pytest.mark.slow)
+                               for l in range(8, 41, 2)])
+def test_dsatur_colors_the_span_lattice_as_the_search_does(l):
+    # the second route: DSATUR on the success lattice's quotient graph, at
+    # the search's budget, gives the coloring returned without a
+    # backtrack, while the search itself ran no DSATUR
+    res, _, _, solves = _searched_and_graphs(l)
+    geo = res.coloring.geometry
+    colors, nodes = solve_coloring(quotient_conflicts(geo, l), res.target)
+    assert {cell: c + 1 for cell, c in zip(geo.cells(), colors)} == res.coloring.assignment
+    assert nodes == geo.det + 1 and solves == 0
+
+
+# the lattices of even_sublattices(200) whose orbit row has at most one
+# cell, at l = 1..10, admissible or not
+PAIRED_LATTICES = {1: 4, 2: 12, 3: 32, 4: 78, 5: 156, 6: 300, 7: 499, 8: 831, 9: 1238,
+                   10: 1878}
+
+
+@pytest.mark.parametrize("l", sorted(PAIRED_LATTICES))
+def test_dsatur_colors_every_paired_quotient_as_the_pairing(l):
+    # K_det (m = 0) and K_det minus a perfect matching (m = 1) at the
+    # budget det/(m + 1): DSATUR's coloring is the pairing's, in det + 1
+    # nodes
+    paired = 0
+    for det, basis in even_sublattices(200):
+        geo = lattice_geometry(basis)
+        row = _missed(geo, l)
+        if len(row) <= 1:
+            paired += 1
+            assert solve_coloring(quotient_conflicts(geo, l), det // (len(row) + 1)) == (
+                _paired_coloring(geo, row), det + 1), (l, basis)
+    assert paired == PAIRED_LATTICES[l]
 
 
 # sha256 of "\n".join(search_periodic(l).log): every lattice tried, in
@@ -721,10 +784,16 @@ def test_symmetric_lattices_have_isomorphic_quotient_graphs(l):
             assert _admits(image, l) == _admits(basis, l), (l, basis, g)
 
 
+# the lattices below the span of l = 8 that reach DSATUR (m >= 2, no
+# clique above 32), none 32-colorable, in the search's order
+BELOW_SPAN_REFUTED = ["det 100 basis ((9, -7), (50, -50))", "det 108 basis ((8, -6), (54, -54))",
+                      "det 110 basis ((13, -11), (55, -55))"]
+
+
 def test_the_first_node_limit_ends_the_search(monkeypatch):
-    # the first lattice to reach DSATUR, the search's own success lattice,
-    # runs out of nodes: the search refuses there, with the limit of the
-    # whole search, and tries no further lattice
+    # the first lattice to reach DSATUR runs out of nodes: the search
+    # refuses there, with the limit of the whole search, and tries no
+    # further lattice
     limits = []
 
     def out_of_nodes(adj, budget, max_nodes):
@@ -733,25 +802,31 @@ def test_the_first_node_limit_ends_the_search(monkeypatch):
 
     monkeypatch.setattr(coloring_module, "solve_coloring", out_of_nodes)
     with pytest.raises(ResourceGuard) as refusal:
-        search_periodic(8, max_det=66)
+        search_periodic(8, colors=32, max_det=110)
     assert str(refusal.value) == (
-        "periodic search exceeded 5000000 nodes at det 66 basis ((7, -5), (33, -33))")
+        "periodic search exceeded 5000000 nodes at det 100 basis ((9, -7), (50, -50))")
     assert limits == [5_000_000]
 
 
 def test_an_exhaustive_refutation_covers_its_orbit_within_one_call(monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(coloring_module, "solve_coloring", lambda adj, budget, max_nodes: (None, 0))
-        res = search_periodic(8, max_det=66)
-    assert res.coloring is None
-    refuted = [e for e in res.log if e.endswith("not 33-colorable")]
-    assert refuted == ["det 66 basis ((7, -5), (33, -33)): not 33-colorable"]
-    images = [e for e in res.log if e.endswith("symmetric image of ((7, -5), (33, -33))")]
-    assert len(images) == 5
-    # the next call keeps nothing of it and finds the coloring again
-    again = search_periodic(8, max_det=66)
-    assert again.coloring.basis == ((7, -5), (33, -33))
-    assert again.log == _searched(8).log
+    reached = []
+
+    def refute(adj, budget, max_nodes):
+        reached.append(len(adj))
+        return None, 0
+
+    monkeypatch.setattr(coloring_module, "solve_coloring", refute)
+    res = search_periodic(8, colors=32, max_det=110)
+    assert res.coloring is None and reached == [100, 108, 110]
+    refuted = [e for e in res.log if e.endswith("not 32-colorable")]
+    assert refuted == [f"{line}: not 32-colorable" for line in BELOW_SPAN_REFUTED]
+    for line in BELOW_SPAN_REFUTED:
+        basis = line.split(" basis ")[1]
+        assert sum(e.endswith(f"symmetric image of {basis}") for e in res.log) == 5
+    # the next call keeps nothing of it: the same three lattices reach
+    # DSATUR again, none passed over as an image of the first call's
+    again = search_periodic(8, colors=32, max_det=110)
+    assert again.log == res.log and reached == [100, 108, 110] * 2
 
 
 def _clashing_pairs(coloring, result):
@@ -972,9 +1047,8 @@ def test_below_span_searches_end_without_the_node_limit():
 
 
 def test_search_periodic_refuses_fewer_colors_than_the_span(monkeypatch):
-    # a one-color quotient at l = 8 would contradict the span of 33
-    monkeypatch.setattr("hexspan.coloring.solve_coloring",
-                        lambda adj, budget, max_nodes: ([0] * len(adj), 1))
+    # a one-color pairing at l = 8 would contradict the span of 33
+    monkeypatch.setattr("hexspan.coloring._paired_coloring", lambda geo, row: [0] * geo.det)
     with pytest.raises(AssertionError, match="below the span"):
         search_periodic(8, max_det=66)
 

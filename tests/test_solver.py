@@ -179,8 +179,11 @@ def test_the_node_limit_is_one_library_constant(monkeypatch):
         return solve_coloring(adj, budget, max_nodes)
 
     monkeypatch.setattr(coloring, "solve_coloring", spy)
-    assert coloring.search_periodic(8).coloring is not None
-    assert limits == [MAX_NODES]
+    # the span search runs no DSATUR; below the span the first lattice to
+    # reach it gets the whole limit, and each later one what is left (33
+    # nodes spent on each refutation)
+    assert coloring.search_periodic(8, colors=32, max_det=110).coloring is None
+    assert limits == [MAX_NODES, MAX_NODES - 33, MAX_NODES - 66]
 
 
 def test_deep_search_leaves_recursion_limit_alone():
