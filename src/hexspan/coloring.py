@@ -750,14 +750,16 @@ def export_dimacs(l: int, radius: int) -> str:
     window (``_window``'s limits): all cells, one edge per pair at distance <= l.
     The edges are read off the whole distance matrix, at most
     ``MAX_WINDOW_CELLS`` squared entries (320 KB)."""
-    cells = sorted(_window(l, radius))
-    a, b = np.nonzero(np.triu(pairwise_distances(cells) <= l, 1))
-    lines = [f"c hexspan power graph: separation l={l}, window radius {radius}",
-             "c vertex ids map to cells as:"]
-    lines += [f"c vertex {idx + 1} {i} {j}" for idx, (i, j) in enumerate(cells)]
-    lines.append(f"p edge {len(cells)} {len(a)}")
-    lines += [f"e {u + 1} {v + 1}" for u, v in zip(a.tolist(), b.tolist())]
-    return "\n".join(lines) + "\n"
+    cells = np.array(sorted(_window(l, radius)), dtype=np.int64)
+    n = len(cells)
+    edges = np.argwhere(np.triu(pairwise_distances(cells) <= l, 1)) + 1
+    # one %-format per section over flat ints, much faster than a string per line
+    vertices = np.column_stack((np.arange(1, n + 1), cells))
+    return (f"c hexspan power graph: separation l={l}, window radius {radius}\n"
+            "c vertex ids map to cells as:\n"
+            + "c vertex %d %d %d\n" * n % tuple(vertices.ravel().tolist())
+            + f"p edge {n} {len(edges)}\n"
+            + "e %d %d\n" * len(edges) % tuple(edges.ravel().tolist()))
 
 
 def _squeeze(coords: list[int], cap: int) -> tuple[np.ndarray, np.ndarray]:

@@ -66,9 +66,17 @@ plane is unpacked once (``np.unpackbits``) and weighted by 2**b.
 Cells never reached hold -1.  A level costs about a dozen big-int
 operations, whatever the size of its frontier.
 
-The closed form's westward correction term was calibrated against the
-BFS oracle, and their equivalence is enforced by the test suite,
-exhaustively up to radius 30.
+The closed form is d(u, v) = max(|D(i + j)|, |D(i - j)|, |D(2i - p)|),
+D the difference from u to v and p = (i + j) mod 2.  The first two
+terms give |di| + |dj|, the distance when |di| <= |dj|.  Between a
+western cell w and an eastern one e the third is 2|di| + p(w) - p(e),
+the distance when |di| > |dj|, with the westward correction
+p(w) - p(e) calibrated against the BFS oracle.  It is at least
+2|di| - 1 >= |di| + |dj| when |di| > |dj|, at most 2|di| + 1 <= |di| + |dj|
+when |di| < |dj|, and 2|di| when |di| = |dj| (the parities are then
+equal), so the largest of the three is always the right branch.  The
+test suite enforces the equivalence with the oracle exhaustively up to
+radius 30.
 """
 
 from __future__ import annotations
@@ -124,47 +132,54 @@ def neighbors(v: Vertex) -> set[Vertex]:
 
 
 def distance_closed(u: Vertex, v: Vertex) -> int:
-    """Exact graph distance, closed form.
+    """Exact graph distance, closed form: the largest absolute difference
+    between u and v of i + j, of i - j and of 2i - p, p = (i + j) mod 2.
 
-    When the column offset does not exceed the row offset every step can
-    make progress, so the distance is the L1 norm.  Otherwise vertical
-    detours are forced: an eastward step must leave a right-handed cell
-    and a westward step a left-handed one, which pins how many detour
-    steps are needed.  Writing w for the western and e for the eastern
-    endpoint the total comes to 2*|di| + parity(w) - parity(e).
+    When |di| <= |dj| every step can make progress, so the distance is
+    the L1 norm |di| + |dj|.  Otherwise vertical detours are forced: an
+    eastward step must leave a right-handed cell and a westward step a
+    left-handed one, which pins how many detour steps are needed.
+    Writing w for the western and e for the eastern endpoint the total
+    comes to 2|di| + p(w) - p(e).
+
+    The three differences give both branches at once.  The first two
+    give max(|di + dj|, |di - dj|) = |di| + |dj|.  For di != 0 the third
+    is (2i_e - p(e)) - (2i_w - p(w)) = 2|di| + p(w) - p(e), the second
+    branch; for di = 0 it is at most 1.  So:
+
+    * if |di| > |dj|, it is at least 2|di| - 1 >= |di| + |dj|;
+    * if |di| < |dj|, it is at most 2|di| + 1 <= |di| + |dj|;
+    * if |di| = |dj|, i + j changes by an even amount, the parities are
+      equal, and it is 2|di| = |di| + |dj|.
     """
-    di = abs(u[0] - v[0])
-    dj = abs(u[1] - v[1])
-    if di <= dj:
-        return di + dj
-    west, east = (u, v) if u[0] < v[0] else (v, u)
-    return 2 * di + parity(west) - parity(east)
+    (i1, j1), (i2, j2) = u, v
+    s1, s2 = i1 + j1, i2 + j2
+    return max(abs(s1 - s2), abs((i1 - j1) - (i2 - j2)),
+               abs((2 * i1 - s1 % 2) - (2 * i2 - s2 % 2)))
 
 
 # the package's one block budget, in entries per numpy temporary: a large
 # ``distance_closed_array`` result is filled in blocks of this many entries
 # (at 1396 x 1396 the call peaks at its 15.6 MB result plus 0.4 MB, where
-# one block took three times it), and the coloring module's lookup tables,
+# one block took three times it, and on two 10**6-cell rows at its 8 MB
+# result plus 0.9 MB), and the coloring module's lookup tables,
 # pair chunks and distance rows and the CLI's widest-pair scan are cut to
 # it: 128 KiB int64 temporaries that stay in cache
 _BLOCK_ENTRIES = 1 << 14
 
 
 def _closed_form(i1, j1, i2, j2, out=None):
-    """``distance_closed_array``'s steps, into ``out`` if given."""
-    # the parity difference already has the full broadcast shape and dtype;
+    """``distance_closed_array``'s steps, into ``out`` if given: the three
+    coordinate differences of ``distance_closed``, each taken on the
+    un-broadcast inputs and then subtracted, and their largest."""
+    s1, s2 = i1 + j1, i2 + j2
     # np.asarray keeps 0-d results arrays, so the in-place steps apply
-    out = np.asarray(np.subtract((i1 + j1) & 1, (i2 + j2) & 1, out=out))
-    di = np.asarray(i1 - i2)
-    dj = np.asarray(j1 - j2)
-    # parity(first) - parity(second) is parity(west) - parity(east) unless
-    # the first cell lies east of the second
-    np.negative(out, out=out, where=di > 0)
-    np.abs(di, out=di)
-    np.abs(dj, out=dj)
-    out += di
-    out += di
-    np.add(di, dj, out=out, where=di <= dj)
+    out = np.asarray(np.subtract(s1, s2, out=out))
+    np.abs(out, out=out)
+    d = np.asarray((i1 - j1) - (i2 - j2))
+    np.maximum(out, np.abs(d, out=d), out=out)
+    d = np.asarray((2 * i1 - (s1 & 1)) - (2 * i2 - (s2 & 1)))
+    np.maximum(out, np.abs(d, out=d), out=out)
     return out
 
 
@@ -177,8 +192,8 @@ def distance_closed_array(i1, j1, i2, j2):
     of first-axis rows at a time: inputs that vary along that axis are
     sliced, the others passed whole, and each block's steps run in place
     in the result.  The result is then the only full-size array; a
-    smaller one takes a single block, in which at most three arrays of
-    its size are live.  Parity terms are taken on the un-broadcast
+    smaller one takes a single block.  The sums i + j, i - j and 2i - p
+    are taken on each block's un-broadcast inputs, never on the whole
     inputs, and the inputs are never written.
     """
     args = [np.asarray(a) for a in (i1, j1, i2, j2)]

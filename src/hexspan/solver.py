@@ -20,13 +20,14 @@ count, the top plane first), to which coloring v with c adds
 if more than one candidate is left, each tied candidate u then counts
 its uncolored neighbors, ``(adj[u] & uncolored).bit_count()``, on the
 spot.  The pick sees s of the k = min(used + 1, budget) colors it may
-take, so k - s are free: with none the search backtracks at once, else
-the color scan stops at the lowest free color.  A vertex backtracked to
-resumes its scan above its last color, skipping the colors still
-blocked.  Ties cost O(ties * n / 64) word operations per node: cheap on
-the dense window and quotient graphs (about three ties per node), slow
-on very sparse ones (an edgeless graph or a star on 1,500 vertices:
-0.4 s on a 2-vCPU Xeon).
+take, so k - s are free: with none the search goes straight back to
+its last choice point, a vertex colored with free colors left to try,
+without breaking the tie; else the color scan stops at the lowest free
+color.  The vertex of a choice point resumes its scan above its last
+color, skipping the colors still blocked.  Ties cost O(ties * n / 64)
+word operations per node: cheap on the dense window and quotient graphs
+(about three ties per node), slow on very sparse ones (an edgeless
+graph or a star on 1,500 vertices: 0.4 s on a 2-vCPU Xeon).
 Resource limits raise ``ResourceGuard``: a guarded run refuses, and
 never returns a wrong verdict.
 
@@ -210,14 +211,19 @@ def solve_coloring(adj: list[int], budget: int,
     Returns (colors, nodes): a color list (values 0..budget-1), or None
     when impossible, and the number of search nodes visited.
 
-    The depth-first search runs over an explicit stack with one frame
-    per colored vertex: the vertex, its color, how many of its free
-    colors are left to try, the number k of colors it could take, and
-    the saturation planes and ``blocked`` row it replaced, so undoing a
-    color is restoring them.  A frame holds a count, not the colors
-    themselves: once every frame above it is undone, the rows are as
-    they were at its pick, and its next color is the next one above its
-    last that they leave free.  A full coloring is read off the frames.
+    The depth-first search keeps its undo state only at choice points.
+    A vertex colored with more of its free colors left to try is one: it
+    saves the vertex, its color, how many free colors are left, the
+    number k of colors it could take, the saturation planes, a copy of
+    ``blocked`` and ``uncolored``, all as they were at its pick.  The
+    planes are copied there only and updated in place elsewhere.  A
+    forced vertex, with one free color, saves nothing; each coloring
+    writes ``colors[v]``, and a vertex colored again after a backtrack
+    is written again, so the full coloring is ``colors`` as it stands.
+    A node whose pick has no free color returns to the last choice point
+    at once, restores its state and gives its vertex the next free color
+    above its last.  That undoes exactly the vertices colored since, so
+    the nodes are those of a search that undid one vertex at a time.
     Every visit to a partial coloring is one node; past ``max_nodes``
     the search raises ``ResourceGuard``: undecided, never infeasible.
     """
@@ -234,7 +240,8 @@ def solve_coloring(adj: list[int], budget: int,
     # a saturation never exceeds budget; the top plane comes first
     sat = [0] * budget.bit_length()
     low_plane = len(sat) - 1
-    stack: list[tuple] = []
+    colors = [0] * n
+    choices: list[tuple] = []
     k = 1                           # colors the next vertex may take: min(used + 1, budget)
     nodes = 0
     while True:
@@ -242,9 +249,6 @@ def solve_coloring(adj: list[int], budget: int,
         if nodes > max_nodes:
             raise ResourceGuard(f"coloring search exceeded {max_nodes} nodes")
         if not uncolored:
-            colors = [0] * n
-            for frame in stack:
-                colors[frame[0]] = frame[1]
             return colors, nodes
         # greatest saturation s: from the top plane down, keep the
         # candidates with the bit set whenever some have it
@@ -255,39 +259,40 @@ def solve_coloring(adj: list[int], budget: int,
             if cand & plane:
                 cand &= plane
                 s += 1
-        if cand & (cand - 1):
-            # ties: most uncolored neighbors, then lowest index
-            best = -1
-            while cand:
-                low = cand & -cand
-                d = (adj[low.bit_length() - 1] & uncolored).bit_count()
-                if d > best:
-                    best, bit = d, low
-                cand ^= low
-        else:
-            bit = cand
-        v = bit.bit_length() - 1
-        # v sees s of the k colors it may take; the rest are free
+        # the pick sees s of the k colors it may take; the rest are free
         free = k - s
-        c = -1
-        # out of colors for v: undo the deepest colored vertex, until one
-        # has a color left to try
-        while not free:
-            if not stack:
+        if free:
+            if cand & (cand - 1):
+                # ties: most uncolored neighbors, then lowest index
+                best = -1
+                while cand:
+                    low = cand & -cand
+                    d = (adj[low.bit_length() - 1] & uncolored).bit_count()
+                    if d > best:
+                        best, bit = d, low
+                    cand ^= low
+            else:
+                bit = cand
+            v = bit.bit_length() - 1
+            c = 0
+        else:
+            # out of colors: back to the last choice point, whose vertex
+            # resumes above its last color
+            if not choices:
                 return None, nodes
-            v, c, free, k, sat, row = stack.pop()
-            blocked[c] = row
+            v, c, free, k, sat, blocked, uncolored = choices.pop()
             bit = 1 << v
-            uncolored |= bit
-        # give v its lowest free color above c and descend
-        c += 1
+            c += 1
         while blocked[c] & bit:
             c += 1
-        stack.append((v, c, free - 1, k, sat, blocked[c]))
+        if free > 1:
+            choices.append((v, c, free - 1, k, sat, blocked[:], uncolored))
+            sat = sat[:]
+        colors[v] = c
         uncolored ^= bit
         m = adj[v]
-        # saturation += 1 where c is new, by ripple carry on a copy
-        sat, carry = sat[:], m & ~blocked[c]
+        # saturation += 1 where c is new, by ripple carry
+        carry = m & ~blocked[c]
         i = low_plane
         while carry:
             sat[i], carry = sat[i] ^ carry, sat[i] & carry

@@ -84,6 +84,37 @@ def test_westward_correction_table_derivation():
     assert seen == {(0, 0, 0), (1, 1, 0), (0, 1, -1), (1, 0, 1)}
 
 
+def _two_branch_closed(u, v):
+    """The closed form as it was calibrated: the L1 norm when |di| <= |dj|,
+    else 2|di| + parity(west) - parity(east)."""
+    di = abs(u[0] - v[0])
+    dj = abs(u[1] - v[1])
+    if di <= dj:
+        return di + dj
+    west, east = (u, v) if u[0] < v[0] else (v, u)
+    return 2 * di + parity(west) - parity(east)
+
+
+def test_both_kernels_are_the_two_branch_formula_on_a_box():
+    box = [(i, j) for i in range(-9, 10) for j in range(-9, 10)]
+    expected = [[_two_branch_closed(u, v) for v in box] for u in box]
+    assert [[distance_closed(u, v) for v in box] for u in box] == expected
+    assert pairwise_distances(box).tolist() == expected
+
+
+far = st.integers(-10 ** 30, 10 ** 30)
+
+
+@given(st.tuples(far, far), st.tuples(far, far),
+       st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+def test_scalar_kernel_is_the_two_branch_formula_past_int64(u, v, offset):
+    # a far pair tests the big-int arithmetic; u and a near cell cross
+    # both branches
+    near = (u[0] + offset[0], u[1] + offset[1])
+    for w in (v, near):
+        assert distance_closed(u, w) == _two_branch_closed(u, w)
+
+
 def test_closed_equals_bfs_radius_8_exhaustive():
     window = ball((0, 0), 8)
     for u in window:
@@ -232,6 +263,24 @@ def test_closed_form_on_the_oracle_window_in_bounded_memory():
     assert np.array_equal(out, out.T) and (np.diag(out) == 0).all()
     corner = arr[:40]
     assert np.array_equal(out[:40, :40], pairwise_distances(corner))
+
+
+def test_closed_form_on_long_rows_in_bounded_memory():
+    # verify_path_bound's shape: two long 1-D rows of cells, measured in
+    # blocks; the sums taken over the whole rows would add six 8 MB arrays
+    rng = np.random.default_rng(3)
+    u = rng.integers(-10 ** 6, 10 ** 6, (10 ** 6, 2))
+    v = rng.integers(-10 ** 6, 10 ** 6, (10 ** 6, 2))
+    tracemalloc.start()
+    try:
+        out = distance_closed_array(u[:, 0], u[:, 1], v[:, 0], v[:, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10 ** 6,) and out.dtype == np.int64
+    assert peak < out.nbytes + 4 * 2 ** 20, peak
+    for k in range(0, 10 ** 6, 9973):
+        assert out[k] == distance_closed(tuple(u[k].tolist()), tuple(v[k].tolist())), k
 
 
 def test_pairwise_distances_matrix():
